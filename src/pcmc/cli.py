@@ -147,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _cmd_fit(args) -> int:
     dataset = data_mod.load(args.data, format=args.format)
     cfg = model_mod.FitConfig(smoothing_alpha=args.alpha, seed=args.seed,
@@ -174,9 +169,11 @@ def _cmd_fit(args) -> int:
             "loglik": model_mod.log_likelihood(fitted, dataset),
             "n_observations": len(dataset),
         }
+    # serialized before any write, so a failure leaves no partial output
+    report_text = serialize.dumps(report_dict) if args.report else None
     serialize.save_model(fitted, args.out)
-    if args.report:
-        _write_text(args.report, serialize.dumps(report_dict))
+    if report_text is not None:
+        serialize.write_text(args.report, report_text)
     return 0
 
 
@@ -184,7 +181,8 @@ def _cmd_eval(args) -> int:
     fitted = serialize.load_model(args.model_file)
     dataset = data_mod.load(args.data, format=args.format)
     report = evaluate.prediction_error(fitted, dataset)
-    _write_text(args.out, serialize.dumps(serialize.error_report_to_dict(report)))
+    serialize.write_text(args.out,
+                         serialize.dumps(serialize.error_report_to_dict(report)))
     return 0
 
 
@@ -198,14 +196,14 @@ def _cmd_curve(args) -> int:
     curve = evaluate.learning_curve(
         dataset, specs, args.fractions, args.permutations, seed=args.seed,
     )
-    _write_text(args.out, serialize.curve_to_csv(curve))
+    serialize.write_text(args.out, serialize.curve_to_csv(curve))
     return 0
 
 
 def _cmd_audit(args) -> int:
     fitted = serialize.load_model(args.model_file)
     report = axioms.run_audit(fitted, expand_k=args.expand_k)
-    _write_text(args.out, serialize.dumps(report))
+    serialize.write_text(args.out, serialize.dumps(report))
     return 0
 
 

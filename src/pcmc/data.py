@@ -353,9 +353,15 @@ def _parse_sf_matrix(text: str):
             continue
         toks = line.replace(",", " ").split()
         try:
-            row = [int(float(t)) for t in toks]
+            row = [int(t) for t in toks]
         except ValueError:
-            raise ParseError(lineno, "expected numeric columns") from None
+            try:
+                vals = [float(t) for t in toks]
+            except ValueError:
+                vals = [math.nan]
+            if not all(v.is_integer() for v in vals):
+                raise ParseError(lineno, "expected integer columns") from None
+            row = [int(v) for v in vals]
         if width is None:
             width = len(row)
             if width < 3:

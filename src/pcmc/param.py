@@ -18,6 +18,7 @@ extend it from pairs to larger sets.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -148,11 +149,15 @@ class BladeChest:
         np.fill_diagonal(p, 0.0)
         return PairwiseMatrix(n=self.n, p=p)
 
-    def to_pcmc(self) -> PcmcModel:
+    @cached_property
+    def _chain(self) -> PcmcModel:
         return PcmcModel(q=q_from_pairwise(self.pairwise()))
 
+    def to_pcmc(self) -> PcmcModel:
+        return self._chain
+
     def probabilities(self, subset: Sequence[int]) -> Distribution:
-        return self.to_pcmc().probabilities(subset)
+        return self._chain.probabilities(subset)
 
 
 def bladechest_pair(model: BladeChest, i: int, j: int) -> float:
@@ -171,14 +176,35 @@ def mnl_to_pcmc(mnl: MnlModel) -> PcmcModel:
     return PcmcModel(q=q_from_btl(mnl.gamma))
 
 
+def _embedding_loglik_and_grad(objective, bc: BladeChest, grad=True):
+    """Smoothed log-likelihood of an embedding model and, when grad is
+    true, its gradient in the blades then the chests, flattened: the
+    rate-matrix gradient carried through the logistic and the scores."""
+    s = _sigmoid(bc.matchups())
+    value, g = objective.loglik_and_grad(s.T, grad)  # the diagonal is unused
+    if value is None or not grad:
+        return value, None
+    # q_ji = sigmoid(M_ij), and M = F - F^T for the variant's score F.
+    dm = g.T * s * (1.0 - s)
+    df = dm - dm.T
+    b, c = bc.blades, bc.chests
+    if bc.variant == "inner":
+        gb, gc = df @ c, df.T @ b
+    else:
+        gb = 2.0 * (df.sum(axis=1)[:, None] * b - df @ c)
+        gc = 2.0 * (df.sum(axis=0)[:, None] * c - df.T @ b)
+    return value, np.concatenate([gb.ravel(), gc.ravel()])
+
+
 def fit_bladechest(dataset, d: int, variant: str = "distance",
                    cfg: FitConfig = None) -> BladeChest:
     """Fit embeddings by maximizing the smoothed chain log-likelihood.
 
     The 2*d*n embedding coordinates are unconstrained; the induced rate
     matrix is always canonical because complementary win probabilities
-    sum to one. Same quasi-Newton-with-finite-differences recipe as the
-    rate-matrix fitter, started from small random embeddings drawn with
+    sum to one. The gradient is the rate-matrix fitter's exact adjoint
+    gradient carried through the logistic and the matchup scores by the
+    chain rule. Started from small random embeddings drawn with
     cfg.seed.
     """
     cfg = cfg or FitConfig()
@@ -203,25 +229,19 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
             variant=variant,
         )
 
-    def fun(x):
-        bc = build(x)
-        rates = _sigmoid(bc.matchups()).T.copy()
-        np.fill_diagonal(rates, 0.0)
-        value = objective.loglik(rates)
+    def fun(x, grad=True):
+        value, g = _embedding_loglik_and_grad(objective, build(x), grad)
         if value is None or not math.isfinite(value):
-            return model_mod._PENALTY
-        return -value
-
-    def jac(x):
-        return model_mod.finite_difference_gradient(fun, x, cfg.grad_step)
+            return model_mod._PENALTY, np.zeros_like(x)
+        return -value, (-g if grad else None)
 
     rng = np.random.default_rng(cfg.seed)
     x0 = rng.standard_normal(2 * n * d) / math.sqrt(d)
 
-    tracked = {"x": x0.copy(), "val": fun(x0)}
+    tracked = {"x": x0.copy(), "val": fun(x0, False)[0]}
 
     def callback(xk):
-        v = fun(xk)
+        v = fun(xk, False)[0]
         if v < tracked["val"]:
             tracked["x"], tracked["val"] = xk.copy(), v
 
@@ -229,7 +249,7 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
     # method applies; it is far more reliable here than a sequential
     # quadratic programming step with no constraints to anchor it.
     res = minimize(
-        fun, x0, jac=jac, method="L-BFGS-B", callback=callback,
+        fun, x0, jac=True, method="L-BFGS-B", callback=callback,
         options={"maxiter": cfg.max_iters, "ftol": cfg.ftol},
     )
     best_x, best_val = tracked["x"], tracked["val"]

@@ -6,6 +6,7 @@ any platform. Model JSON carries a "model" tag naming the family.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -103,9 +104,21 @@ def model_from_dict(d: dict):
     raise ParseError(0, "unknown model tag %r" % kind)
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into
+    place, so path never holds a partial file."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_model(model, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(model_to_dict(model)))
+    write_text(path, dumps(model_to_dict(model)))
 
 
 def load_model(path: str):

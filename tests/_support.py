@@ -181,3 +181,28 @@ def pairwise_from_rates(rates):
             if i != j:
                 p[i, j] = r[j, i] / (r[i, j] + r[j, i])
     return p
+
+
+def random_terms(rng, n, sizes):
+    """Objective terms (set, index array, weights) for one random set of
+    each given size, with smoothed-count-like weights in [0.1, 20)."""
+    terms = []
+    for k in sizes:
+        s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+        terms.append((s, np.array(s), rng.uniform(0.1, 20.0, size=k)))
+    return terms
+
+
+def central_gradient(f, x, step):
+    """Centered-difference gradient of a scalar function, one
+    coordinate at a time; step is a scalar or one step per coordinate."""
+    x = np.asarray(x, dtype=float)
+    step = np.broadcast_to(step, x.shape)
+    grad = np.empty(x.shape)
+    for k in np.ndindex(x.shape):
+        hi = x.copy()
+        lo = x.copy()
+        hi[k] += step[k]
+        lo[k] -= step[k]
+        grad[k] = (f(hi) - f(lo)) / (2.0 * step[k])
+    return grad

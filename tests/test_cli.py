@@ -86,6 +86,29 @@ class TestFit:
         assert _read(outs[0]) == _read(outs[1])
 
 
+    def test_report_failure_writes_nothing(self, synth_files, tmp_path,
+                                           monkeypatch):
+        data_path, _ = synth_files
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        # a non-finite value makes the report's serialization raise
+        monkeypatch.setattr(serialize, "fit_report_to_dict",
+                            lambda report: {"loglik": float("nan")})
+        with pytest.raises(ValueError):
+            main(["fit", "--data", data_path, "--model", "pcmc",
+                  "--out", str(out_dir / "fit.json"),
+                  "--report", str(out_dir / "report.json")])
+        assert list(out_dir.iterdir()) == []
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        serialize.write_text(str(path), "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            serialize.write_text(str(path), "new \ud800\n")
+        assert _read(str(path)) == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
 class TestEval:
     def test_report_written(self, synth_files, tmp_path):
         data_path, model_path = synth_files

@@ -254,6 +254,28 @@ class TestLoadSave:
         with pytest.raises(InvalidChoice):
             data.load(str(path), format="sf-matrix")
 
+    def test_sf_matrix_rejects_fractional_tokens(self, tmp_path):
+        # truncating would read line 2 as "chose 1 from {1, 2}"
+        path = tmp_path / "sf.txt"
+        path.write_text("0 1 1 0\n1.9 0.6 1 1\n")
+        with pytest.raises(ParseError) as err:
+            data.load(str(path), format="sf-matrix")
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("token", ["x", "nan", "inf", "1e400", "0x1"])
+    def test_sf_matrix_rejects_non_numeric_tokens(self, tmp_path, token):
+        path = tmp_path / "sf.txt"
+        path.write_text("0 1 1 0\n1 %s 1 1\n" % token)
+        with pytest.raises(ParseError) as err:
+            data.load(str(path), format="sf-matrix")
+        assert err.value.line_number == 2
+
+    def test_sf_matrix_accepts_integral_floats(self, tmp_path):
+        path = tmp_path / "sf.txt"
+        path.write_text("0 1 1 0\n2.0 1.0 1 1e0\n")
+        ds = data.load(str(path), format="sf-matrix")
+        assert ds.observations == ((0, (0, 1)), (2, (0, 1, 2)))
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("0,0 1\n")

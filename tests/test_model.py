@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pcmc import data, model, param
 from pcmc.ctmc import RateMatrix
@@ -16,7 +17,12 @@ from pcmc.model import (
     smoothed_log_likelihood,
 )
 
-from _support import cyclic_matrix, random_canonical
+from _support import (
+    central_gradient,
+    cyclic_matrix,
+    random_canonical,
+    random_terms,
+)
 
 # hand-computed: 3*log(0.75) + log(0.25)
 LOGLIK_3TO1 = -2.249340578475233
@@ -105,8 +111,6 @@ class TestFitConfig:
             FitConfig(max_iters=0)
         with pytest.raises(ValueError):
             FitConfig(ftol=0.0)
-        with pytest.raises(ValueError):
-            FitConfig(grad_step=-1e-6)
         with pytest.raises(NegativeAlpha):
             FitConfig(smoothing_alpha=-0.1)
 
@@ -137,6 +141,65 @@ class TestGradient:
                 centered = (objective(hi) - objective(lo)) / step
                 denom = max(1.0, abs(centered))
                 assert abs(grad[k] - centered) / denom <= 1e-3
+
+
+class TestAdjointGradient:
+    """loglik_and_grad against oracles that share none of its code."""
+
+    @staticmethod
+    def _problem(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 8))
+        sizes = [2, 4] + rng.integers(2, n + 1, size=3).tolist()
+        rates = random_canonical(rng, n) * rng.uniform(0.5, 3.0)
+        return model._SetObjective(n, random_terms(rng, n, sizes)), rates
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_matches_central_differences(self, seed):
+        obj, rates = self._problem(seed)
+        value, grad = obj.loglik_and_grad(rates)
+        assert value == obj.loglik(rates)
+        # steps relative to each rate: curvature grows like 1 / q_ij^2;
+        # the diagonal is ignored by the objective, so any step works there
+        steps = np.where(np.eye(len(rates), dtype=bool), 1.0, 1e-4 * rates)
+        oracle = central_gradient(obj.loglik, rates, steps)
+        assert np.abs(grad - oracle).max() \
+            <= 1e-6 * max(1.0, np.abs(oracle).max())
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_euler_identity(self, seed):
+        # L(cQ) = L(Q) for every c > 0, so sum_ij q_ij dL/dq_ij = 0
+        obj, rates = self._problem(seed)
+        terms = rates * obj.loglik_and_grad(rates)[1]
+        assert abs(terms.sum()) <= 1e-9 * max(1.0, np.abs(terms).sum())
+
+    def test_careful_fallback_gives_same_gradient(self, monkeypatch):
+        # a negative tolerance fails every row's certification, so each
+        # set takes the per-set solver and the least-squares adjoint
+        obj, rates = self._problem(5)
+        value, grad = obj.loglik_and_grad(rates)
+        monkeypatch.setattr(model, "RESIDUAL_TOL", -1.0)
+        careful_value, careful_grad = obj.loglik_and_grad(rates)
+        assert careful_value == pytest.approx(value, rel=1e-12)
+        assert np.abs(careful_grad - grad).max() \
+            <= 1e-9 * max(1.0, np.abs(grad).max())
+
+    def test_no_unique_distribution_gives_zero_gradient(self):
+        obj = model._SetObjective(3, [((0, 1, 2), np.arange(3),
+                                       np.ones(3))])
+        value, grad = obj.loglik_and_grad(np.zeros((3, 3)))
+        assert value is None
+        assert np.array_equal(grad, np.zeros((3, 3)))
+
+    def test_fitters_never_use_finite_differences(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("finite differences in a fit path")
+
+        monkeypatch.setattr(model, "finite_difference_gradient", forbidden)
+        ds = data.sample(PcmcModel(q=cyclic_matrix(0.7)),
+                         [(0, 1), (1, 2), (0, 1, 2)], count=300, seed=3)
+        fit(ds, FitConfig(max_iters=5))
+        param.fit_bladechest(ds, d=1, cfg=FitConfig(max_iters=5))
 
 
 class TestFit:

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmc import ctmc, data, luce, param
+from pcmc import ctmc, data, luce, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import InvalidPairwise, NonpositiveGamma, SameItem
@@ -20,7 +21,7 @@ from pcmc.param import (
     q_from_pairwise,
 )
 
-from _support import cyclic_rates
+from _support import central_gradient, cyclic_rates, random_terms
 
 
 class TestQFromBtl:
@@ -186,6 +187,66 @@ class TestBladeChest:
         d = bc.probabilities((0, 2, 3))
         assert d.support == (0, 2, 3)
         assert abs(d.mass.sum() - 1.0) <= 1e-10
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except Exception as exc:  # the exception type is the outcome
+        return ("raises", type(exc))
+
+
+class TestBladeChestChainCache:
+    def test_probabilities_bit_identical_to_fresh_chain(self):
+        bc = data.gen_bladechest_circle(5, seed=8)
+        fresh = PcmcModel(q=q_from_pairwise(bc.pairwise()))
+        for s in [(0, 1), (1, 3, 4), (0, 1, 2, 3, 4)]:
+            assert np.array_equal(bc.probabilities(s).mass,
+                                  fresh.probabilities(s).mass)
+            assert np.array_equal(bc.probabilities(s).mass,
+                                  bc.to_pcmc().probabilities(s).mass)
+
+    def test_chain_built_once(self):
+        bc = data.gen_bladechest_circle(4, seed=9)
+        assert bc.to_pcmc() is bc.to_pcmc()
+
+    def test_equality_and_hashing_unchanged(self):
+        bc = data.gen_bladechest_circle(4, seed=10)
+        twin = BladeChest(n=bc.n, d=bc.d, blades=bc.blades,
+                          chests=bc.chests, variant=bc.variant)
+        checks = (lambda: bc == bc, lambda: bc == twin,
+                  lambda: hash(bc), lambda: repr(bc))
+        before = [_outcome(c) for c in checks]
+        bc.probabilities((0, 1, 2))
+        assert [_outcome(c) for c in checks] == before
+        assert [f.name for f in dataclasses.fields(bc)] \
+            == ["n", "d", "blades", "chests", "variant"]
+
+
+class TestEmbeddingGradient:
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from(["distance", "inner"]))
+    def test_matches_central_differences(self, seed, variant):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        d = int(rng.integers(1, 4))
+        sizes = [2, 3] + rng.integers(2, n + 1, size=2).tolist()
+        obj = model._SetObjective(n, random_terms(rng, n, sizes))
+
+        def build(x):
+            return BladeChest(n=n, d=d, blades=x[:n * d].reshape(n, d),
+                              chests=x[n * d:].reshape(n, d),
+                              variant=variant)
+
+        def loglik(x):
+            return param._embedding_loglik_and_grad(obj, build(x), False)[0]
+
+        x = rng.standard_normal(2 * n * d) / np.sqrt(d)
+        value, grad = param._embedding_loglik_and_grad(obj, build(x))
+        assert value == loglik(x)
+        oracle = central_gradient(loglik, x, 1e-4)
+        assert np.abs(grad - oracle).max() \
+            <= 1e-6 * max(1.0, np.abs(oracle).max())
 
 
 class TestFitBladeChest:
