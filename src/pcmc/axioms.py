@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ctmc
-from .base import ChoiceModel
+from .base import ChoiceModel, probabilities_many
 from .ctmc import Distribution, RateMatrix
 from .errors import (
     BadNesting,
@@ -133,13 +133,15 @@ def contraction_invariance(q1: RateMatrix, q2: RateMatrix,
     gap = float(np.abs(s1.lam - s2.lam).max())
     if gap > tol:
         raise LambdaMismatch("block-level rates differ by %.3e" % gap)
+    gap = np.abs(_block_masses(q1, partition) - _block_masses(q2, partition))
+    return bool(gap.max() <= tol)
 
-    def block_masses(q):
-        pi = ctmc.stationary(ctmc.restrict(q, range(q.n)))
-        return np.array([pi.mass[np.array(b, dtype=int)].sum()
-                         for b in partition.blocks])
 
-    return bool(np.abs(block_masses(q1) - block_masses(q2)).max() <= tol)
+def _block_masses(q: RateMatrix, partition: Partition) -> np.ndarray:
+    """Total stationary mass of each block, over the full universe."""
+    pi = ctmc.stationary(ctmc.restrict(q, range(q.n)))
+    return np.array([pi.mass[np.array(b, dtype=int)].sum()
+                     for b in partition.blocks])
 
 
 def expand_copies(q: RateMatrix, k: int, within_rate: float = 0.5):
@@ -170,16 +172,18 @@ def expand_copies(q: RateMatrix, k: int, within_rate: float = 0.5):
     return RateMatrix(n=n * k, rates=big, meta=q.meta), partition
 
 
+def _expansion_deviation(q: RateMatrix, k: int) -> float:
+    """Largest gap between each alternative's mass and the total mass of
+    its k copies, over the full universe."""
+    pi = ctmc.stationary(ctmc.restrict(q, range(q.n)))
+    grouped = _block_masses(*expand_copies(q, k))
+    return float(np.abs(grouped - pi.mass).max())
+
+
 def verify_uniform_expansion(q: RateMatrix, k: int, tol: float = 1e-8) -> bool:
     """Whether expanding into k copies preserves each alternative's total
     mass, comparing stationary distributions over the full universe."""
-    pi = ctmc.stationary(ctmc.restrict(q, range(q.n)))
-    big, partition = expand_copies(q, k)
-    pi_big = ctmc.stationary(ctmc.restrict(big, range(big.n)))
-    grouped = np.array([
-        pi_big.mass[np.array(b, dtype=int)].sum() for b in partition.blocks
-    ])
-    return bool(np.abs(grouped - pi.mass).max() <= tol)
+    return _expansion_deviation(q, k) <= tol
 
 
 @dataclass(frozen=True)
@@ -200,18 +204,23 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
 
     Each pair must nest strictly: A a proper subset of B. Returns one
     violation record per (pair, item) where the item's probability rose
-    when the menu grew by more than tol.
+    when the menu grew by more than tol. Each distinct menu is solved
+    once, in one batched call.
     """
-    out = []
+    pairs = []
     for a, b in nestings:
         sa = tuple(sorted(int(i) for i in a))
         sb = tuple(sorted(int(i) for i in b))
         if not set(sa) < set(sb):
             raise BadNesting("%s is not a strict subset of %s" % (sa, sb))
-        pa = model.probabilities(sa)
-        pb = model.probabilities(sb)
+        pairs.append((sa, sb))
+    menus = list(dict.fromkeys(s for pair in pairs for s in pair))
+    prob = {s: dict(zip(s, m.tolist()))
+            for s, m in zip(menus, probabilities_many(model, menus))}
+    out = []
+    for sa, sb in pairs:
         for item in sa:
-            lo, hi = pa.prob(item), pb.prob(item)
+            lo, hi = prob[sa][item], prob[sb][item]
             if lo < hi - tol:
                 out.append(RegularityViolation(
                     item=item, subset=sa, superset=sb,
@@ -277,12 +286,10 @@ def tournament_from_pairwise(p) -> Tournament:
 def tournament_from_model(model: ChoiceModel) -> Tournament:
     """Tournament induced by a model's pairwise choice probabilities."""
     n = model.n
+    pairs = list(itertools.combinations(range(n), 2))
     a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = model.probabilities((i, j))
-            a[i, j] = d.prob(i)
-            a[j, i] = d.prob(j)
+    for (i, j), m in zip(pairs, probabilities_many(model, pairs)):
+        a[i, j], a[j, i] = m
     return tournament_from_pairwise(a)
 
 
@@ -385,13 +392,7 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
         checks.append({"name": "uniform_expansion", "status": "skipped",
                        "reason": "model has no single rate-matrix form"})
     else:
-        pi = ctmc.stationary(ctmc.restrict(q, range(q.n)))
-        big, partition = expand_copies(q, expand_k)
-        pi_big = ctmc.stationary(ctmc.restrict(big, range(big.n)))
-        grouped = np.array([
-            pi_big.mass[np.array(b, dtype=int)].sum() for b in partition.blocks
-        ])
-        deviation = float(np.abs(grouped - pi.mass).max())
+        deviation = _expansion_deviation(q, expand_k)
         checks.append({"name": "uniform_expansion",
                        "status": "pass" if deviation <= 1e-8 else "fail",
                        "copies": int(expand_k),

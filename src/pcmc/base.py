@@ -9,6 +9,8 @@ evaluation code is written against it rather than any single class.
 
 from typing import Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from .ctmc import Distribution
 
 
@@ -24,3 +26,13 @@ class ChoiceModel(Protocol):
     def probabilities(self, subset: Sequence[int]) -> Distribution:
         """Choice distribution over the given set of alternatives."""
         ...
+
+
+def probabilities_many(model: ChoiceModel, sets: Sequence) -> list:
+    """Choice masses of the model on each set, in input order: from the
+    model's own probabilities_many when it has one, else one
+    probabilities call per set, read item by item from its support."""
+    if hasattr(model, "probabilities_many"):
+        return model.probabilities_many(sets)
+    dists = [model.probabilities(s) for s in sets]
+    return [np.array([d.prob(i) for i in s]) for s, d in zip(sets, dists)]

@@ -164,13 +164,15 @@ def _cmd_fit(args) -> int:
     else:
         fitted = param.fit_bladechest(dataset, d=args.d, variant=args.variant,
                                       cfg=cfg)
-    if report_dict is None:
-        report_dict = {
-            "loglik": model_mod.log_likelihood(fitted, dataset),
-            "n_observations": len(dataset),
-        }
     # serialized before any write, so a failure leaves no partial output
-    report_text = serialize.dumps(report_dict) if args.report else None
+    report_text = None
+    if args.report:
+        if report_dict is None:
+            report_dict = {
+                "loglik": model_mod.log_likelihood(fitted, dataset),
+                "n_observations": len(dataset),
+            }
+        report_text = serialize.dumps(report_dict)
     serialize.save_model(fitted, args.out)
     if report_text is not None:
         serialize.write_text(args.report, report_text)

@@ -5,7 +5,9 @@ rates. Restricting the chain to a subset keeps only the rates among the
 subset's members and rebuilds the diagonal so rows sum to zero. The
 stationary distribution of a restriction is found by communicating-class
 analysis followed by a dense linear solve; states outside the single
-closed class receive zero mass.
+closed class receive zero mass. stationary_many solves many sets with
+one batched solve per set size and sends only the sets whose solution
+fails certification down the per-set path.
 """
 
 import math
@@ -32,6 +34,12 @@ TOL_CONSTRAINT = 1e-9
 
 # A stationary solve is accepted when max|pi Q| is at or below this.
 RESIDUAL_TOL = 1e-9
+
+# Lowest mass a solve may hold: a batched row below -NEGATIVE_MASS_TOL
+# fails certification in _stationary_rows and goes to the per-set path,
+# and there _solve_on_class accepts its direct solve only above it,
+# retrying by least squares otherwise.
+NEGATIVE_MASS_TOL = 1e-9
 
 # Stationary mass must sum to one within this tolerance.
 MASS_TOL = 1e-10
@@ -245,7 +253,7 @@ def _solve_on_class(gen: np.ndarray):
     except np.linalg.LinAlgError:
         pass
     scale = max(1.0, float(np.abs(gen).max()))
-    if best is None or best_res > RESIDUAL_TOL * scale or best.min() < -1e-9:
+    if best is None or best_res > RESIDUAL_TOL * scale or best.min() < -NEGATIVE_MASS_TOL:
         stacked = np.vstack([gen.T, np.ones((1, s))])
         rhs = np.zeros(s + 1)
         rhs[-1] = 1.0
@@ -284,3 +292,62 @@ def stationary(g: RestrictedGenerator) -> Distribution:
     mass = np.zeros(g.size)
     mass[cls_idx] = pi_class
     return Distribution(support=g.subset, mass=mass)
+
+
+def _stationary_rows(rates, idx):
+    """Stationary masses of the chain restricted to each row of an (m, s)
+    array of equal-size sets, from one batched solve of A pi = e_last
+    (A = G^T with its last row ones). A row is certified when finite,
+    max|pi G| <= RESIDUAL_TOL * scale, min pi >= -NEGATIVE_MASS_TOL and
+    every pair has a rate above TOL_EDGE one way, so one class is closed;
+    other rows come from stationary() and its errors. Returns the masses,
+    the certified-row mask and A.
+    """
+    m, size = idx.shape
+    sub = rates[idx[:, :, None], idx[:, None, :]]
+    diag = sub.reshape(m, size * size)[:, ::size + 1]  # a view: sub is C-ordered
+    diag[...] = 0.0
+    diag[...] = -sub.sum(axis=2)
+    a = np.transpose(sub, (0, 2, 1)).copy()
+    a[:, -1, :] = 1.0
+    try:
+        # a (1, s, 1) right-hand side broadcasts over the stack without a
+        # copy; a 1-d one would only broadcast from NumPy 2.0 on
+        pi = np.linalg.solve(a, np.eye(size)[None, :, -1:])[:, :, 0]
+        ok = np.isfinite(pi).all(axis=1)
+    except np.linalg.LinAlgError:
+        pi, ok = np.zeros((m, size)), np.zeros(m, dtype=bool)
+    resid = np.abs(np.einsum("mi,mij->mj", pi, sub)).max(axis=1)
+    # rates are nonnegative, so G's largest entry in size is on its diagonal
+    scale = np.maximum(1.0, -diag.min(axis=1))
+    # a is G^T apart from its row of ones, so this is max(q_ij, q_ji)
+    linked = (np.maximum(sub, a) > TOL_EDGE) | np.eye(size, dtype=bool)
+    ok &= (resid <= RESIDUAL_TOL * scale) & (pi.min(axis=1) >= -NEGATIVE_MASS_TOL)
+    ok &= linked.all(axis=(1, 2))
+    if not ok.all():
+        q = RateMatrix(n=len(rates), rates=rates)
+        for row in np.flatnonzero(~ok):
+            pi[row] = stationary(restrict(q, idx[row])).mass
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum(axis=1, keepdims=True)
+    return pi, ok, a
+
+
+def _size_groups(sets):
+    """Positions and (m, s) index array of each set size present."""
+    groups = {}
+    for k, s in enumerate(sets):
+        groups.setdefault(len(s), []).append(k)
+    return [(ks, np.array([sets[k] for k in ks])) for ks in groups.values()]
+
+
+def stationary_many(q: RateMatrix, sets: Sequence) -> list:
+    """Stationary masses of the chain restricted to each set, in input
+    order, each aligned with its set's members. Sets of one size share a
+    batched solve; a set that fails certification takes stationary()."""
+    members = [_check_subset(s, q.n) for s in sets]
+    out = [None] * len(members)
+    for ks, idx in _size_groups(members):
+        for k, row in zip(ks, _stationary_rows(q.rates, idx)[0]):
+            out[k] = row
+    return out

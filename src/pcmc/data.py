@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import ChoiceModel
+from .base import ChoiceModel, probabilities_many
 from .errors import (
     DegenerateSplit,
     EmptyDataset,
@@ -124,15 +124,18 @@ def counts(dataset: ChoiceDataset) -> CountTables:
     """Tally choices per set, set frequencies, co-occurrence, and sizes."""
     choice_counts = {}
     set_counts = {}
-    cooc = np.zeros((dataset.n, dataset.n))
     hist = {}
     for chosen, s in dataset.observations:
         per_item = choice_counts.setdefault(s, {i: 0.0 for i in s})
         per_item[chosen] += 1.0
         set_counts[s] = set_counts.get(s, 0.0) + 1.0
-        idx = np.array(s, dtype=int)
-        cooc[np.ix_(idx, idx)] += 1.0
         hist[len(s)] = hist.get(len(s), 0) + 1
+    # whole-number counts add exactly, so one update per distinct set
+    # gives the same table as one per observation
+    cooc = np.zeros((dataset.n, dataset.n))
+    for s, c in set_counts.items():
+        idx = np.array(s, dtype=int)
+        cooc[np.ix_(idx, idx)] += c
     np.fill_diagonal(cooc, 0.0)
     return CountTables(
         n=dataset.n,
@@ -211,9 +214,8 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
 
     max_size = max(len(s) for s in norm_sets)
     cdfs = np.ones((len(norm_sets), max_size))
-    for k, s in enumerate(norm_sets):
-        dist = model.probabilities(s)
-        cdfs[k, : len(s)] = np.cumsum(dist.mass)
+    for k, mass in enumerate(probabilities_many(model, norm_sets)):
+        cdfs[k, : len(mass)] = np.cumsum(mass)
     rng = np.random.default_rng(seed)
     set_ids = rng.integers(0, len(norm_sets), size=count)
     u = rng.random(count)

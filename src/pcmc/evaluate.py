@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import data as data_mod, luce, model as model_mod, param
-from .base import ChoiceModel
+from .base import ChoiceModel, probabilities_many
 from .ctmc import Distribution
 from .errors import EmptyDataset, PcmcError, UnseenSet
 from .model import FitConfig
@@ -59,11 +59,11 @@ def prediction_error(model: ChoiceModel, test: data_mod.ChoiceDataset) -> ErrorR
     tables = data_mod.counts(test)
     per_set = {}
     weighted = 0.0
-    for s in sorted(tables.choice_counts):
+    sets = sorted(tables.choice_counts)
+    for s, pred in zip(sets, probabilities_many(model, sets)):
         per_item = tables.choice_counts[s]
         emp = np.array([per_item[i] for i in s], dtype=float)
         emp /= emp.sum()
-        pred = model.probabilities(s).mass
         l1 = float(np.abs(pred - emp).sum())
         per_set[s] = l1
         weighted += tables.set_counts[s] * l1

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import ctmc, data as data_mod
-from .ctmc import Distribution, RateMatrix, RESIDUAL_TOL, TOL_CONSTRAINT
+from .base import probabilities_many
+from .ctmc import Distribution, RateMatrix, TOL_CONSTRAINT
 from .errors import (
     EmptyDataset,
     InfeasibleStart,
@@ -66,6 +67,9 @@ class PcmcModel:
     def probabilities(self, subset: Sequence[int]) -> Distribution:
         return choice_probabilities(self, subset)
 
+    def probabilities_many(self, sets: Sequence) -> list:
+        return ctmc.stationary_many(self.q, sets)
+
 
 def choice_probabilities(model: PcmcModel, subset: Sequence[int]) -> Distribution:
     """Stationary distribution of the chain restricted to the set."""
@@ -77,9 +81,10 @@ def log_likelihood(model, dataset) -> float:
     probabilities floored at 1e-12 inside the logs."""
     if len(dataset) == 0:
         raise EmptyDataset("log-likelihood of an empty dataset")
+    terms = data_mod._set_terms(dataset, 0.0)
+    masses = probabilities_many(model, [s for s, _, _ in terms])
     total = 0.0
-    for s, idx, w in data_mod._set_terms(dataset, 0.0):
-        p = model.probabilities(s).mass
+    for (_, _, w), p in zip(terms, masses):
         keep = w > 0
         total += float(w[keep] @ np.log(np.clip(p[keep], LOG_FLOOR, None)))
     return total
@@ -91,7 +96,7 @@ def smoothed_log_likelihood(q: RateMatrix, dataset, alpha: float) -> float:
     if len(dataset) == 0:
         raise EmptyDataset("log-likelihood of an empty dataset")
     terms = data_mod._set_terms(dataset, float(alpha))
-    obj = _SetObjective(q.n, terms)
+    obj = _SetObjective(terms)
     value = obj.loglik(q.rates)
     if value is None:
         raise MultipleClosedClasses(
@@ -104,19 +109,13 @@ class _SetObjective:
     """Smoothed log-likelihood over the distinct sets of a dataset.
 
     Stationary distributions for all sets of equal size are solved in
-    one batched call; sets the fast path cannot certify (singular
-    blocks, transient members) fall back to the careful per-set solver.
+    one batched call of the chain kernel, which sends the sets it cannot
+    certify to the careful per-set solver.
     """
 
-    def __init__(self, n, terms):
-        self.n = n
-        groups = {}
-        for s, idx, w in terms:
-            groups.setdefault(len(s), []).append((idx, w))
-        self.groups = {
-            size: (np.array([idx for idx, _ in rows]), np.array([w for _, w in rows]))
-            for size, rows in groups.items()
-        }
+    def __init__(self, terms):
+        self.groups = [(idx, np.array([terms[k][2] for k in ks])) for ks, idx
+                       in ctmc._size_groups([s for s, _, _ in terms])]
 
     def loglik_and_grad(self, rates, grad=True):
         """Smoothed log-likelihood and its gradient in the full rate
@@ -129,37 +128,17 @@ class _SetObjective:
         pi_i (mu_i - mu_j) to dL/dq_ij."""
         total = 0.0
         out = np.zeros(rates.shape) if grad else None
-        for size, (sets_arr, w) in self.groups.items():
-            m = len(sets_arr)
-            sub = rates[sets_arr[:, :, None], sets_arr[:, None, :]].copy()
-            rng_i = np.arange(size)
-            sub[:, rng_i, rng_i] = 0.0
-            sub[:, rng_i, rng_i] = -sub.sum(axis=2)
-            a = np.transpose(sub, (0, 2, 1)).copy()
-            a[:, -1, :] = 1.0
-            e_last = np.broadcast_to(np.eye(size)[:, -1:], (m, size, 1))
+        for sets_arr, w in self.groups:
             try:
-                pi = np.linalg.solve(a, e_last)[:, :, 0]
-                ok = np.isfinite(pi).all(axis=1)
-            except np.linalg.LinAlgError:
-                pi = np.zeros((m, size))
-                ok = np.zeros(m, dtype=bool)
-            resid = np.abs(np.einsum("mi,mij->mj", pi, sub)).max(axis=1)
-            scale = np.maximum(1.0, np.abs(sub).max(axis=(1, 2)))
-            ok &= (resid <= RESIDUAL_TOL * scale) & (pi.min(axis=1) >= -1e-9)
-            for row in np.flatnonzero(~ok):
-                p = self._careful(rates, sets_arr[row])
-                if p is None:
-                    return None, (np.zeros(rates.shape) if grad else None)
-                pi[row] = p
-            pi = np.clip(pi, 0.0, None)
-            pi /= pi.sum(axis=1, keepdims=True)
+                pi, ok, a = ctmc._stationary_rows(rates, sets_arr)
+            except (MultipleClosedClasses, SingularSystem):
+                return None, (np.zeros(rates.shape) if grad else None)
             live = pi > LOG_FLOOR
             total += float((w * np.log(np.where(live, pi, LOG_FLOOR))).sum())
             if not grad:
                 continue
             g = np.where(live, w / np.where(live, pi, 1.0), 0.0)
-            mu = np.zeros((m, size))
+            mu = np.zeros(sets_arr.shape)
             try:
                 mu[ok] = np.linalg.solve(a[ok].transpose(0, 2, 1),
                                          g[ok, :, None])[:, :, 0]
@@ -171,13 +150,6 @@ class _SetObjective:
             np.add.at(out, (sets_arr[:, :, None], sets_arr[:, None, :]),
                       pi[:, :, None] * (mu[:, :, None] - mu[:, None, :]))
         return total, out
-
-    def _careful(self, rates, members):
-        q = RateMatrix(n=self.n, rates=np.clip(rates, 0.0, None))
-        try:
-            return ctmc.stationary(ctmc.restrict(q, members)).mass
-        except (MultipleClosedClasses, SingularSystem):
-            return None
 
     def loglik(self, rates):
         """Smoothed log-likelihood, or None when any set has no unique
@@ -334,7 +306,7 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
                        constraint_violation=q.pair_sum_violation())
 
     terms = data_mod._set_terms(dataset, cfg.smoothing_alpha)
-    objective = _SetObjective(n, terms)
+    objective = _SetObjective(terms)
     mask = _offdiag_mask(n)
     m = int(mask.sum())
 

@@ -159,6 +159,9 @@ class BladeChest:
     def probabilities(self, subset: Sequence[int]) -> Distribution:
         return self._chain.probabilities(subset)
 
+    def probabilities_many(self, sets: Sequence) -> list:
+        return self._chain.probabilities_many(sets)
+
 
 def bladechest_pair(model: BladeChest, i: int, j: int) -> float:
     """Probability that i beats j under the embedding model."""
@@ -218,7 +221,7 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
         raise ValueError("variant must be 'distance' or 'inner'")
 
     terms = data_mod._set_terms(dataset, cfg.smoothing_alpha)
-    objective = model_mod._SetObjective(n, terms)
+    objective = model_mod._SetObjective(terms)
 
     def build(x):
         half = n * d

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pcmc import axioms, ctmc, serialize
 from pcmc.axioms import (
     Partition,
+    RegularityViolation,
     Tournament,
     check_contractible,
     contraction_invariance,
@@ -18,6 +21,7 @@ from pcmc.axioms import (
     verify_uniform_expansion,
 )
 from pcmc.ctmc import RateMatrix
+from pcmc.data import gen_bladechest_circle
 from pcmc.errors import BadNesting, InvalidK, LambdaMismatch, NotContractible
 from pcmc.luce import MmnlModel, MnlModel
 from pcmc.model import PcmcModel
@@ -269,6 +273,95 @@ class TestRegularity:
             regularity_violations(m, [((0, 2), (0, 1))])
 
 
+def _brute_force_regularity(model, nestings, tol):
+    """Regularity violations by one probabilities call per menu, per
+    nesting: the loop the batched sweep replaces."""
+    out = []
+    for a, b in nestings:
+        sa, sb = tuple(sorted(a)), tuple(sorted(b))
+        pa, pb = model.probabilities(sa), model.probabilities(sb)
+        for item in sa:
+            if pa.prob(item) < pb.prob(item) - tol:
+                out.append(RegularityViolation(item, sa, sb, pa.prob(item),
+                                               pb.prob(item)))
+    return out
+
+
+class _PerSetOnly:
+    """A third-party model: probabilities, and no batched method. With
+    reverse, its distributions list their support in reverse order."""
+
+    def __init__(self, inner, reverse=False):
+        self.n, self._inner, self._reverse = inner.n, inner, reverse
+
+    def probabilities(self, subset):
+        d = self._inner.probabilities(subset)
+        if not self._reverse:
+            return d
+        return ctmc.Distribution(support=d.support[::-1], mass=d.mass[::-1])
+
+
+def _family(kind, rng, n):
+    if kind == "pcmc":
+        return PcmcModel(q=RateMatrix(n=n, rates=random_canonical(rng, n)))
+    if kind == "mnl":
+        return MnlModel(gamma=rng.uniform(0.1, 2.0, size=n))
+    if kind == "mmnl":
+        return MmnlModel(weights=np.array([0.3, 0.7]), components=tuple(
+            MnlModel(gamma=rng.uniform(0.1, 2.0, size=n)) for _ in range(2)))
+    return gen_bladechest_circle(n, int(rng.integers(2 ** 31)))
+
+
+class TestBatchedRegularity:
+    @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_brute_force(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        model = _family(kind, rng, n)
+        nestings = axioms._all_nestings(n)
+        for _ in range(5):
+            b = tuple(rng.choice(n, size=int(rng.integers(3, n + 1)),
+                                 replace=False).tolist())
+            nestings.append((b[:int(rng.integers(1, len(b)))], b))
+        # tol = -1 lists every (nesting, item), so every probability is
+        # compared, not only those of real violations
+        for tol in (1e-9, -1.0):
+            want = _brute_force_regularity(model, nestings, tol)
+            assert regularity_violations(model, nestings, tol) == want
+        for reverse in (False, True):
+            third_party = _PerSetOnly(model, reverse)
+            assert regularity_violations(third_party, nestings, -1.0) == want
+
+    def test_audit_solves_each_menu_in_batches(self, monkeypatch):
+        # a per-set loop coming back shows up as thousands of solves
+        n = 8
+        model = PcmcModel(q=RateMatrix(
+            n=n, rates=random_canonical(np.random.default_rng(8), n)))
+        solves, fallbacks, swept = [], [], []
+        stationary, rows = ctmc.stationary, ctmc._stationary_rows
+        sweep = axioms.regularity_violations
+
+        def counted_rows(rates, idx):
+            pi, ok, a = rows(rates, idx)
+            fallbacks.append(int((~ok).sum()))
+            return pi, ok, a
+
+        monkeypatch.setattr(ctmc, "stationary",
+                            lambda g: solves.append(g.size) or stationary(g))
+        monkeypatch.setattr(ctmc, "_stationary_rows", counted_rows)
+        monkeypatch.setattr(axioms, "regularity_violations",
+                            lambda m, nest, tol: swept.append(len(nest))
+                            or sweep(m, nest, tol))
+        run_audit(model)
+        assert swept == [sum(math.comb(n, k) * k for k in range(3, n + 1))]
+        # the two expansion solves, plus one per set that failed
+        # certification; none does on this well-conditioned matrix
+        assert sorted(solves) == [n, 2 * n]
+        assert sum(fallbacks) == 0
+
+
 class TestTournament:
     def test_cyclic_pairwise(self):
         p = pairwise_from_rates(cyclic_matrix(0.9).rates)
@@ -280,6 +373,9 @@ class TestTournament:
         m = MnlModel(gamma=np.array([0.5, 0.25, 0.15, 0.1]))
         t = tournament_from_model(m)
         assert cyclic_triplets(t) == 0
+        # weights fall with the index, so each lower index wins its pair
+        assert t.beats == frozenset((i, j) for i in range(4) for j in range(i + 1, 4))
+        assert tournament_from_model(_PerSetOnly(m, reverse=True)) == t
 
     def test_tie_orientation_and_flag(self):
         p = np.array([[0.0, 0.5], [0.5, 0.0]])

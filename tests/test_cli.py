@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pcmc import data, serialize
+from pcmc import data, model, serialize
 from pcmc.cli import main
 from pcmc.luce import MnlModel
 from pcmc.model import PcmcModel
@@ -76,6 +76,26 @@ class TestFit:
         assert main(["fit", "--data", data_path, "--model", "mnl",
                      "--out", out]) == 0
         assert isinstance(serialize.load_model(out), MnlModel)
+
+    def test_no_report_skips_the_report_loglik(self, synth_files, tmp_path,
+                                               monkeypatch):
+        data_path, _ = synth_files
+        with_report = str(tmp_path / "report.json")
+        assert main(["fit", "--data", data_path, "--model", "mnl",
+                     "--out", str(tmp_path / "a.json"),
+                     "--report", with_report]) == 0
+        fitted = serialize.load_model(str(tmp_path / "a.json"))
+        assert _read(with_report) == serialize.dumps({
+            "loglik": model.log_likelihood(fitted, data.load(data_path)),
+            "n_observations": 400})
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("report log-likelihood computed without --report")
+
+        monkeypatch.setattr(model, "log_likelihood", forbidden)
+        assert main(["fit", "--data", data_path, "--model", "mnl",
+                     "--out", str(tmp_path / "b.json")]) == 0
+        assert _read(str(tmp_path / "b.json")) == _read(str(tmp_path / "a.json"))
 
     def test_deterministic_model_bytes(self, synth_files, tmp_path):
         data_path, _ = synth_files

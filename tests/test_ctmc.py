@@ -184,6 +184,104 @@ class TestStationary:
             assert tv <= 5e-3
 
 
+def _sets_of(rng, n, count):
+    """Sorted sets of mixed sizes from 1 to n, repeats allowed."""
+    sizes = rng.integers(1, n + 1, size=count)
+    return [tuple(sorted(rng.choice(n, size=int(k), replace=False).tolist()))
+            for k in sizes]
+
+
+def _per_set(q, sets):
+    return [ctmc.stationary(ctmc.restrict(q, s)).mass for s in sets]
+
+
+class TestStationaryMany:
+    """stationary_many against the per-set solver it batches."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_set_on_canonical(self, seed):
+        # same systems, same arithmetic: the masses agree to the bit
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        q = RateMatrix(n=n, rates=random_canonical(rng, n))
+        sets = _sets_of(rng, n, 12)
+        many = ctmc.stationary_many(q, sets)
+        assert len(many) == len(sets)
+        for got, want in zip(many, _per_set(q, sets)):
+            assert np.array_equal(got, want)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_unsorted_members_keep_their_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        q = RateMatrix(n=n, rates=random_canonical(rng, n))
+        sets = [tuple(rng.permutation(s).tolist()) for s in _sets_of(rng, n, 6)]
+        for got, want in zip(ctmc.stationary_many(q, sets), _per_set(q, sets)):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_large_rates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        rates = random_canonical(rng, n)
+        sets = _sets_of(rng, n, 8)
+        big = RateMatrix(n=n, rates=1e8 * rng.uniform(0.5, 2.0) * rates)
+        many = ctmc.stationary_many(big, sets)
+        for got, want in zip(many, _per_set(big, sets)):
+            assert np.array_equal(got, want)
+        unit = ctmc.stationary_many(RateMatrix(n=n, rates=rates), sets)
+        for got, want in zip(many, unit):
+            assert np.abs(got - want).max() <= 1e-9
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_near_reducible(self, seed):
+        # rates on either side of TOL_EDGE: the per-set solver drops the
+        # ones at or below it as edges, the batched solve keeps them, so
+        # they may disagree by the mass such rates carry: each is at most
+        # 10 TOL_EDGE against an outflow of at least one half
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        rates = random_canonical(rng, n)
+        for i, j in zip(*np.nonzero(rng.random((n, n)) < 0.4)):
+            if i != j:
+                rates[i, j] = ctmc.TOL_EDGE * rng.uniform(0.1, 10.0)
+                rates[j, i] = max(rates[j, i], 1.0)
+        q = RateMatrix(n=n, rates=rates)
+        assert q.is_canonical
+        sets = _sets_of(rng, n, 10)
+        for got, want in zip(ctmc.stationary_many(q, sets), _per_set(q, sets)):
+            assert abs(got.sum() - 1.0) <= 1e-12 and got.min() >= 0.0
+            assert np.abs(got - want).max() <= 20 * n * ctmc.TOL_EDGE
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_two_closed_classes_raise_like_stationary(self, seed):
+        # no rate at all between two groups: any menu meeting both has
+        # two closed classes, whatever the batched solve returns for it
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 8))
+        cut = int(rng.integers(2, n - 1))
+        rates = random_canonical(rng, n) * rng.uniform(0.3, 3.0)
+        rates[:cut, cut:] = rates[cut:, :cut] = 0.0
+        q = RateMatrix(n=n, rates=rates)
+        left, right = np.arange(cut), np.arange(cut, n)
+        menu = tuple(sorted(
+            rng.choice(left, int(rng.integers(1, cut + 1)), replace=False).tolist()
+            + rng.choice(right, int(rng.integers(1, n - cut + 1)),
+                         replace=False).tolist()))
+        with pytest.raises(MultipleClosedClasses):
+            ctmc.stationary(ctmc.restrict(q, menu))
+        with pytest.raises(MultipleClosedClasses):
+            ctmc.stationary_many(q, [(0, 1), menu])
+
+    def test_validates_every_set(self):
+        q = cyclic_matrix(0.7)
+        with pytest.raises(EmptySubset):
+            ctmc.stationary_many(q, [(0, 1), ()])
+        with pytest.raises(IndexOutOfRange):
+            ctmc.stationary_many(q, [(0, 3)])
+        assert ctmc.stationary_many(q, []) == []
+
+
 class TestDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -80,6 +80,27 @@ class TestCounts:
         for s, per_item in t.choice_counts.items():
             assert sum(per_item.values()) == t.set_counts[s]
 
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_cooccurrence_matches_plain_tally(self, seed):
+        # few distinct sets, many repeats of each
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        menus = [tuple(sorted(rng.choice(n, size=int(rng.integers(2, n + 1)),
+                                         replace=False).tolist()))
+                 for _ in range(int(rng.integers(1, 5)))]
+        rows = []
+        for k in rng.integers(0, len(menus), size=int(rng.integers(1, 200))):
+            menu = menus[k]
+            rows.append((menu[int(rng.integers(len(menu)))], menu))
+        want = [[0.0] * n for _ in range(n)]
+        for _, menu in rows:
+            for i in menu:
+                for j in menu:
+                    if i != j:
+                        want[i][j] += 1.0
+        t = data.counts(make_dataset(rows, n=n))
+        assert np.array_equal(t.cooccurrence, np.array(want))
+
 
 class TestSmooth:
     def test_identity_at_zero(self):

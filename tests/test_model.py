@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmc import data, model, param
+from pcmc import ctmc, data, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import EmptyDataset, InfeasibleStart, NegativeAlpha
@@ -152,7 +152,7 @@ class TestAdjointGradient:
         n = int(rng.integers(4, 8))
         sizes = [2, 4] + rng.integers(2, n + 1, size=3).tolist()
         rates = random_canonical(rng, n) * rng.uniform(0.5, 3.0)
-        return model._SetObjective(n, random_terms(rng, n, sizes)), rates
+        return model._SetObjective(random_terms(rng, n, sizes)), rates
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_matches_central_differences(self, seed):
@@ -173,20 +173,38 @@ class TestAdjointGradient:
         terms = rates * obj.loglik_and_grad(rates)[1]
         assert abs(terms.sum()) <= 1e-9 * max(1.0, np.abs(terms).sum())
 
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_diagonal_is_ignored(self, seed):
+        # the embedding fitter passes rates with a diagonal of one half
+        obj, rates = self._problem(seed)
+        noisy = rates + np.diag(np.random.default_rng(seed).uniform(0, 5, len(rates)))
+        value, grad = obj.loglik_and_grad(rates)
+        noisy_value, noisy_grad = obj.loglik_and_grad(noisy)
+        assert noisy_value == value
+        assert np.array_equal(noisy_grad, grad)
+
     def test_careful_fallback_gives_same_gradient(self, monkeypatch):
-        # a negative tolerance fails every row's certification, so each
-        # set takes the per-set solver and the least-squares adjoint
+        # demanding every mass be at least 1 fails every row's
+        # certification, so each set takes the per-set solver and the
+        # least-squares adjoint; the per-set solver then also retries by
+        # least squares and keeps the smaller residual, which its final
+        # test accepts. RESIDUAL_TOL cannot serve here, as that final
+        # test reads it too
         obj, rates = self._problem(5)
         value, grad = obj.loglik_and_grad(rates)
-        monkeypatch.setattr(model, "RESIDUAL_TOL", -1.0)
+        monkeypatch.setattr(ctmc, "NEGATIVE_MASS_TOL", -1.0)
+        solved = []
+        careful = ctmc.stationary
+        monkeypatch.setattr(ctmc, "stationary",
+                            lambda g: solved.append(g) or careful(g))
         careful_value, careful_grad = obj.loglik_and_grad(rates)
+        assert len(solved) == sum(len(w) for _, w in obj.groups)
         assert careful_value == pytest.approx(value, rel=1e-12)
         assert np.abs(careful_grad - grad).max() \
             <= 1e-9 * max(1.0, np.abs(grad).max())
 
     def test_no_unique_distribution_gives_zero_gradient(self):
-        obj = model._SetObjective(3, [((0, 1, 2), np.arange(3),
-                                       np.ones(3))])
+        obj = model._SetObjective([((0, 1, 2), np.arange(3), np.ones(3))])
         value, grad = obj.loglik_and_grad(np.zeros((3, 3)))
         assert value is None
         assert np.array_equal(grad, np.zeros((3, 3)))

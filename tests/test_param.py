@@ -231,7 +231,7 @@ class TestEmbeddingGradient:
         n = int(rng.integers(3, 7))
         d = int(rng.integers(1, 4))
         sizes = [2, 3] + rng.integers(2, n + 1, size=2).tolist()
-        obj = model._SetObjective(n, random_terms(rng, n, sizes))
+        obj = model._SetObjective(random_terms(rng, n, sizes))
 
         def build(x):
             return BladeChest(n=n, d=d, blades=x[:n * d].reshape(n, d),
