@@ -7,15 +7,19 @@ probabilities are its stationary distribution. The pair-sum condition
 q_ij + q_ji >= 1 guarantees every restriction has a unique stationary
 distribution.
 
-Fitting maximizes the smoothed log-likelihood with a sequential
-quadratic programming solver under the pair-sum constraints, using the
-exact adjoint gradient of the stationary distributions: one extra
-batched linear solve per set size, whatever the number of rates.
+Choice probabilities do not change under Q -> cQ, so the pair-sum
+condition is a normalisation rather than a constraint on what the model
+can express. Fitting maximizes the smoothed log-likelihood by L-BFGS-B
+without constraints, over the log-rates of the pairs offered together
+in some observed set, using the exact adjoint gradient of the
+stationary distributions: one extra batched linear solve per set size,
+whatever the number of rates. The fitted rates are then divided by
+their smallest pair sum when it is below one.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,14 +34,14 @@ from .errors import (
     MultipleClosedClasses,
     NegativeAlpha,
     OptimizerFailure,
-    PcmcError,
     SingularSystem,
 )
 
 LOG_FLOOR = 1e-12
 
-# Objective value returned when a stationary solve fails at an
-# infeasible iterate; large enough that line search backs off.
+# Objective value returned where the rates are not finite or some set
+# has no unique stationary distribution; large enough that line search
+# backs off.
 _PENALTY = 1e12
 
 
@@ -157,6 +161,24 @@ class _SetObjective:
         return self.loglik_and_grad(rates, grad=False)[0]
 
 
+def _minimand(objective, parameterize):
+    """Function for minimize(jac=True) over x: minus the smoothed
+    log-likelihood of the rates in parameterize(x) -> (rates, pullback),
+    and minus its gradient carried back to x by pullback. Returns
+    _PENALTY and a zero gradient where a rate is not finite or some set
+    has no unique stationary distribution."""
+
+    def fun(x, grad=True):
+        rates, pullback = parameterize(x)
+        if np.isfinite(rates).all():
+            value, g = objective.loglik_and_grad(rates, grad)
+            if value is not None and math.isfinite(value):
+                return -value, (-pullback(g) if grad else None)
+        return _PENALTY, np.zeros_like(x)
+
+    return fun
+
+
 def finite_difference_gradient(fun: Callable, x: np.ndarray, step: float) -> np.ndarray:
     """Forward-difference gradient: (f(x + step e_k) - f(x)) / step.
 
@@ -212,33 +234,6 @@ class FitReport:
     constraint_violation: float
 
 
-def _offdiag_mask(n):
-    return ~np.eye(n, dtype=bool)
-
-
-def _x_to_rates(x, n):
-    rates = np.zeros((n, n))
-    rates[_offdiag_mask(n)] = np.clip(x, 0.0, None)
-    return rates
-
-
-def _repair(x, n):
-    """Project a candidate back onto the feasible region: clip negatives
-    and scale up any pair whose rates sum to less than one."""
-    rates = _x_to_rates(x, n)
-    sums = rates + rates.T
-    dead = (sums <= 0) & _offdiag_mask(n)
-    if dead.any():
-        rates[dead] = 0.5
-        sums = rates + rates.T
-    with np.errstate(divide="ignore"):
-        factor = np.where(sums < 1.0, 1.0 / sums, 1.0)
-    np.fill_diagonal(factor, 1.0)
-    rates = rates * factor
-    np.fill_diagonal(rates, 0.0)
-    return rates[_offdiag_mask(n)]
-
-
 def _empirical_pairs_start(n, tables):
     """Starting rates from empirical win rates with add-one smoothing.
 
@@ -252,69 +247,36 @@ def _empirical_pairs_start(n, tables):
         won = np.array([per_item[i] for i in s], dtype=float)
         wins[np.ix_(idx, idx)] += won[:, None]
     np.fill_diagonal(wins, 0.0)
-    rates = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            p_ij = (wins[i, j] + 1.0) / (wins[i, j] + wins[j, i] + 2.0)
-            rates[j, i] = p_ij
+    rates = ((wins + 1.0) / (wins + wins.T + 2.0)).T
+    np.fill_diagonal(rates, 0.0)
     return rates
 
 
 def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
     """Maximize the smoothed log-likelihood over canonical rate matrices.
 
-    Alternatives that never appear in an observed set carry no signal;
-    they are dropped for the optimization (with a warning) and rejoined
-    afterwards with rates of one half against everything.
+    Only the rates of pairs offered together in some observed set reach
+    the likelihood. L-BFGS-B fits their logarithms; every other rate is
+    fixed at one half, and alternatives that never appear in a set are
+    named in a warning. A start seeds the fitted rates only.
 
-    The returned parameters are the best feasible point seen anywhere in
-    the run (start, intermediate iterates, or final point), projected
-    back onto the constraint set. OptimizerFailure is raised only when
-    no candidate yields a finite objective.
+    The fitted rates are then divided by their smallest pair sum when it
+    is below one, which leaves the likelihood unchanged and the matrix
+    canonical. The reported log-likelihood is that of the returned
+    matrix.
     """
     cfg = cfg or FitConfig()
     if len(dataset) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
     n = dataset.n
-
-    seen = sorted({i for _, s in dataset.observations for i in s})
-    if len(seen) < n:
-        missing = sorted(set(range(n)) - set(seen))
+    tables = data_mod.counts(dataset)
+    free = tables.cooccurrence > 0
+    missing = np.flatnonzero(~free.any(axis=1)).tolist()
+    if missing:
         warnings.warn(
             "alternatives %s never appear in any choice set; they are "
             "excluded from fitting and given rates of 0.5" % missing
         )
-        remap = {item: k for k, item in enumerate(seen)}
-        sub_obs = tuple(
-            (remap[c], tuple(remap[i] for i in s)) for c, s in dataset.observations
-        )
-        sub_data = data_mod.ChoiceDataset(n=len(seen), observations=sub_obs)
-        sub_start = None
-        if start is not None:
-            idx = np.array(seen, dtype=int)
-            sub_start = PcmcModel(q=RateMatrix(
-                n=len(seen), rates=start.q.rates[np.ix_(idx, idx)]))
-        sub_report = fit(sub_data, cfg, sub_start)
-        rates = np.full((n, n), 0.5)
-        np.fill_diagonal(rates, 0.0)
-        idx = np.array(seen, dtype=int)
-        rates[np.ix_(idx, idx)] = sub_report.params.q.rates
-        q = RateMatrix(n=n, rates=rates)
-        return replace(sub_report, params=PcmcModel(q=q),
-                       constraint_violation=q.pair_sum_violation())
-
-    terms = data_mod._set_terms(dataset, cfg.smoothing_alpha)
-    objective = _SetObjective(terms)
-    mask = _offdiag_mask(n)
-    m = int(mask.sum())
-
-    def fun(x, grad=True):
-        value, g = objective.loglik_and_grad(_x_to_rates(x, n), grad)
-        if value is None or not math.isfinite(value):
-            return _PENALTY, np.zeros(m)
-        return -value, (np.where(x < 0, 0.0, -g[mask]) if grad else None)
 
     if start is not None:
         if start.n != n:
@@ -322,77 +284,42 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
                                   % (start.n, n))
         if start.q.pair_sum_violation() > TOL_CONSTRAINT:
             raise InfeasibleStart("start violates the pair-sum condition")
-        x0 = start.q.rates[mask]
+        # a zero rate has no logarithm, and a set mass at LOG_FLOOR gets
+        # no gradient; 1e-6 keeps the masses of such a start above it
+        x0 = np.log(np.maximum(start.q.rates[free], 1e-6))
     elif cfg.init == "uniform_half":
-        x0 = np.full(m, 0.5)
+        x0 = np.full(int(free.sum()), math.log(0.5))
     elif cfg.init == "empirical_pairs":
-        tables = data_mod.counts(dataset)
-        x0 = _empirical_pairs_start(n, tables)[mask]
-        x0 = _repair(x0, n)
+        x0 = np.log(_empirical_pairs_start(n, tables)[free])
     else:
         raise ValueError("unknown init %r" % cfg.init)
 
-    pos_map = np.full((n, n), -1, dtype=int)
-    pos_map[mask] = np.arange(m)
-    pair_a, pair_b = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_a.append(pos_map[i, j])
-            pair_b.append(pos_map[j, i])
-    pair_a = np.array(pair_a, dtype=int)
-    pair_b = np.array(pair_b, dtype=int)
-    cons_jac = np.zeros((len(pair_a), m))
-    cons_jac[np.arange(len(pair_a)), pair_a] = 1.0
-    cons_jac[np.arange(len(pair_b)), pair_b] = 1.0
+    fixed = np.full((n, n), 0.5)
+    np.fill_diagonal(fixed, 0.0)
 
-    constraints = [{
-        "type": "ineq",
-        "fun": lambda x: x[pair_a] + x[pair_b] - 1.0,
-        "jac": lambda x: cons_jac,
-    }]
+    def parameterize(theta):
+        rates = fixed.copy()
+        with np.errstate(over="ignore"):
+            rates[free] = np.exp(theta)
+        return rates, lambda g: g[free] * rates[free]
 
-    tracked = {"x": x0.copy(), "val": fun(x0, False)[0]}
-
-    def callback(xk):
-        v = fun(xk, False)[0]
-        if v < tracked["val"]:
-            tracked["x"], tracked["val"] = xk.copy(), v
-
-    iterations, success = 0, False
-    candidates = [x0, tracked["x"]]
-    try:
-        res = minimize(
-            fun, x0, jac=True, method="SLSQP",
-            bounds=[(0.0, None)] * m, constraints=constraints,
-            callback=callback,
-            options={"maxiter": cfg.max_iters, "ftol": cfg.ftol},
-        )
-        iterations = int(res.nit)
-        success = bool(res.success)
-        candidates = [x0, tracked["x"], res.x]
-    except (PcmcError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        failure = exc
-    else:
-        failure = None
-
-    best_x, best_val = None, math.inf
-    for cand in candidates:
-        xr = _repair(cand, n)
-        v = fun(xr, False)[0]
-        if v < best_val:
-            best_x, best_val = xr, v
-    if best_x is None or best_val >= _PENALTY:
-        raise OptimizerFailure("no candidate produced a finite likelihood",
-                               report=None)
-
-    q = RateMatrix(n=n, rates=_x_to_rates(best_x, n))
-    report = FitReport(
+    objective = _SetObjective(data_mod._set_terms(dataset, cfg.smoothing_alpha))
+    res = minimize(
+        _minimand(objective, parameterize), x0, jac=True, method="L-BFGS-B",
+        options={"maxiter": cfg.max_iters, "ftol": cfg.ftol},
+    )
+    rates = parameterize(res.x)[0]
+    smallest = (rates + rates.T)[free].min()
+    if smallest < 1.0:
+        rates[free] /= smallest
+    q = RateMatrix(n=n, rates=rates)
+    value = objective.loglik(q.rates)
+    if value is None:
+        raise OptimizerFailure("the fit reached no finite likelihood")
+    return FitReport(
         params=PcmcModel(q=q),
-        loglik=-best_val,
-        iterations=iterations,
-        converged=success,
+        loglik=value,
+        iterations=int(res.nit),
+        converged=bool(res.success),
         constraint_violation=q.pair_sum_violation(),
     )
-    if failure is not None:
-        raise OptimizerFailure("optimizer raised %r" % failure, report=report)
-    return report

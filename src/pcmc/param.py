@@ -179,24 +179,25 @@ def mnl_to_pcmc(mnl: MnlModel) -> PcmcModel:
     return PcmcModel(q=q_from_btl(mnl.gamma))
 
 
-def _embedding_loglik_and_grad(objective, bc: BladeChest, grad=True):
-    """Smoothed log-likelihood of an embedding model and, when grad is
-    true, its gradient in the blades then the chests, flattened: the
-    rate-matrix gradient carried through the logistic and the scores."""
+def _embedding_rates(bc: BladeChest):
+    """Rate matrix of an embedding model (its diagonal is unused) and the
+    pullback that carries a rate-matrix gradient through the logistic
+    and the scores to the blades then the chests, flattened."""
     s = _sigmoid(bc.matchups())
-    value, g = objective.loglik_and_grad(s.T, grad)  # the diagonal is unused
-    if value is None or not grad:
-        return value, None
-    # q_ji = sigmoid(M_ij), and M = F - F^T for the variant's score F.
-    dm = g.T * s * (1.0 - s)
-    df = dm - dm.T
-    b, c = bc.blades, bc.chests
-    if bc.variant == "inner":
-        gb, gc = df @ c, df.T @ b
-    else:
-        gb = 2.0 * (df.sum(axis=1)[:, None] * b - df @ c)
-        gc = 2.0 * (df.sum(axis=0)[:, None] * c - df.T @ b)
-    return value, np.concatenate([gb.ravel(), gc.ravel()])
+
+    def pullback(g):
+        # q_ji = sigmoid(M_ij), and M = F - F^T for the variant's score F.
+        dm = g.T * s * (1.0 - s)
+        df = dm - dm.T
+        b, c = bc.blades, bc.chests
+        if bc.variant == "inner":
+            gb, gc = df @ c, df.T @ b
+        else:
+            gb = 2.0 * (df.sum(axis=1)[:, None] * b - df @ c)
+            gc = 2.0 * (df.sum(axis=0)[:, None] * c - df.T @ b)
+        return np.concatenate([gb.ravel(), gc.ravel()])
+
+    return s.T, pullback
 
 
 def fit_bladechest(dataset, d: int, variant: str = "distance",
@@ -205,10 +206,11 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
 
     The 2*d*n embedding coordinates are unconstrained; the induced rate
     matrix is always canonical because complementary win probabilities
-    sum to one. The gradient is the rate-matrix fitter's exact adjoint
-    gradient carried through the logistic and the matchup scores by the
-    chain rule. Started from small random embeddings drawn with
-    cfg.seed.
+    sum to one. The objective is the rate-matrix fitter's, with its exact
+    adjoint gradient carried through the logistic and the matchup scores
+    by the chain rule. Started from small random embeddings drawn with
+    cfg.seed. L-BFGS-B never accepts a step that raises the objective,
+    so its final point is the best it saw.
     """
     cfg = cfg or FitConfig()
     if len(dataset) == 0:
@@ -232,32 +234,13 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
             variant=variant,
         )
 
-    def fun(x, grad=True):
-        value, g = _embedding_loglik_and_grad(objective, build(x), grad)
-        if value is None or not math.isfinite(value):
-            return model_mod._PENALTY, np.zeros_like(x)
-        return -value, (-g if grad else None)
-
     rng = np.random.default_rng(cfg.seed)
     x0 = rng.standard_normal(2 * n * d) / math.sqrt(d)
-
-    tracked = {"x": x0.copy(), "val": fun(x0, False)[0]}
-
-    def callback(xk):
-        v = fun(xk, False)[0]
-        if v < tracked["val"]:
-            tracked["x"], tracked["val"] = xk.copy(), v
-
-    # The embedding problem is unconstrained, so a plain quasi-Newton
-    # method applies; it is far more reliable here than a sequential
-    # quadratic programming step with no constraints to anchor it.
     res = minimize(
-        fun, x0, jac=True, method="L-BFGS-B", callback=callback,
+        model_mod._minimand(objective, lambda x: _embedding_rates(build(x))),
+        x0, jac=True, method="L-BFGS-B",
         options={"maxiter": cfg.max_iters, "ftol": cfg.ftol},
     )
-    best_x, best_val = tracked["x"], tracked["val"]
-    if np.isfinite(res.fun) and res.fun < best_val:
-        best_x, best_val = res.x, float(res.fun)
-    if best_val >= model_mod._PENALTY:
+    if res.fun >= model_mod._PENALTY:
         raise OptimizerFailure("embedding fit produced no finite likelihood")
-    return build(best_x)
+    return build(res.x)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmc import ctmc, data, model, param
+from pcmc import cli, ctmc, data, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import EmptyDataset, InfeasibleStart, NegativeAlpha
@@ -213,11 +213,70 @@ class TestAdjointGradient:
         def forbidden(*args, **kwargs):
             raise AssertionError("finite differences in a fit path")
 
+        calls = []
+
+        def unconstrained(minimize):
+            def spy(fun, x0, **kwargs):
+                calls.append(kwargs)
+                assert kwargs.get("constraints") is None
+                assert kwargs.get("callback") is None
+                assert kwargs["jac"] is True
+                return minimize(fun, x0, **kwargs)
+            return spy
+
         monkeypatch.setattr(model, "finite_difference_gradient", forbidden)
+        for module in (model, param):
+            monkeypatch.setattr(module, "minimize",
+                                unconstrained(module.minimize))
         ds = data.sample(PcmcModel(q=cyclic_matrix(0.7)),
                          [(0, 1), (1, 2), (0, 1, 2)], count=300, seed=3)
         fit(ds, FitConfig(max_iters=5))
         param.fit_bladechest(ds, d=1, cfg=FitConfig(max_iters=5))
+        assert [c["method"] for c in calls] == ["L-BFGS-B", "L-BFGS-B"]
+
+
+def _spy_minimize(monkeypatch):
+    """Record the objective and start model.fit hands to minimize."""
+    seen = {}
+    real = model.minimize
+
+    def spy(fun, x0, **kwargs):
+        seen["fun"], seen["x0"] = fun, x0
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(model, "minimize", spy)
+    return seen
+
+
+class TestScaleInvariance:
+    """Choice probabilities do not change under Q -> cQ; fit relies on
+    this when it rescales its result to a canonical matrix."""
+
+    @staticmethod
+    def _problem(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        q = RateMatrix(n=n, rates=random_canonical(rng, n))
+        sets = [tuple(sorted(rng.choice(n, size=int(k), replace=False).tolist()))
+                for k in rng.integers(2, n + 1, size=4)]
+        return q, sets
+
+    @given(st.integers(0, 2 ** 31 - 1), st.floats(1e-3, 1e3))
+    def test_stationary_many(self, seed, c):
+        q, sets = self._problem(seed)
+        scaled = RateMatrix(n=q.n, rates=c * q.rates)
+        for p, p_scaled in zip(ctmc.stationary_many(q, sets),
+                               ctmc.stationary_many(scaled, sets)):
+            assert np.abs(p - p_scaled).max() <= 1e-9
+
+    @given(st.integers(0, 2 ** 31 - 1), st.floats(1e-3, 1e3))
+    def test_smoothed_log_likelihood(self, seed, c):
+        q, sets = self._problem(seed)
+        ds = data.sample(PcmcModel(q=q), sets, count=200, seed=seed)
+        scaled = RateMatrix(n=q.n, rates=c * q.rates)
+        value = smoothed_log_likelihood(q, ds, 0.1)
+        assert smoothed_log_likelihood(scaled, ds, 0.1) \
+            == pytest.approx(value, rel=1e-9)
 
 
 class TestFit:
@@ -268,6 +327,14 @@ class TestFit:
         assert report.params.probabilities((0, 1)).prob(0) \
             == pytest.approx(0.7, abs=0.05)
 
+    def test_start_with_a_zero_rate(self):
+        # canonical, with all mass on 0; a zero rate has no logarithm
+        ds = pair_dataset(7, 3)
+        start = PcmcModel(q=RateMatrix(n=2, rates=[[0.0, 0.0], [1.0, 0.0]]))
+        report = fit(ds, start=start)
+        assert report.params.probabilities((0, 1)).prob(0) \
+            == pytest.approx(0.7, abs=0.05)
+
     def test_mismatched_start_rejected(self):
         ds = pair_dataset(2, 2)
         start = PcmcModel(q=cyclic_matrix(0.6))
@@ -289,6 +356,87 @@ class TestFit:
         assert q.rates[0, 2] == 0.5
         assert report.params.probabilities((0, 1)).prob(0) \
             == pytest.approx(0.75, abs=0.05)
+
+    def test_uninformed_pairs_stay_at_one_half(self, monkeypatch):
+        # pairs (0, 2), (0, 3), (0, 4), (1, 4) and (2, 4) are never
+        # offered together
+        gen = PcmcModel(q=RateMatrix(n=5, rates=random_canonical(
+            np.random.default_rng(8), 5)))
+        ds = data.sample(gen, [(0, 1), (1, 2, 3), (3, 4)], count=600, seed=9)
+        informed = data.counts(ds).cooccurrence > 0
+        uninformed = ~informed & ~np.eye(5, dtype=bool)
+        assert uninformed.sum() == 10
+        start_rates = random_canonical(np.random.default_rng(10), 5) * 2.0
+        seen = _spy_minimize(monkeypatch)
+        report = fit(ds, start=PcmcModel(q=RateMatrix(n=5, rates=start_rates)))
+        assert np.array_equal(seen["x0"], np.log(start_rates[informed]))
+        rates = report.params.q.rates
+        assert np.all(rates[uninformed] == 0.5)
+        assert report.loglik == smoothed_log_likelihood(report.params.q, ds, 0.1)
+        perturbed = rates.copy()
+        perturbed[uninformed] = np.random.default_rng(11).uniform(
+            0.5, 5.0, size=10)
+        assert smoothed_log_likelihood(RateMatrix(n=5, rates=perturbed), ds,
+                                       0.1) == report.loglik
+
+    def test_criterion_9_data_converges(self, tmp_path):
+        # the criterion 9 pipeline's data and fit settings
+        path = str(tmp_path / "train.txt")
+        assert cli.main(["synth", "--regime", "randq", "--n", "5",
+                         "--samples", "2000", "--seed", "11",
+                         "--out", path]) == 0
+        report = fit(data.load(path), FitConfig(seed=4))
+        assert report.converged
+        # the constrained fit's value on this data, reached at max_iters
+        assert report.loglik >= -2035.32381
+
+    def test_overflowing_rates_get_the_penalty(self, monkeypatch):
+        ds = data.sample(PcmcModel(q=cyclic_matrix(0.7)),
+                         [(0, 1), (1, 2), (0, 1, 2)], count=300, seed=3)
+        seen = _spy_minimize(monkeypatch)
+        fit(ds, FitConfig(max_iters=2))
+        fun, x0 = seen["fun"], seen["x0"]
+        one = x0.copy()
+        one[0] = 1000.0
+        for x in (np.full_like(x0, 1000.0), one):
+            value, grad = fun(x)
+            assert value == model._PENALTY
+            assert np.array_equal(grad, np.zeros_like(x0))
+
+    def test_separable_data_without_smoothing(self):
+        # 0 always beats 1 and 2, 1 always beats 2: the likelihood grows
+        # without bound as the losing rates go to zero
+        rows = [(0, (0, 1))] * 20 + [(1, (1, 2))] * 20 + [(0, (0, 2))] * 20 \
+            + [(0, (0, 1, 2))] * 20
+        ds = ChoiceDataset(n=3, observations=tuple(rows))
+        report = fit(ds, FitConfig(smoothing_alpha=0.0))
+        q = report.params.q
+        assert np.isfinite(q.rates).all()
+        assert q.is_canonical
+        assert np.isfinite(report.loglik)
+        assert report.loglik == smoothed_log_likelihood(q, ds, 0.0)
+        assert report.params.probabilities((0, 1, 2)).prob(0) >= 0.99
+
+    def test_empirical_start_matches_pairwise_loop(self):
+        gen = PcmcModel(q=RateMatrix(n=4, rates=random_canonical(
+            np.random.default_rng(12), 4)))
+        ds = data.sample(gen, [(0, 1), (1, 2), (0, 1, 2), (0, 2, 3)],
+                         count=500, seed=13)
+        tables = data.counts(ds)
+        rates = model._empirical_pairs_start(4, tables)
+        wins = np.zeros((4, 4))
+        for s, per_item in tables.choice_counts.items():
+            for i in s:
+                for j in s:
+                    if i != j:
+                        wins[i, j] += per_item[i]
+        expected = np.zeros((4, 4))
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    expected[j, i] = (wins[i, j] + 1.0) \
+                        / (wins[i, j] + wins[j, i] + 2.0)
+        assert np.array_equal(rates, expected)
 
     def test_report_shape(self):
         report = fit(pair_dataset(5, 5))

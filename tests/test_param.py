@@ -238,13 +238,17 @@ class TestEmbeddingGradient:
                               chests=x[n * d:].reshape(n, d),
                               variant=variant)
 
-        def loglik(x):
-            return param._embedding_loglik_and_grad(obj, build(x), False)[0]
+        # the fitter's objective: minus the log-likelihood and its
+        # gradient pulled back through param._embedding_rates
+        fun = model._minimand(obj, lambda x: param._embedding_rates(build(x)))
+
+        def loss(x):
+            return fun(x, False)[0]
 
         x = rng.standard_normal(2 * n * d) / np.sqrt(d)
-        value, grad = param._embedding_loglik_and_grad(obj, build(x))
-        assert value == loglik(x)
-        oracle = central_gradient(loglik, x, 1e-4)
+        value, grad = fun(x)
+        assert value == loss(x) == -obj.loglik(param._embedding_rates(build(x))[0])
+        oracle = central_gradient(loss, x, 1e-4)
         assert np.abs(grad - oracle).max() \
             <= 1e-6 * max(1.0, np.abs(oracle).max())
 
