@@ -13,6 +13,9 @@ import numpy as np
 
 from .ctmc import Distribution
 
+# Probabilities are floored at this value inside logs.
+LOG_FLOOR = 1e-12
+
 
 @runtime_checkable
 class ChoiceModel(Protocol):

@@ -20,11 +20,13 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import ctmc
 from .base import ChoiceModel, probabilities_many
 from .errors import (
     DegenerateSplit,
@@ -122,21 +124,15 @@ class CountTables:
 
 def counts(dataset: ChoiceDataset) -> CountTables:
     """Tally choices per set, set frequencies, co-occurrence, and sizes."""
-    choice_counts = {}
-    set_counts = {}
-    hist = {}
-    for chosen, s in dataset.observations:
-        per_item = choice_counts.setdefault(s, {i: 0.0 for i in s})
-        per_item[chosen] += 1.0
-        set_counts[s] = set_counts.get(s, 0.0) + 1.0
-        hist[len(s)] = hist.get(len(s), 0) + 1
-    # whole-number counts add exactly, so one update per distinct set
-    # gives the same table as one per observation
-    cooc = np.zeros((dataset.n, dataset.n))
-    for s, c in set_counts.items():
-        idx = np.array(s, dtype=int)
-        cooc[np.ix_(idx, idx)] += c
-    np.fill_diagonal(cooc, 0.0)
+    layout = _set_terms(dataset)
+    choice_counts, set_counts, hist = {}, {}, {}
+    for idx, w in layout:
+        hist[idx.shape[1]] = int(w.sum())
+        for s, per_item in zip(map(tuple, idx.tolist()), w.tolist()):
+            choice_counts[s] = dict(zip(s, per_item))
+            set_counts[s] = sum(per_item)
+    cooc = _pair_scatter(dataset.n, [(idx, w.sum(axis=1, keepdims=True))
+                                     for idx, w in layout])
     return CountTables(
         n=dataset.n,
         choice_counts=choice_counts,
@@ -284,21 +280,42 @@ def gen_bladechest_circle(n: int, seed: int):
     return BladeChest(n=n, d=2, blades=blades, chests=chests, variant="distance")
 
 
-def _set_terms(dataset: ChoiceDataset, alpha: float):
-    """Distinct observed sets with per-member counts plus alpha.
+def _set_terms(dataset: ChoiceDataset):
+    """The one tally of a dataset, grouped by set size for batched
+    likelihoods: for each size, an (m, s) array holding the sorted
+    members of the m distinct observed sets of that size, in sorted set
+    order, and an (m, s) array of how often each member was chosen."""
+    tally = Counter(dataset.observations)
+    sets = sorted({s for _, s in tally})
+    layout, row_of = [], {}
+    for ks, idx in ctmc._size_groups(sets):
+        w = np.zeros(idx.shape)
+        row_of.update((sets[k], (w, r)) for r, k in enumerate(ks))
+        layout.append((idx, w))
+    for (chosen, s), c in tally.items():
+        w, r = row_of[s]
+        w[r, s.index(chosen)] = c
+    return layout
 
-    Shared by the fitting routines. Returns (set, index array, weight
-    array) triples in sorted set order so objectives are deterministic.
-    """
-    tables = counts(dataset)
-    if alpha > 0:
-        tables = smooth(tables, alpha)
-    terms = []
-    for s in sorted(tables.choice_counts):
-        idx = np.array(s, dtype=int)
-        w = np.array([tables.choice_counts[s][i] for i in s], dtype=float)
-        terms.append((s, idx, w))
-    return terms
+
+def _smoothed(layout, alpha: float):
+    """The layout with alpha pseudocounts added to every member of every
+    set; the same numbers smooth() puts in the count tables."""
+    alpha = float(alpha)
+    if alpha < 0:
+        raise NegativeAlpha("smoothing pseudocount must be >= 0, got %r" % alpha)
+    return [(idx, w + alpha) for idx, w in layout]
+
+
+def _pair_scatter(n, pairs):
+    """n x n table, zero on the diagonal, adding v[r, a] at (idx[r, a],
+    idx[r, b]) for every row r and positions a, b of each (idx, v) in
+    pairs; v broadcasts against idx, so an (m, 1) v is one value per set."""
+    out = np.zeros((n, n))
+    for idx, v in pairs:
+        np.add.at(out, (idx[:, :, None], idx[:, None, :]), np.asarray(v)[..., None])
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 _HEADER_RE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")

@@ -56,22 +56,19 @@ def prediction_error(model: ChoiceModel, test: data_mod.ChoiceDataset) -> ErrorR
     """
     if len(test) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    tables = data_mod.counts(test)
-    per_set = {}
-    weighted = 0.0
-    sets = sorted(tables.choice_counts)
-    for s, pred in zip(sets, probabilities_many(model, sets)):
-        per_item = tables.choice_counts[s]
-        emp = np.array([per_item[i] for i in s], dtype=float)
-        emp /= emp.sum()
-        l1 = float(np.abs(pred - emp).sum())
-        per_set[s] = l1
-        weighted += tables.set_counts[s] * l1
-    return ErrorReport(
-        error=weighted / tables.total,
-        per_set_errors=per_set,
-        n_test=len(test),
-    )
+    per_set, weights = {}, {}
+    for idx, w in data_mod._set_terms(test):
+        sets = list(map(tuple, idx.tolist()))
+        pred = np.array(probabilities_many(model, sets))
+        l1 = np.abs(pred - w / w.sum(axis=1, keepdims=True)).sum(axis=1)
+        per_set.update(zip(sets, l1.tolist()))
+        weights.update(zip(sets, w.sum(axis=1).tolist()))
+    per_set = dict(sorted(per_set.items()))
+    # cumsum adds one set at a time in sorted set order, so the error
+    # does not depend on how the sets are grouped by size
+    weighted = np.cumsum([weights[s] * e for s, e in per_set.items()])[-1]
+    return ErrorReport(error=float(weighted) / len(test),
+                       per_set_errors=per_set, n_test=len(test))
 
 
 @dataclass(frozen=True)

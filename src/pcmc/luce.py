@@ -23,6 +23,7 @@ from scipy.optimize import minimize
 from scipy.sparse import csgraph
 
 from . import ctmc, data as data_mod
+from .base import LOG_FLOOR
 from .ctmc import Distribution
 from .errors import (
     EmptyDataset,
@@ -34,9 +35,6 @@ from .errors import (
     OptimizerFailure,
     SameItem,
 )
-
-# Probabilities are floored at this value inside logs.
-LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,16 +102,12 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
     if len(dataset) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
     n = dataset.n
-    terms = data_mod._set_terms(dataset, float(alpha))
+    groups = data_mod._smoothed(data_mod._set_terms(dataset), alpha)
 
     def chain_for(gamma):
-        rates = np.zeros((n, n))
-        for _, idx, w in terms:
-            denom = gamma[idx].sum()
-            contrib = np.tile(w / denom, (len(idx), 1))
-            rates[np.ix_(idx, idx)] += contrib
-        np.fill_diagonal(rates, 0.0)
-        return rates
+        # rate j -> i: sum over sets offering both of w_i / gamma(S)
+        return data_mod._pair_scatter(n, [
+            (idx, w / gamma[idx].sum(axis=1, keepdims=True)) for idx, w in groups]).T
 
     gamma = np.full(n, 1.0 / n)
     first = chain_for(gamma)
@@ -127,9 +121,8 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
         )
 
     for _ in range(max_iters):
-        rates = chain_for(gamma)
-        gen = rates.copy()
-        np.fill_diagonal(gen, -rates.sum(axis=1))
+        gen = chain_for(gamma).copy()
+        np.fill_diagonal(gen, -gen.sum(axis=1))
         dist = ctmc.stationary(
             ctmc.RestrictedGenerator(subset=tuple(range(n)), matrix=gen)
         )
@@ -191,9 +184,10 @@ def default_mixture_size(n: int) -> int:
     return max(1, math.ceil((n * (n - 1) + 1) / (n + 1)))
 
 
-def _mixture_objective(x, k, n, terms):
+def _mixture_objective(x, k, n, groups):
     """Negative smoothed log-likelihood and gradient in the
-    unconstrained (theta, beta) parameterization."""
+    unconstrained (theta, beta) parameterization, over the size-grouped
+    (idx, smoothed counts) layout."""
     theta = x[: k * n].reshape(k, n)
     beta = x[k * n:]
     bshift = beta - beta.max()
@@ -203,19 +197,17 @@ def _mixture_objective(x, k, n, terms):
     value = 0.0
     grad_theta = np.zeros((k, n))
     g_per_comp = np.zeros(k)
-    for _, idx, cnt in terms:
-        t = theta[:, idx]
-        t = t - t.max(axis=1, keepdims=True)
+    for idx, cnt in groups:
+        t = theta[:, idx]                              # (k, m, s)
+        t = t - t.max(axis=2, keepdims=True)
         e = np.exp(t)
-        p = e / e.sum(axis=1, keepdims=True)          # (k, |S|)
-        mix = np.clip(w @ p, LOG_FLOOR, None)          # (|S|,)
-        value += float(cnt @ np.log(mix))
-        ratio = cnt / mix                              # (|S|,)
-        g_per_comp += p @ ratio
-        inner = p * ratio[None, :]                     # (k, |S|)
-        grad_theta[:, idx] += w[:, None] * (
-            inner - p * inner.sum(axis=1, keepdims=True)
-        )
+        p = e / e.sum(axis=2, keepdims=True)
+        mix = np.clip(np.einsum("c,cms->ms", w, p), LOG_FLOOR, None)
+        value += float((cnt * np.log(mix)).sum())
+        inner = p * (cnt / mix)                        # (k, m, s)
+        g_per_comp += inner.sum(axis=(1, 2))
+        np.add.at(grad_theta, (slice(None), idx), w[:, None, None] * (
+            inner - p * inner.sum(axis=2, keepdims=True)))
     grad_beta = w * (g_per_comp - float(w @ g_per_comp))
     return -value, -np.concatenate([grad_theta.ravel(), grad_beta])
 
@@ -239,7 +231,7 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
         raise InvalidK("mixture size must be >= 1, got %d" % k)
     if restarts < 1:
         raise InvalidK("need at least one restart")
-    terms = data_mod._set_terms(dataset, float(alpha))
+    groups = data_mod._smoothed(data_mod._set_terms(dataset), alpha)
 
     try:
         base = fit_mnl(dataset, alpha=max(float(alpha), 1e-3))
@@ -259,7 +251,7 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
             theta0 = rng.standard_normal((k, n))
         x0 = np.concatenate([theta0.ravel(), np.zeros(k)])
         res = minimize(
-            _mixture_objective, x0, args=(k, n, terms), jac=True,
+            _mixture_objective, x0, args=(k, n, groups), jac=True,
             method="L-BFGS-B", options={"maxiter": max_iters},
         )
         if np.isfinite(res.fun) and res.fun < best_val:

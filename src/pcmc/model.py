@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import ctmc, data as data_mod
-from .base import probabilities_many
+from .base import LOG_FLOOR, probabilities_many
 from .ctmc import Distribution, RateMatrix, TOL_CONSTRAINT
 from .errors import (
     EmptyDataset,
@@ -36,8 +36,6 @@ from .errors import (
     OptimizerFailure,
     SingularSystem,
 )
-
-LOG_FLOOR = 1e-12
 
 # Objective value returned where the rates are not finite or some set
 # has no unique stationary distribution; large enough that line search
@@ -85,12 +83,10 @@ def log_likelihood(model, dataset) -> float:
     probabilities floored at 1e-12 inside the logs."""
     if len(dataset) == 0:
         raise EmptyDataset("log-likelihood of an empty dataset")
-    terms = data_mod._set_terms(dataset, 0.0)
-    masses = probabilities_many(model, [s for s, _, _ in terms])
     total = 0.0
-    for (_, _, w), p in zip(terms, masses):
-        keep = w > 0
-        total += float(w[keep] @ np.log(np.clip(p[keep], LOG_FLOOR, None)))
+    for idx, w in data_mod._set_terms(dataset):
+        p = np.array(probabilities_many(model, idx.tolist()))
+        total += float((w * np.log(np.clip(p, LOG_FLOOR, None))).sum())
     return total
 
 
@@ -99,8 +95,7 @@ def smoothed_log_likelihood(q: RateMatrix, dataset, alpha: float) -> float:
     every observed set. This is the objective the fitters maximize."""
     if len(dataset) == 0:
         raise EmptyDataset("log-likelihood of an empty dataset")
-    terms = data_mod._set_terms(dataset, float(alpha))
-    obj = _SetObjective(terms)
+    obj = _SetObjective(data_mod._smoothed(data_mod._set_terms(dataset), alpha))
     value = obj.loglik(q.rates)
     if value is None:
         raise MultipleClosedClasses(
@@ -110,16 +105,16 @@ def smoothed_log_likelihood(q: RateMatrix, dataset, alpha: float) -> float:
 
 
 class _SetObjective:
-    """Smoothed log-likelihood over the distinct sets of a dataset.
+    """Smoothed log-likelihood over the distinct sets of a dataset, from
+    its size-grouped (idx, smoothed counts) layout.
 
     Stationary distributions for all sets of equal size are solved in
     one batched call of the chain kernel, which sends the sets it cannot
     certify to the careful per-set solver.
     """
 
-    def __init__(self, terms):
-        self.groups = [(idx, np.array([terms[k][2] for k in ks])) for ks, idx
-                       in ctmc._size_groups([s for s, _, _ in terms])]
+    def __init__(self, groups):
+        self.groups = groups
 
     def loglik_and_grad(self, rates, grad=True):
         """Smoothed log-likelihood and its gradient in the full rate
@@ -234,19 +229,14 @@ class FitReport:
     constraint_violation: float
 
 
-def _empirical_pairs_start(n, tables):
+def _empirical_pairs_start(n, layout):
     """Starting rates from empirical win rates with add-one smoothing.
 
     wins[i, j] counts how often i was chosen from a set also offering j,
     over all observed sets. The rate into i is the smoothed win rate of
     i over j, so each pair starts with rates summing to exactly one.
     """
-    wins = np.zeros((n, n))
-    for s, per_item in tables.choice_counts.items():
-        idx = np.array(s, dtype=int)
-        won = np.array([per_item[i] for i in s], dtype=float)
-        wins[np.ix_(idx, idx)] += won[:, None]
-    np.fill_diagonal(wins, 0.0)
+    wins = data_mod._pair_scatter(n, layout)
     rates = ((wins + 1.0) / (wins + wins.T + 2.0)).T
     np.fill_diagonal(rates, 0.0)
     return rates
@@ -269,8 +259,8 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
     if len(dataset) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
     n = dataset.n
-    tables = data_mod.counts(dataset)
-    free = tables.cooccurrence > 0
+    layout = data_mod._set_terms(dataset)
+    free = data_mod._pair_scatter(n, [(idx, 1.0) for idx, _ in layout]) > 0
     missing = np.flatnonzero(~free.any(axis=1)).tolist()
     if missing:
         warnings.warn(
@@ -290,7 +280,7 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
     elif cfg.init == "uniform_half":
         x0 = np.full(int(free.sum()), math.log(0.5))
     elif cfg.init == "empirical_pairs":
-        x0 = np.log(_empirical_pairs_start(n, tables)[free])
+        x0 = np.log(_empirical_pairs_start(n, layout)[free])
     else:
         raise ValueError("unknown init %r" % cfg.init)
 
@@ -303,7 +293,7 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
             rates[free] = np.exp(theta)
         return rates, lambda g: g[free] * rates[free]
 
-    objective = _SetObjective(data_mod._set_terms(dataset, cfg.smoothing_alpha))
+    objective = _SetObjective(data_mod._smoothed(layout, cfg.smoothing_alpha))
     res = minimize(
         _minimand(objective, parameterize), x0, jac=True, method="L-BFGS-B",
         options={"maxiter": cfg.max_iters, "ftol": cfg.ftol},

@@ -222,8 +222,8 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
     if variant not in ("distance", "inner"):
         raise ValueError("variant must be 'distance' or 'inner'")
 
-    terms = data_mod._set_terms(dataset, cfg.smoothing_alpha)
-    objective = model_mod._SetObjective(terms)
+    objective = model_mod._SetObjective(
+        data_mod._smoothed(data_mod._set_terms(dataset), cfg.smoothing_alpha))
 
     def build(x):
         half = n * d

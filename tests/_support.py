@@ -7,6 +7,7 @@ none of the library's machinery.
 """
 
 import bisect
+import math
 
 import numpy as np
 
@@ -184,13 +185,44 @@ def pairwise_from_rates(rates):
 
 
 def random_terms(rng, n, sizes):
-    """Objective terms (set, index array, weights) for one random set of
-    each given size, with smoothed-count-like weights in [0.1, 20)."""
-    terms = []
+    """Objective groups (idx, weights) as data._set_terms lays them out,
+    one (m, s) pair per size, for one random set of each given size,
+    with smoothed-count-like weights in [0.1, 20)."""
+    by_size = {}
     for k in sizes:
-        s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        terms.append((s, np.array(s), rng.uniform(0.1, 20.0, size=k)))
-    return terms
+        s = sorted(rng.choice(n, size=k, replace=False).tolist())
+        by_size.setdefault(k, []).append((s, rng.uniform(0.1, 20.0, size=k)))
+    return [(np.array([s for s, _ in rows]), np.array([w for _, w in rows]))
+            for rows in by_size.values()]
+
+
+def plain_tally(rows):
+    """{set: {member: times chosen}} over observations (chosen, set),
+    every member of an observed set present, unchosen ones at 0."""
+    out = {}
+    for chosen, members in rows:
+        s = tuple(sorted(members))
+        per = out.setdefault(s, dict.fromkeys(s, 0))
+        per[chosen] += 1
+    return out
+
+
+def mixture_loglik(x, k, n, sets):
+    """Log-likelihood of a mixture of k logits, one set and one member at
+    a time: x holds k rows of n utilities, then k mixing logits; sets
+    lists (members, counts)."""
+    top = max(x[k * n:])
+    z = [math.exp(b - top) for b in x[k * n:]]
+    mixing = [v / sum(z) for v in z]
+    total = 0.0
+    for members, counts in sets:
+        for i, count in zip(members, counts):
+            p = 0.0
+            for c in range(k):
+                u = x[c * n:(c + 1) * n]
+                p += mixing[c] * math.exp(u[i]) / sum(math.exp(u[j]) for j in members)
+            total += count * math.log(p)
+    return total
 
 
 def central_gradient(f, x, step):

@@ -197,6 +197,12 @@ class TestFailureCodes:
                      "--alpha", "0.0",
                      "--out", str(tmp_path / "m.json")]) == 3
 
+    @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
+    def test_negative_alpha(self, synth_files, tmp_path, kind):
+        assert main(["fit", "--data", synth_files[0], "--model", kind,
+                     "--alpha", "-1", "--out", str(tmp_path / "m.json")]) == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_required_flag(self, tmp_path):
         assert main(["fit", "--model", "mnl",
                      "--out", str(tmp_path / "m.json")]) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmc import data
+from pcmc import data, evaluate, luce, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import (
@@ -16,7 +16,7 @@ from pcmc.errors import (
 from pcmc.luce import MnlModel
 from pcmc.model import PcmcModel
 
-from _support import cyclic_rates
+from _support import cyclic_rates, plain_tally
 
 
 def make_dataset(rows, n):
@@ -100,6 +100,95 @@ class TestCounts:
                         want[i][j] += 1.0
         t = data.counts(make_dataset(rows, n=n))
         assert np.array_equal(t.cooccurrence, np.array(want))
+
+
+def _repeated_menus(seed):
+    """n and rows drawn from a few menus of sizes 2 to 6, each repeated,
+    so some members of some menus are never chosen."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 10))
+    menus = [tuple(sorted(rng.choice(n, size=int(rng.integers(2, 7)),
+                                     replace=False).tolist()))
+             for _ in range(int(rng.integers(1, 8)))]
+    rows = []
+    for k in rng.integers(0, len(menus), size=int(rng.integers(1, 60))):
+        menu = menus[k]
+        rows.append((menu[int(rng.integers(min(2, len(menu))))], menu))
+    return n, rows
+
+
+class TestSetTerms:
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_matches_plain_tally(self, seed):
+        n, rows = _repeated_menus(seed)
+        want = plain_tally(rows)
+        layout = data._set_terms(make_dataset(rows, n=n))
+        sizes = [idx.shape[1] for idx, _ in layout]
+        assert len(sizes) == len(set(sizes))
+        seen = []
+        for idx, w in layout:
+            assert idx.shape == w.shape and w.dtype == float
+            sets = [tuple(r) for r in idx.tolist()]
+            assert sets == sorted(sets)
+            for s, counts in zip(sets, w.tolist()):
+                assert counts == [want[s][i] for i in s]
+            seen += sets
+        assert sorted(seen) == sorted(want)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_smoothed_matches_smooth(self, seed):
+        n, rows = _repeated_menus(seed)
+        ds = make_dataset(rows, n=n)
+        tables = data.smooth(data.counts(ds), 0.3)
+        for idx, w in data._smoothed(data._set_terms(ds), 0.3):
+            for s, counts in zip(map(tuple, idx.tolist()), w.tolist()):
+                assert counts == [tables.choice_counts[s][i] for i in s]
+
+    def test_smoothed_rejects_negative_alpha(self):
+        layout = data._set_terms(make_dataset([(0, (0, 1))], n=2))
+        with pytest.raises(NegativeAlpha):
+            data._smoothed(layout, -0.5)
+
+
+class TestTallyOnce:
+    """Every likelihood consumer tallies its data once, through
+    _set_terms, and never through the public count tables."""
+
+    CALLS = {"fit": 1, "fit_bladechest": 1, "fit_mnl": 1, "fit_mmnl": 2,
+             "log_likelihood": 1, "smoothed_log_likelihood": 1,
+             "prediction_error": 1}
+
+    def test_each_consumer_tallies_once(self, monkeypatch):
+        gen = MnlModel(gamma=np.array([0.4, 0.3, 0.2, 0.1]))
+        ds = data.sample(gen, [(0, 1), (1, 2, 3), (0, 1, 2, 3)], count=200,
+                         seed=5)
+        q = data.gen_random_q(4, seed=6)
+        cfg = model.FitConfig(max_iters=3)
+        consumers = {
+            "fit": lambda: model.fit(ds, cfg),
+            "fit_bladechest": lambda: param.fit_bladechest(ds, d=1, cfg=cfg),
+            "fit_mnl": lambda: luce.fit_mnl(ds, alpha=0.1),
+            "fit_mmnl": lambda: luce.fit_mmnl(ds, k=2, restarts=1, max_iters=3),
+            "log_likelihood": lambda: model.log_likelihood(gen, ds),
+            "smoothed_log_likelihood":
+                lambda: model.smoothed_log_likelihood(q, ds, 0.1),
+            "prediction_error": lambda: evaluate.prediction_error(gen, ds),
+        }
+        tally = data._set_terms
+        calls = []
+        monkeypatch.setattr(data, "_set_terms",
+                            lambda ds: calls.append(1) or tally(ds))
+
+        def forbidden(*args):
+            raise AssertionError("a likelihood consumer built count tables")
+
+        monkeypatch.setattr(data, "counts", forbidden)
+        seen = {}
+        for name, run in consumers.items():
+            calls.clear()
+            run()
+            seen[name] = len(calls)
+        assert seen == self.CALLS
 
 
 class TestSmooth:

@@ -86,6 +86,21 @@ class TestPredictionError:
         assert prediction_error(m, base).error \
             == prediction_error(m, shuffled).error
 
+    def test_matches_per_set_loop(self):
+        gen = MnlModel(gamma=np.array([0.4, 0.3, 0.2, 0.1]))
+        menus = [(0, 1), (1, 3), (0, 1, 2), (1, 2, 3), (0, 1, 2, 3)]
+        test = data.sample(gen, menus, count=400, seed=4)
+        m = MnlModel(gamma=np.array([0.1, 0.2, 0.3, 0.4]))
+        want, total = {}, 0.0
+        for s in menus:
+            chosen = [c for c, t in test.observations if t == s]
+            emp = np.array([chosen.count(i) for i in s]) / len(chosen)
+            want[s] = float(np.abs(m.probabilities(s).mass - emp).sum())
+            total += len(chosen) * want[s]
+        report = prediction_error(m, test)
+        assert report.per_set_errors == pytest.approx(want, rel=1e-12)
+        assert report.error == pytest.approx(total / len(test), rel=1e-12)
+
     def test_bounded_by_two(self):
         rows = [(0, (0, 1))] * 10
         test = ChoiceDataset(n=2, observations=tuple(rows))

@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 from pcmc import data, luce
 from pcmc.ctmc import RateMatrix, RestrictedGenerator, stationary
 from pcmc.data import ChoiceDataset
-from pcmc.errors import NoConvergence, NotConnected, SameItem
+from pcmc.errors import NegativeAlpha, NoConvergence, NotConnected, SameItem
 from pcmc.luce import MmnlModel, MnlModel
+
+from _support import central_gradient, mixture_loglik, random_terms
 
 
 def pair_dataset(wins0, wins1):
@@ -122,6 +124,10 @@ class TestFitMnl:
         with pytest.raises(NoConvergence):
             luce.fit_mnl(ds, tol=1e-15, max_iters=1)
 
+    def test_negative_alpha(self):
+        with pytest.raises(NegativeAlpha):
+            luce.fit_mnl(pair_dataset(3, 1), alpha=-0.5)
+
 
 class TestMmnl:
     def test_k1_is_mnl(self):
@@ -199,3 +205,40 @@ class TestFitMmnl:
             return total
 
         assert loglik(mix) >= loglik(mnl) - 1e-6
+
+    def test_negative_alpha(self):
+        with pytest.raises(NegativeAlpha):
+            luce.fit_mmnl(pair_dataset(3, 1), k=1, alpha=-0.5)
+
+
+class TestMixtureObjective:
+    """_mixture_objective against a plain per-set loop and central
+    differences, on mixed set sizes 2 to 6."""
+
+    @staticmethod
+    def _problem(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 9))
+        k = int(rng.integers(1, 4))
+        sizes = [2, 6] + rng.integers(2, 7, size=4).tolist()
+        groups = random_terms(rng, n, sizes)
+        x = np.concatenate([rng.standard_normal(k * n), rng.standard_normal(k)])
+        return x, k, n, groups
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_value_matches_per_set_loop(self, seed):
+        x, k, n, groups = self._problem(seed)
+        sets = [(idx[r].tolist(), w[r].tolist())
+                for idx, w in groups for r in range(len(idx))]
+        value = -luce._mixture_objective(x, k, n, groups)[0]
+        assert value == pytest.approx(mixture_loglik(x.tolist(), k, n, sets),
+                                      rel=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_gradient_matches_central_differences(self, seed):
+        x, k, n, groups = self._problem(seed)
+        grad = luce._mixture_objective(x, k, n, groups)[1]
+        oracle = central_gradient(
+            lambda y: luce._mixture_objective(y, k, n, groups)[0], x, 1e-5)
+        assert np.abs(grad - oracle).max() \
+            <= 1e-6 * max(1.0, np.abs(oracle).max())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmc import cli, ctmc, data, model, param
+from pcmc import cli, ctmc, data, evaluate, luce, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import EmptyDataset, InfeasibleStart, NegativeAlpha
@@ -83,6 +83,19 @@ class TestLogLikelihood:
         with pytest.raises(EmptyDataset):
             log_likelihood(m, ChoiceDataset(n=3, observations=()))
 
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_matches_per_observation_loop(self, seed):
+        # mixed set sizes, so the grouped sum runs over several groups
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 8))
+        m = PcmcModel(q=RateMatrix(n=n, rates=random_canonical(rng, n)))
+        menus = [tuple(rng.choice(n, size=int(rng.integers(2, n + 1)),
+                                  replace=False).tolist()) for _ in range(6)]
+        ds = data.sample(m, menus, count=100, seed=seed)
+        want = sum(np.log(m.probabilities(s).prob(c))
+                   for c, s in ds.observations)
+        assert log_likelihood(m, ds) == pytest.approx(want, rel=1e-12)
+
     def test_zero_probability_floored(self):
         # an impossible observed choice yields a huge negative value,
         # not -inf or an exception
@@ -103,6 +116,11 @@ class TestLogLikelihood:
         expected = (2 + alpha) * np.log(p0) + (1 + alpha) * np.log(1 - p0)
         assert smoothed_log_likelihood(q, ds, alpha) \
             == pytest.approx(expected, abs=1e-12)
+
+    def test_smoothed_rejects_negative_alpha(self):
+        ds = ChoiceDataset(n=3, observations=((0, (0, 1)), (1, (0, 1, 2))))
+        with pytest.raises(NegativeAlpha):
+            smoothed_log_likelihood(cyclic_matrix(0.7), ds, -0.5)
 
 
 class TestFitConfig:
@@ -204,7 +222,7 @@ class TestAdjointGradient:
             <= 1e-9 * max(1.0, np.abs(grad).max())
 
     def test_no_unique_distribution_gives_zero_gradient(self):
-        obj = model._SetObjective([((0, 1, 2), np.arange(3), np.ones(3))])
+        obj = model._SetObjective([(np.arange(3)[None], np.ones((1, 3)))])
         value, grad = obj.loglik_and_grad(np.zeros((3, 3)))
         assert value is None
         assert np.array_equal(grad, np.zeros((3, 3)))
@@ -423,7 +441,7 @@ class TestFit:
         ds = data.sample(gen, [(0, 1), (1, 2), (0, 1, 2), (0, 2, 3)],
                          count=500, seed=13)
         tables = data.counts(ds)
-        rates = model._empirical_pairs_start(4, tables)
+        rates = model._empirical_pairs_start(4, data._set_terms(ds))
         wins = np.zeros((4, 4))
         for s, per_item in tables.choice_counts.items():
             for i in s:
@@ -444,3 +462,80 @@ class TestFit:
         assert np.isfinite(report.loglik)
         assert report.iterations >= 0
         assert isinstance(report.converged, bool)
+
+
+class TestPermutationEquivariance:
+    """Relabelling the alternatives by a permutation sigma (i -> sigma[i])
+    permutes what is indexed by alternative and leaves every total
+    unchanged up to rounding. It also reorders the sorted sets and the
+    size groups of the layout, so these run the grouped code paths on a
+    different arrangement of the same data."""
+
+    @staticmethod
+    def _problem(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 8))
+        rates = random_canonical(rng, n) * rng.uniform(1.0, 3.0)
+        menus = [tuple(sorted(rng.choice(n, size=int(rng.integers(2, n + 1)),
+                                         replace=False).tolist()))
+                 for _ in range(int(rng.integers(2, 8)))]
+        menus.append(tuple(range(n)))  # smoothing then connects every pair
+        ds = data.sample(PcmcModel(q=RateMatrix(n=n, rates=rates)), menus,
+                         count=int(rng.integers(20, 300)), seed=seed)
+        sigma = rng.permutation(n)
+        moved = np.zeros((n, n))
+        moved[np.ix_(sigma, sigma)] = rates
+        relabelled = ChoiceDataset(n=n, observations=tuple(
+            (int(sigma[c]), tuple(int(sigma[i]) for i in s))
+            for c, s in ds.observations))
+        return sigma, (RateMatrix(n=n, rates=rates), ds), \
+            (RateMatrix(n=n, rates=moved), relabelled)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_alternative_indexed_results_permute(self, seed):
+        sigma, (q, ds), (q2, ds2) = self._problem(seed)
+        sets = ds.distinct_sets
+        moved_sets = [tuple(sorted(int(sigma[i]) for i in s)) for s in sets]
+        for s, t, p, p2 in zip(sets, moved_sets, ctmc.stationary_many(q, sets),
+                               ctmc.stationary_many(q2, moved_sets)):
+            by_item = dict(zip(t, p2))
+            assert np.allclose([by_item[sigma[i]] for i in s], p,
+                               rtol=0, atol=1e-12)
+
+        value, grad = model._SetObjective(
+            data._smoothed(data._set_terms(ds), 0.1)).loglik_and_grad(q.rates)
+        value2, grad2 = model._SetObjective(
+            data._smoothed(data._set_terms(ds2), 0.1)).loglik_and_grad(q2.rates)
+        assert value2 == pytest.approx(value, rel=1e-12)
+        assert np.abs(grad2[np.ix_(sigma, sigma)] - grad).max() \
+            <= 1e-9 * max(1.0, np.abs(grad).max())
+
+        t, t2 = data.counts(ds), data.counts(ds2)
+        assert np.array_equal(t2.cooccurrence[np.ix_(sigma, sigma)],
+                              t.cooccurrence)
+        assert t2.set_size_histogram == t.set_size_histogram
+        for s, t_s in zip(sets, moved_sets):
+            assert t2.set_counts[t_s] == t.set_counts[s]
+            assert {int(sigma[i]): c for i, c in t.choice_counts[s].items()} \
+                == t2.choice_counts[t_s]
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_totals_do_not_change(self, seed):
+        sigma, (q, ds), (q2, ds2) = self._problem(seed)
+        assert smoothed_log_likelihood(q2, ds2, 0.1) \
+            == pytest.approx(smoothed_log_likelihood(q, ds, 0.1), rel=1e-12)
+        m, m2 = PcmcModel(q=q), PcmcModel(q=q2)
+        assert log_likelihood(m2, ds2) \
+            == pytest.approx(log_likelihood(m, ds), rel=1e-12)
+        err, err2 = evaluate.prediction_error(m, ds), \
+            evaluate.prediction_error(m2, ds2)
+        assert err2.error == pytest.approx(err.error, rel=1e-9, abs=1e-12)
+        for s, e in err.per_set_errors.items():
+            moved = tuple(sorted(int(sigma[i]) for i in s))
+            assert err2.per_set_errors[moved] == pytest.approx(e, rel=1e-9,
+                                                               abs=1e-12)
+        # the fixed point stops once a step is below 1e-9 in L1, so the
+        # two fits may stop one step apart
+        gamma = luce.fit_mnl(ds, alpha=0.1).gamma
+        gamma2 = luce.fit_mnl(ds2, alpha=0.1).gamma
+        assert np.abs(gamma2[sigma] - gamma).sum() <= 1e-8
