@@ -28,7 +28,6 @@ from .base import ChoiceModel, probabilities_many
 from .ctmc import Distribution, RateMatrix
 from .errors import (
     BadNesting,
-    IndexOutOfRange,
     InvalidK,
     InvalidPairwise,
     LambdaMismatch,

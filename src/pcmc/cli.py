@@ -16,34 +16,16 @@ import numpy as np
 
 from . import axioms, data as data_mod, evaluate, luce, model as model_mod, param, serialize
 from .errors import (
-    DegenerateSplit,
-    EmptyDataset,
-    EmptySubset,
-    IndexOutOfRange,
-    InvalidChoice,
-    InvalidK,
     MultipleClosedClasses,
     NoConvergence,
     NotConnected,
     OptimizerFailure,
-    ParseError,
     PcmcError,
     SingularSystem,
-    UnseenSet,
 )
 
 _KINDS = ("pcmc", "mnl", "mmnl", "bladechest")
 _REGIMES = ("randq", "mnl", "bladechest")
-
-_DATA_ERRORS = (
-    OSError, ParseError, InvalidChoice, EmptyDataset, EmptySubset,
-    DegenerateSplit, UnseenSet, IndexOutOfRange,
-)
-_NUMERIC_ERRORS = (
-    OptimizerFailure, NoConvergence, NotConnected,
-    SingularSystem, MultipleClosedClasses,
-)
-
 
 class _UsageError(Exception):
     pass
@@ -250,13 +232,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except _NUMERIC_ERRORS as exc:
+    except (OptimizerFailure, NoConvergence, NotConnected, SingularSystem,
+            MultipleClosedClasses) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
-    except _DATA_ERRORS as exc:
-        print("data error: %s" % exc, file=sys.stderr)
-        return 2
-    except PcmcError as exc:
+    except (OSError, PcmcError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 2
 

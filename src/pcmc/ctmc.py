@@ -41,6 +41,11 @@ RESIDUAL_TOL = 1e-9
 # retrying by least squares otherwise.
 NEGATIVE_MASS_TOL = 1e-9
 
+# Lowest mass _solve_on_class accepts in the end: looser than
+# NEGATIVE_MASS_TOL, which only triggers a retry, because failing here
+# raises SingularSystem, and accepted masses are clipped at 0 anyway.
+ACCEPT_NEGATIVE_MASS_TOL = 1e-6
+
 # Stationary mass must sum to one within this tolerance.
 MASS_TOL = 1e-10
 
@@ -261,7 +266,8 @@ def _solve_on_class(gen: np.ndarray):
         res = residual_of(pi)
         if res < best_res:
             best, best_res = pi, res
-    if best is None or best_res > RESIDUAL_TOL * scale or best.min() < -1e-6:
+    if (best is None or best_res > RESIDUAL_TOL * scale
+            or best.min() < -ACCEPT_NEGATIVE_MASS_TOL):
         raise SingularSystem(best_res if best is not None else math.inf)
     pi = np.clip(best, 0.0, None)
     pi /= pi.sum()

@@ -22,6 +22,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,12 +40,11 @@ from .errors import (
 )
 
 
-def _normalize_set(members, n) -> tuple:
-    out = tuple(sorted(int(i) for i in members))
-    if len(out) < 2:
-        raise ValueError("choice set needs at least 2 alternatives, got %d" % len(out))
-    if len(out) != len(set(out)):
-        raise ValueError("choice set repeats an alternative: %s" % (out,))
+def _canonical_set(members, n, number) -> tuple:
+    """The members sorted, once checked to be >= 2 distinct ids in [0, n)."""
+    out = tuple(sorted(map(int, members)))
+    if len(out) < 2 or len(set(out)) < len(out):
+        raise ParseError(number, "set %s needs at least 2 distinct members" % (out,))
     if out[0] < 0 or out[-1] >= n:
         raise IndexOutOfRange("choice set %s outside [0, %d)" % (out, n))
     return out
@@ -56,6 +56,9 @@ class ChoiceDataset:
 
     Sets are stored sorted. The same set may occur many times with
     different choices; order of observations is preserved.
+
+    Construction validates once per distinct raw set; its ParseError
+    and InvalidChoice carry the observation's 1-based position.
     """
 
     n: int
@@ -63,15 +66,18 @@ class ChoiceDataset:
     labels: tuple = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("universe needs at least 2 alternatives")
-        obs = []
-        for chosen, members in self.observations:
-            s = _normalize_set(members, self.n)
+        sets, obs = {}, []
+        for number, (chosen, members) in enumerate(self.observations, start=1):
+            members = tuple(members)
+            s = sets.get(members)
+            if s is None:
+                s = sets[members] = _canonical_set(members, self.n, number)
             c = int(chosen)
             if c not in s:
-                raise InvalidChoice(len(obs) + 1, "chosen %d not in set %s" % (c, s))
+                raise InvalidChoice(number, "chosen %d not in set %s" % (c, s))
             obs.append((c, s))
+        if self.n < 2:  # after the sets: a file of malformed sets reports a set
+            raise ValueError("universe needs at least 2 alternatives")
         object.__setattr__(self, "observations", tuple(obs))
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
@@ -84,7 +90,11 @@ class ChoiceDataset:
 
     @property
     def distinct_sets(self) -> tuple:
-        return tuple(sorted({s for _, s in self.observations}))
+        return tuple(sorted(s for idx, _ in _set_terms(self) for s in map(tuple, idx.tolist())))
+
+    @cached_property
+    def _layout(self):
+        return _tally(self.observations)
 
 
 @dataclass(frozen=True)
@@ -184,15 +194,11 @@ def split(dataset: ChoiceDataset, train_fraction: float, seed: int):
         raise DegenerateSplit(
             "fraction %r of %d observations leaves an empty side" % (f, n_obs)
         )
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n_obs)
     obs = dataset.observations
-    train = tuple(obs[i] for i in order[:n_train])
-    test = tuple(obs[i] for i in order[n_train:])
-    return (
-        ChoiceDataset(n=dataset.n, observations=train, labels=dataset.labels),
-        ChoiceDataset(n=dataset.n, observations=test, labels=dataset.labels),
-    )
+    order = np.random.default_rng(seed).permutation(n_obs).tolist()
+    return tuple(ChoiceDataset(n=dataset.n, observations=tuple(obs[i] for i in part),
+                               labels=dataset.labels)
+                 for part in (order[:n_train], order[n_train:]))
 
 
 def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceDataset:
@@ -204,7 +210,7 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
     """
     if count < 1:
         raise ValueError("need at least one observation, got %d" % count)
-    norm_sets = [_normalize_set(s, model.n) for s in sets]
+    norm_sets = [_canonical_set(s, model.n, k) for k, s in enumerate(sets, start=1)]
     if len(norm_sets) == 0:
         raise EmptySubset("need at least one choice set to sample from")
 
@@ -217,11 +223,9 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
     u = rng.random(count)
     pos = (u[:, None] > cdfs[set_ids]).sum(axis=1)
 
-    observations = []
-    for sid, p in zip(set_ids, pos):
-        s = norm_sets[sid]
-        observations.append((s[min(int(p), len(s) - 1)], s))
-    return ChoiceDataset(n=model.n, observations=tuple(observations))
+    picked = [norm_sets[k] for k in set_ids.tolist()]
+    return ChoiceDataset(n=model.n, observations=tuple(
+        (s[min(p, len(s) - 1)], s) for s, p in zip(picked, pos.tolist())))
 
 
 def gen_random_q(n: int, seed: int):
@@ -281,11 +285,16 @@ def gen_bladechest_circle(n: int, seed: int):
 
 
 def _set_terms(dataset: ChoiceDataset):
+    """The dataset's _tally, computed on first use and then shared."""
+    return dataset._layout
+
+
+def _tally(observations):
     """The one tally of a dataset, grouped by set size for batched
-    likelihoods: for each size, an (m, s) array holding the sorted
-    members of the m distinct observed sets of that size, in sorted set
-    order, and an (m, s) array of how often each member was chosen."""
-    tally = Counter(dataset.observations)
+    likelihoods: for each size, a read-only (m, s) array holding the
+    sorted members of the m distinct observed sets of that size, in
+    sorted set order, and one of how often each member was chosen."""
+    tally = Counter(observations)
     sets = sorted({s for _, s in tally})
     layout, row_of = [], {}
     for ks, idx in ctmc._size_groups(sets):
@@ -295,7 +304,9 @@ def _set_terms(dataset: ChoiceDataset):
     for (chosen, s), c in tally.items():
         w, r = row_of[s]
         w[r, s.index(chosen)] = c
-    return layout
+    for idx, w in layout:
+        idx.flags.writeable = w.flags.writeable = False
+    return tuple(layout)
 
 
 def _smoothed(layout, alpha: float):
@@ -330,11 +341,13 @@ def _load_labels(path: str, n: int):
     labels = payload.get("labels")
     if not isinstance(labels, list) or len(labels) != n:
         raise ParseError(0, "labels sidecar must hold exactly %d labels" % n)
-    return tuple(str(x) for x in labels)
+    return labels
 
 
 def _parse_chosen_set(text: str):
-    records = []
+    """Records, their line numbers and n; checks only the format: a
+    comma, integer ids, none negative, none at or above '# n='."""
+    records, lines = [], []
     declared_n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -349,22 +362,25 @@ def _parse_chosen_set(text: str):
             raise ParseError(lineno, "expected '<chosen>,<set members>'")
         left, right = line.split(",", 1)
         try:
-            chosen = int(left.strip())
+            chosen = int(left)
             members = tuple(int(tok) for tok in right.split())
         except ValueError:
             raise ParseError(lineno, "alternatives must be integers") from None
-        if len(members) < 2 or len(set(members)) != len(members):
-            raise ParseError(lineno, "choice set needs at least 2 distinct members")
-        if min(members) < 0 or chosen < 0:
+        if chosen < 0 or min(members, default=0) < 0:
             raise ParseError(lineno, "alternative ids must be nonnegative")
-        if chosen not in members:
-            raise InvalidChoice(lineno, "chosen %d not offered in %s" % (chosen, members))
         records.append((chosen, members))
-    return records, declared_n
+        lines.append(lineno)
+    max_id = max((max(m, default=0) for _, m in records), default=-1)
+    n = declared_n if declared_n is not None else max_id + 1
+    if max_id >= n:
+        raise ParseError(0, "alternative %d exceeds declared n=%d" % (max_id, n))
+    return records, lines, n
 
 
 def _parse_sf_matrix(text: str):
-    records = []
+    """Records, their line numbers and n; checks only the format:
+    whole-number tokens, one width of at least 3, 0/1 indicators."""
+    records, lines = [], []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -387,17 +403,13 @@ def _parse_sf_matrix(text: str):
                 raise ParseError(lineno, "need a chosen column plus >= 2 indicators")
         elif len(row) != width:
             raise ParseError(lineno, "expected %d columns, got %d" % (width, len(row)))
-        chosen, indicators = row[0], row[1:]
+        indicators = row[1:]
         if any(v not in (0, 1) for v in indicators):
             raise ParseError(lineno, "membership indicators must be 0 or 1")
-        members = tuple(i for i, v in enumerate(indicators) if v == 1)
-        if len(members) < 2:
-            raise ParseError(lineno, "choice set needs at least 2 members")
-        if chosen < 0 or chosen >= len(indicators) or indicators[chosen] != 1:
-            raise InvalidChoice(lineno, "chosen %d not offered" % chosen)
-        records.append((chosen, members))
+        records.append((row[0], tuple(i for i, v in enumerate(indicators) if v)))
+        lines.append(lineno)
     n = width - 1 if width is not None else 0
-    return records, n
+    return records, lines, n
 
 
 def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
@@ -405,21 +417,19 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     "sf-matrix" (chosen index plus 0/1 membership columns)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if format == "chosen-set-v1":
-        records, declared_n = _parse_chosen_set(text)
-        if not records:
-            raise EmptyDataset("no observations in %s" % path)
-        max_id = max(max(members) for _, members in records)
-        n = declared_n if declared_n is not None else max_id + 1
-        if max_id >= n:
-            raise ParseError(0, "alternative %d exceeds declared n=%d" % (max_id, n))
-    elif format == "sf-matrix":
-        records, n = _parse_sf_matrix(text)
-        if not records:
-            raise EmptyDataset("no observations in %s" % path)
-    else:
+    parse = {"chosen-set-v1": _parse_chosen_set, "sf-matrix": _parse_sf_matrix}
+    if format not in parse:
         raise ValueError("unknown dataset format %r" % format)
-    return ChoiceDataset(n=n, observations=tuple(records), labels=_load_labels(path, n))
+    records, lines, n = parse[format](text)
+    if not records:
+        raise EmptyDataset("no observations in %s" % path)
+    labels = _load_labels(path, n)
+    try:
+        return ChoiceDataset(n=n, observations=tuple(records), labels=labels)
+    except (ParseError, InvalidChoice) as exc:
+        # the constructor numbers observations; name the file line instead
+        raise type(exc)(lines[exc.line_number - 1],
+                        str(exc).partition(": ")[2]) from None
 
 
 def save(dataset: ChoiceDataset, path: str) -> None:

@@ -52,20 +52,23 @@ class EmptyDataset(PcmcError, ValueError):
     """An operation that needs observations received none."""
 
 
-class ParseError(PcmcError, ValueError):
-    """A dataset file line could not be parsed."""
+class _Numbered(PcmcError, ValueError):
+    """A fault at a numbered file line or observation."""
 
     def __init__(self, line_number, message):
         self.line_number = int(line_number)
         super().__init__("line %d: %s" % (self.line_number, message))
 
 
-class InvalidChoice(PcmcError, ValueError):
-    """A recorded choice was not a member of its choice set."""
+class ParseError(_Numbered):
+    """A dataset file line or its choice set is malformed. line_number is
+    the file line (0: the '# n=' header), or for a dataset built in
+    memory the observation's 1-based position."""
 
-    def __init__(self, line_number, message):
-        self.line_number = int(line_number)
-        super().__init__("line %d: %s" % (self.line_number, message))
+
+class InvalidChoice(_Numbered):
+    """A recorded choice was not a member of its choice set. line_number
+    is as for ParseError."""
 
 
 class NegativeAlpha(PcmcError, ValueError):

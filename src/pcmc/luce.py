@@ -107,12 +107,12 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
     def chain_for(gamma):
         # rate j -> i: sum over sets offering both of w_i / gamma(S)
         return data_mod._pair_scatter(n, [
-            (idx, w / gamma[idx].sum(axis=1, keepdims=True)) for idx, w in groups]).T
+            (idx, w / gamma[idx].sum(axis=1, keepdims=True)) for idx, w in groups]).T.copy()
 
     gamma = np.full(n, 1.0 / n)
-    first = chain_for(gamma)
+    gen = chain_for(gamma)
     n_comp, _ = csgraph.connected_components(
-        (first > 0).astype(np.int8), directed=True, connection="strong"
+        (gen > 0).astype(np.int8), directed=True, connection="strong"
     )
     if n_comp != 1:
         raise NotConnected(
@@ -121,7 +121,6 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
         )
 
     for _ in range(max_iters):
-        gen = chain_for(gamma).copy()
         np.fill_diagonal(gen, -gen.sum(axis=1))
         dist = ctmc.stationary(
             ctmc.RestrictedGenerator(subset=tuple(range(n)), matrix=gen)
@@ -131,6 +130,7 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
         if np.abs(new_gamma - gamma).sum() < tol:
             return MnlModel(gamma=new_gamma)
         gamma = new_gamma
+        gen = chain_for(gamma)
     raise NoConvergence(max_iters)
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from . import ctmc, data as data_mod, model as model_mod
+from . import data as data_mod, model as model_mod
 from .ctmc import Distribution, RateMatrix
 from .errors import (
     EmptyDataset,

@@ -188,6 +188,14 @@ class TestFailureCodes:
         assert main(["fit", "--data", str(bad), "--model", "mnl",
                      "--out", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("text", ["0,0 0\n", "0,0\n", "-1,0 1\n",
+                                      "# n=2\n0,0 2\n", "0,0 1\n2,0 1\n"])
+    def test_invalid_observation(self, tmp_path, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["fit", "--data", str(bad), "--model", "mnl",
+                     "--out", str(tmp_path / "m.json")]) == 2
+
     def test_unsmoothed_disconnected_data(self, tmp_path):
         # item 2 appears but never wins; without smoothing the
         # comparison graph has no edge into it

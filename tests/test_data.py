@@ -48,6 +48,17 @@ class TestChoiceDataset:
             make_dataset([(0, (0, 5))], n=3)
 
 
+    def test_invalid_choice_numbers_the_observation(self):
+        with pytest.raises(InvalidChoice) as err:
+            make_dataset([(0, (0, 1)), (2, (1, 0))], n=3)
+        assert err.value.line_number == 2
+
+    def test_distinct_sets_in_sorted_set_order(self):
+        ds = make_dataset([(0, (0, 2)), (1, (2, 1, 0)), (1, (1, 0)),
+                           (2, (0, 2))], n=3)
+        assert ds.distinct_sets == ((0, 1), (0, 1, 2), (0, 2))
+
+
 class TestCounts:
     def test_exact_tallies(self):
         ds = make_dataset(
@@ -151,12 +162,9 @@ class TestSetTerms:
 
 
 class TestTallyOnce:
-    """Every likelihood consumer tallies its data once, through
-    _set_terms, and never through the public count tables."""
-
-    CALLS = {"fit": 1, "fit_bladechest": 1, "fit_mnl": 1, "fit_mmnl": 2,
-             "log_likelihood": 1, "smoothed_log_likelihood": 1,
-             "prediction_error": 1}
+    """A dataset is tallied once, on first use, whatever number of
+    likelihood consumers read it, and never through the public count
+    tables."""
 
     def test_each_consumer_tallies_once(self, monkeypatch):
         gen = MnlModel(gamma=np.array([0.4, 0.3, 0.2, 0.1]))
@@ -165,19 +173,21 @@ class TestTallyOnce:
         q = data.gen_random_q(4, seed=6)
         cfg = model.FitConfig(max_iters=3)
         consumers = {
-            "fit": lambda: model.fit(ds, cfg),
-            "fit_bladechest": lambda: param.fit_bladechest(ds, d=1, cfg=cfg),
-            "fit_mnl": lambda: luce.fit_mnl(ds, alpha=0.1),
-            "fit_mmnl": lambda: luce.fit_mmnl(ds, k=2, restarts=1, max_iters=3),
-            "log_likelihood": lambda: model.log_likelihood(gen, ds),
+            "fit": lambda d: model.fit(d, cfg),
+            "fit_bladechest": lambda d: param.fit_bladechest(d, d=1, cfg=cfg),
+            "fit_mnl": lambda d: luce.fit_mnl(d, alpha=0.1),
+            "fit_mmnl": lambda d: luce.fit_mmnl(d, k=2, restarts=1, max_iters=3),
+            "log_likelihood": lambda d: model.log_likelihood(gen, d),
             "smoothed_log_likelihood":
-                lambda: model.smoothed_log_likelihood(q, ds, 0.1),
-            "prediction_error": lambda: evaluate.prediction_error(gen, ds),
+                lambda d: model.smoothed_log_likelihood(q, d, 0.1),
+            "prediction_error": lambda d: evaluate.prediction_error(gen, d),
+            "fit then prediction_error":
+                lambda d: evaluate.prediction_error(model.fit(d, cfg).params, d),
         }
-        tally = data._set_terms
+        tally = data._tally
         calls = []
-        monkeypatch.setattr(data, "_set_terms",
-                            lambda ds: calls.append(1) or tally(ds))
+        monkeypatch.setattr(data, "_tally",
+                            lambda obs: calls.append(1) or tally(obs))
 
         def forbidden(*args):
             raise AssertionError("a likelihood consumer built count tables")
@@ -186,9 +196,18 @@ class TestTallyOnce:
         seen = {}
         for name, run in consumers.items():
             calls.clear()
-            run()
+            run(ChoiceDataset(n=ds.n, observations=ds.observations))
             seen[name] = len(calls)
-        assert seen == self.CALLS
+        assert seen == dict.fromkeys(consumers, 1)
+
+    def test_layout_is_read_only(self):
+        ds = make_dataset([(0, (0, 1)), (2, (0, 1, 2))], n=3)
+        assert data._set_terms(ds) is data._set_terms(ds)
+        for idx, w in data._set_terms(ds):
+            with pytest.raises(ValueError):
+                idx[0, 0] = 1
+            with pytest.raises(ValueError):
+                w[0, 0] = 5.0
 
 
 class TestSmooth:
@@ -391,3 +410,60 @@ class TestLoadSave:
         path.write_text("0,0 1\n")
         with pytest.raises(ValueError):
             data.load(str(path), format="nope")
+
+
+# (file text, error type, line number) for files with one fault each
+_CHOSEN_SET_FAULTS = {
+    "one member": ("0,0 1\n0,0\n", ParseError, 2),
+    "repeated member": ("0,0 1\n1,1 1 2\n", ParseError, 2),
+    "repeat only": ("0,0 0\n", ParseError, 1),
+    "negative chosen": ("0,0 1\n-1,0 1\n", ParseError, 2),
+    "negative member": ("0,0 1\n1,-1 1\n", ParseError, 2),
+    "above declared n": ("# n=3\n0,0 1\n1,1 3\n", ParseError, 0),
+    "chosen not offered": ("0,0 1\n2,0 1\n", InvalidChoice, 2),
+    "non-integer token": ("0,0 1\n0,0 x\n", ParseError, 2),
+    "fractional chosen": ("0,0 1\n1.0,0 1\n", ParseError, 2),
+    "missing comma": ("0,0 1\n0 0 1\n", ParseError, 2),
+    "choice after comments": ("# note\n\n0,0 1\n\n# more\n2,0 1\n",
+                              InvalidChoice, 6),
+    "set after comments": ("# note\n\n0,0 1\n\n1,1\n", ParseError, 5),
+}
+
+_SF_MATRIX_FAULTS = {
+    "one member": ("0 1 1 0\n0 1 0 0\n", ParseError, 2),
+    "chosen at width": ("0 1 1 0\n3 1 1 1\n", InvalidChoice, 2),
+    "chosen past width": ("0 1 1 0\n7 1 1 1\n", InvalidChoice, 2),
+    "chosen negative": ("0 1 1 0\n-1 1 1 0\n", InvalidChoice, 2),
+    "chosen not offered": ("0 1 1 0\n2 1 1 0\n", InvalidChoice, 2),
+    "indicator of 2": ("0 1 1 0\n0 1 2 0\n", ParseError, 2),
+    "short row after comments": ("# note\n\n0 1 1 0\n# more\n0 1 1\n",
+                                 ParseError, 5),
+    "long row after comments": ("# note\n\n0 1 1 0\n# more\n0 1 1 0 1\n",
+                                ParseError, 5),
+    "width below 3": ("0 1\n", ParseError, 1),
+}
+
+
+class TestMalformedInput:
+    """Each faulty file raises one library error naming its line, with
+    one 'line N:' prefix; 0 names the '# n=' header."""
+
+    @staticmethod
+    def _check(tmp_path, text, exc_type, line, fmt):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(exc_type) as err:
+            data.load(str(path), format=fmt)
+        assert type(err.value) is exc_type
+        assert err.value.line_number == line
+        message = str(err.value)
+        assert message.startswith("line %d: " % line)
+        assert message.count("line") == 1
+
+    @pytest.mark.parametrize("case", sorted(_CHOSEN_SET_FAULTS))
+    def test_chosen_set(self, tmp_path, case):
+        self._check(tmp_path, *_CHOSEN_SET_FAULTS[case], "chosen-set-v1")
+
+    @pytest.mark.parametrize("case", sorted(_SF_MATRIX_FAULTS))
+    def test_sf_matrix(self, tmp_path, case):
+        self._check(tmp_path, *_SF_MATRIX_FAULTS[case], "sf-matrix")
