@@ -1,4 +1,4 @@
-"""Shared structural types.
+"""Shared structural types, and the atomic file writer.
 
 A choice model is anything that knows its universe size and can assign
 a probability distribution to any choice set of two or more
@@ -7,6 +7,7 @@ Luce models, mixtures, embedding models) all satisfy this protocol, and
 evaluation code is written against it rather than any single class.
 """
 
+import os
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -39,3 +40,16 @@ def probabilities_many(model: ChoiceModel, sets: Sequence) -> list:
         return model.probabilities_many(sets)
     dists = [model.probabilities(s) for s in sets]
     return [np.array([d.prob(i) for i in s]) for s, d in zip(sets, dists)]
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into
+    place, so path never holds a partial file."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -16,19 +16,18 @@ the index of the chosen alternative and the remaining n columns are 0/1
 membership indicators for the choice set.
 """
 
+import itertools
 import json
 import math
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from . import ctmc
-from .base import ChoiceModel, probabilities_many
+from .base import ChoiceModel, probabilities_many, write_text
 from .errors import (
     DegenerateSplit,
     EmptyDataset,
@@ -50,43 +49,64 @@ def _canonical_set(members, n, number) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
 class ChoiceDataset:
     """A multiset of (chosen alternative, choice set) observations.
 
-    Sets are stored sorted. The same set may occur many times with
-    different choices; order of observations is preserved.
+    Stored as columns: `chosen` and `set_id` are read-only int arrays
+    with one entry per observation, in order, and `sets` is a table of
+    sorted sets that `set_id` indexes. `observations` builds the
+    (chosen, set) tuples on first use. Datasets are immutable.
 
-    Construction validates once per distinct raw set; its ParseError
-    and InvalidChoice carry the observation's 1-based position.
+    Construction validates once per distinct raw set and checks every
+    choice in one array comparison; its ParseError and InvalidChoice
+    carry the observation's 1-based position.
     """
 
-    n: int
-    observations: tuple
-    labels: tuple = None
+    def __init__(self, n: int, observations, labels=None):
+        raw, raw_id, chosen = {}, [], []
+        for c, members in observations:
+            raw_id.append(raw.setdefault(tuple(members), len(raw)))
+            chosen.append(int(c))
+        _build(self, n, chosen, raw_id, list(raw), labels)
 
-    def __post_init__(self):
-        sets, obs = {}, []
-        for number, (chosen, members) in enumerate(self.observations, start=1):
-            members = tuple(members)
-            s = sets.get(members)
-            if s is None:
-                s = sets[members] = _canonical_set(members, self.n, number)
-            c = int(chosen)
-            if c not in s:
-                raise InvalidChoice(number, "chosen %d not in set %s" % (c, s))
-            obs.append((c, s))
-        if self.n < 2:  # after the sets: a file of malformed sets reports a set
-            raise ValueError("universe needs at least 2 alternatives")
-        object.__setattr__(self, "observations", tuple(obs))
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.n:
-                raise ValueError("need %d labels, got %d" % (self.n, len(labels)))
-            object.__setattr__(self, "labels", labels)
+    @classmethod
+    def _from_columns(cls, n, chosen, raw_id, raw_sets, labels=None):
+        """Dataset whose row r chose chosen[r] from raw_sets[raw_id[r]],
+        validated as the constructor validates observations."""
+        return _build(cls.__new__(cls), n, chosen, raw_id, raw_sets, labels)
+
+    def _rows(self, rows):
+        """The dataset of the given rows (an index array or a slice). It
+        shares this dataset's set table, so nothing is validated again."""
+        out = ChoiceDataset.__new__(ChoiceDataset)
+        out.__dict__.update(n=self.n, labels=self.labels, sets=self.sets,
+                            _start=self._start, _flat=self._flat)
+        _set_columns(out, self.chosen[rows], self.set_id[rows], self._slot[rows])
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChoiceDataset is immutable")
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.chosen)
+
+    def __eq__(self, other):
+        if not isinstance(other, ChoiceDataset):
+            return NotImplemented
+        return (self.n, self.labels, self.observations) == (
+            other.n, other.labels, other.observations)
+
+    def __hash__(self):
+        return hash((self.n, self.observations, self.labels))
+
+    def __repr__(self):
+        return "ChoiceDataset(n=%r, observations=%r, labels=%r)" % (
+            self.n, self.observations, self.labels)
+
+    @cached_property
+    def observations(self) -> tuple:
+        sets = self.sets
+        return tuple(zip(self.chosen.tolist(), [sets[k] for k in self.set_id.tolist()]))
 
     @property
     def distinct_sets(self) -> tuple:
@@ -94,7 +114,62 @@ class ChoiceDataset:
 
     @cached_property
     def _layout(self):
-        return _tally(self.observations)
+        return _tally(self)
+
+
+def _build(ds, n, chosen, raw_id, raw_sets, labels):
+    """Fill ds with validated columns: each distinct raw set checked once
+    (_canonical_set), each choice checked against its set in one array
+    comparison, and the first fault in row order raised."""
+    ids = chosen if isinstance(chosen, np.ndarray) else np.fromiter(
+        (c if 0 <= c < n else -1 for c in chosen), np.int64, len(chosen))
+    ids, raw_id = ids.astype(np.int64, copy=False), np.asarray(raw_id, np.intp)
+    canon, faults = [], []
+    for k, members in enumerate(raw_sets):
+        try:
+            canon.append(_canonical_set(members, n, 0))
+        except (ParseError, IndexOutOfRange):
+            canon.append(())
+            faults.append(k)
+    # rows before the first row of a faulty set all have valid sets
+    end = min((r for k in faults for r in np.flatnonzero(raw_id == k)[:1].tolist()),
+              default=len(ids))
+    sets = tuple(sorted(set(canon)))
+    where = {s: k for k, s in enumerate(sets)}
+    set_id = np.array([where[s] for s in canon], np.intp)[raw_id]
+    sizes = np.fromiter(map(len, sets), np.intp, len(sets))
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    flat = np.fromiter(itertools.chain.from_iterable(sets), np.int64, start[-1])
+    # (set, member) keys rise strictly through flat: one search finds
+    # each choice's slot in its set
+    key = np.repeat(np.arange(len(sets)), sizes) * n + flat
+    want = set_id[:end] * n + ids[:end]
+    slot = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0))
+    offered = (ids[:end] >= 0) & (ids[:end] < n) & (key[slot] == want)
+    if not offered.all():
+        r = int(np.argmin(offered))
+        raise InvalidChoice(r + 1, "chosen %d not in set %s" % (chosen[r], sets[set_id[r]]))
+    if faults:
+        _canonical_set(raw_sets[raw_id[end]], n, end + 1)
+    if n < 2:  # after the sets: a file of malformed sets reports a set
+        raise ValueError("universe needs at least 2 alternatives")
+    if labels is not None:
+        labels = tuple(str(x) for x in labels)
+        if len(labels) != n:
+            raise ValueError("need %d labels, got %d" % (n, len(labels)))
+    ds.__dict__.update(n=n, labels=labels, sets=sets, _start=start, _flat=flat)
+    _set_columns(ds, ids, set_id, slot)
+    for a in (start, flat):
+        a.flags.writeable = False
+    return ds
+
+
+def _set_columns(ds, chosen, set_id, slot):
+    """Store the per-row columns read-only; slot indexes the flattened
+    set table at each row's choice."""
+    for a in (chosen, set_id, slot):
+        a.flags.writeable = False
+    ds.__dict__.update(chosen=chosen, set_id=set_id, _slot=slot)
 
 
 @dataclass(frozen=True)
@@ -194,11 +269,8 @@ def split(dataset: ChoiceDataset, train_fraction: float, seed: int):
         raise DegenerateSplit(
             "fraction %r of %d observations leaves an empty side" % (f, n_obs)
         )
-    obs = dataset.observations
-    order = np.random.default_rng(seed).permutation(n_obs).tolist()
-    return tuple(ChoiceDataset(n=dataset.n, observations=tuple(obs[i] for i in part),
-                               labels=dataset.labels)
-                 for part in (order[:n_train], order[n_train:]))
+    order = np.random.default_rng(seed).permutation(n_obs)
+    return dataset._rows(order[:n_train]), dataset._rows(order[n_train:])
 
 
 def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceDataset:
@@ -216,16 +288,17 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
 
     max_size = max(len(s) for s in norm_sets)
     cdfs = np.ones((len(norm_sets), max_size))
-    for k, mass in enumerate(probabilities_many(model, norm_sets)):
+    members = np.zeros((len(norm_sets), max_size), np.int64)
+    for k, (s, mass) in enumerate(zip(norm_sets, probabilities_many(model, norm_sets))):
         cdfs[k, : len(mass)] = np.cumsum(mass)
+        members[k, : len(s)] = s
     rng = np.random.default_rng(seed)
     set_ids = rng.integers(0, len(norm_sets), size=count)
     u = rng.random(count)
     pos = (u[:, None] > cdfs[set_ids]).sum(axis=1)
-
-    picked = [norm_sets[k] for k in set_ids.tolist()]
-    return ChoiceDataset(n=model.n, observations=tuple(
-        (s[min(p, len(s) - 1)], s) for s, p in zip(picked, pos.tolist())))
+    last = np.array([len(s) - 1 for s in norm_sets])[set_ids]
+    chosen = members[set_ids, np.minimum(pos, last)]
+    return ChoiceDataset._from_columns(model.n, chosen, set_ids, norm_sets)
 
 
 def gen_random_q(n: int, seed: int):
@@ -289,23 +362,22 @@ def _set_terms(dataset: ChoiceDataset):
     return dataset._layout
 
 
-def _tally(observations):
+def _tally(dataset):
     """The one tally of a dataset, grouped by set size for batched
     likelihoods: for each size, a read-only (m, s) array holding the
     sorted members of the m distinct observed sets of that size, in
     sorted set order, and one of how often each member was chosen."""
-    tally = Counter(observations)
-    sets = sorted({s for _, s in tally})
-    layout, row_of = [], {}
-    for ks, idx in ctmc._size_groups(sets):
-        w = np.zeros(idx.shape)
-        row_of.update((sets[k], (w, r)) for r, k in enumerate(ks))
-        layout.append((idx, w))
-    for (chosen, s), c in tally.items():
-        w, r = row_of[s]
-        w[r, s.index(chosen)] = c
-    for idx, w in layout:
+    start, flat = dataset._start, dataset._flat
+    seen = np.flatnonzero(np.bincount(dataset.set_id, minlength=len(start) - 1))
+    times = np.bincount(dataset._slot, minlength=len(flat)).astype(float)
+    sizes = start[seen + 1] - start[seen]
+    first = np.unique(sizes, return_index=True)[1]
+    layout = []
+    for size in sizes[np.sort(first)]:
+        at = start[seen[sizes == size], None] + np.arange(size)
+        idx, w = flat[at], times[at]
         idx.flags.writeable = w.flags.writeable = False
+        layout.append((idx, w))
     return tuple(layout)
 
 
@@ -344,9 +416,106 @@ def _load_labels(path: str, n: int):
     return labels
 
 
+_CHUNK_ROWS = 4096
+
+
+def _record_lines(text):
+    """The stripped lines that are neither blank nor comments, as both
+    line loops see them."""
+    return [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+
+
+def _plain(lines, alphabet) -> bool:
+    """Whether the lines hold only ASCII characters from alphabet."""
+    text = "\n".join(lines)
+    return text.isascii() and not text.encode().translate(None, alphabet + b"\n")
+
+
+def _distinct_rows(block):
+    """The distinct rows of a 2-d array and each row's index among them,
+    keyed by each row's bytes (np.unique(axis=0) is far slower)."""
+    block = np.ascontiguousarray(block)
+    keys = block.view(np.dtype((np.void, block.strides[0]))).ravel()
+    rows, inverse = np.unique(keys, return_inverse=True)
+    return rows.view(block.dtype).reshape(len(rows), -1), inverse
+
+
+def _chosen_set_columns(text: str):
+    """n and the columns of a chosen-set-v1 file, tokenised as one byte
+    array; None for a file the line loop must read. It reads only lines
+    of one nonnegative decimal chosen id, one comma and at least two
+    such member ids, all below any '# n='."""
+    records = _record_lines(text)
+    if not records or not _plain(records, b"0123456789-, \t"):
+        return None
+    raw = ("\n".join(records) + "\n").encode()
+    b = np.frombuffer(raw, np.uint8)
+    token = (b != ord(" ")) & (b != ord("\t")) & (b != ord("\n")) & (b != ord(","))
+    starts = np.flatnonzero(token & ~np.r_[False, token[:-1]])
+    newlines = np.flatnonzero(b == ord("\n"))
+    commas = np.flatnonzero(b == ord(","))
+    rows = len(newlines)
+    if len(commas) != rows or (np.searchsorted(newlines, commas) != np.arange(rows)).any():
+        return None
+    line = np.searchsorted(newlines, starts)
+    left = starts < commas[line]  # the chosen id, if alone before the comma
+    if (np.bincount(line[left], minlength=rows) != 1).any():
+        return None
+    try:
+        values = np.array(raw.replace(b",", b" ").split()).astype(np.int64)
+    except (ValueError, OverflowError):  # '-', '1-2', an id beyond int64
+        return None
+    members, size = values[~left], np.bincount(line[~left], minlength=rows)
+    declared = [m for m in map(_HEADER_RE.match, map(str.strip, text.splitlines())) if m]
+    n = int(declared[-1].group(1)) if declared else int(members.max(initial=0)) + 1
+    if values.min() < 0 or size.min() < 2 or members.max() >= n:
+        return None
+    raw_id, raw_sets = np.empty(rows, np.intp), []
+    offset = np.cumsum(size) - size
+    for s in np.unique(size):
+        at = np.flatnonzero(size == s)
+        sets, inverse = _distinct_rows(members[offset[at, None] + np.arange(s)])
+        raw_id[at] = inverse + len(raw_sets)
+        raw_sets += map(tuple, sets.tolist())
+    return n, values[left], raw_id, raw_sets
+
+
+def _sf_matrix_columns(text: str):
+    """n and the columns of an sf-matrix file, parsed by np.loadtxt in
+    chunks of int32 rows and keyed by their packed indicator bits; None
+    for a file the line loop must read: any token but a decimal integer,
+    a comma, a ragged row, a width below 3 or an indicator outside
+    {0, 1}."""
+    records = _record_lines(text)
+    chosen, keys, width = [], [], None
+    for i in range(0, len(records), _CHUNK_ROWS):
+        chunk = records[i:i + _CHUNK_ROWS]
+        if not _plain(chunk, b"0123456789- \t"):
+            return None
+        try:
+            a = np.loadtxt(chunk, dtype=np.int32, comments=None, ndmin=2)
+        except (ValueError, OverflowError):
+            return None
+        width = width or a.shape[1]
+        indicators = a[:, 1:]
+        if (a.shape[1] != width or width < 3 or indicators.min() < 0
+                or indicators.max() > 1):
+            return None
+        chosen.append(a[:, 0])
+        keys.append(np.packbits(indicators, axis=1))
+    if width is None:
+        return None
+    sets, raw_id = _distinct_rows(np.concatenate(keys))
+    bits = np.unpackbits(sets, axis=1, count=width - 1)
+    raw_sets = [tuple(np.flatnonzero(row).tolist()) for row in bits]
+    return width - 1, np.concatenate(chosen), raw_id, raw_sets
+
+
 def _parse_chosen_set(text: str):
-    """Records, their line numbers and n; checks only the format: a
-    comma, integer ids, none negative, none at or above '# n='."""
+    """Records, their line numbers and n, one line at a time; checks
+    only the format: a comma, integer ids, none negative, none at or
+    above '# n='. The reference for _chosen_set_columns, and the path
+    for any file it declines."""
     records, lines = [], []
     declared_n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -378,8 +547,10 @@ def _parse_chosen_set(text: str):
 
 
 def _parse_sf_matrix(text: str):
-    """Records, their line numbers and n; checks only the format:
-    whole-number tokens, one width of at least 3, 0/1 indicators."""
+    """Records, their line numbers and n, one line at a time; checks
+    only the format: whole-number tokens, one width of at least 3, 0/1
+    indicators. The reference for _sf_matrix_columns, and the path for
+    any file it declines."""
     records, lines = [], []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -412,20 +583,40 @@ def _parse_sf_matrix(text: str):
     return records, lines, n
 
 
+_FORMATS = {"chosen-set-v1": (_chosen_set_columns, _parse_chosen_set),
+            "sf-matrix": (_sf_matrix_columns, _parse_sf_matrix)}
+
+
 def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     """Read a dataset file. Formats: "chosen-set-v1" (native) and
-    "sf-matrix" (chosen index plus 0/1 membership columns)."""
+    "sf-matrix" (chosen index plus 0/1 membership columns).
+
+    The file is parsed as whole arrays. A file the array parser
+    declines, or whose dataset fails validation, goes to the line loop,
+    which reads it or raises the error that names the file line."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    parse = {"chosen-set-v1": _parse_chosen_set, "sf-matrix": _parse_sf_matrix}
-    if format not in parse:
+    if format not in _FORMATS:
         raise ValueError("unknown dataset format %r" % format)
-    records, lines, n = parse[format](text)
+    columns, line_loop = _FORMATS[format]
+    parsed = columns(text)
+    if parsed is not None:
+        labels = _load_labels(path, parsed[0])
+        try:
+            return ChoiceDataset._from_columns(*parsed, labels=labels)
+        except (ParseError, InvalidChoice):
+            pass
+    return _from_records(path, *line_loop(text))
+
+
+def _from_records(path, records, lines, n) -> ChoiceDataset:
+    """The dataset of a line loop's records, with any validation error
+    numbered by its file line."""
     if not records:
         raise EmptyDataset("no observations in %s" % path)
     labels = _load_labels(path, n)
     try:
-        return ChoiceDataset(n=n, observations=tuple(records), labels=labels)
+        return ChoiceDataset(n=n, observations=records, labels=labels)
     except (ParseError, InvalidChoice) as exc:
         # the constructor numbers observations; name the file line instead
         raise type(exc)(lines[exc.line_number - 1],
@@ -434,13 +625,12 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
 
 def save(dataset: ChoiceDataset, path: str) -> None:
     """Write a dataset in the native chosen-set-v1 format (with labels
-    sidecar when the dataset has labels)."""
-    lines = ["# n=%d" % dataset.n]
-    for chosen, members in dataset.observations:
-        lines.append("%d,%s" % (chosen, " ".join(str(i) for i in members)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    sidecar when the dataset has labels), each file written atomically."""
+    members = [" ".join(map(str, s)) for s in dataset.sets]
+    lines = ["# n=%d" % dataset.n] + [
+        "%d,%s" % (c, members[k])
+        for c, k in zip(dataset.chosen.tolist(), dataset.set_id.tolist())]
+    write_text(path, "\n".join(lines) + "\n")
     if dataset.labels is not None:
-        with open(path + ".labels.json", "w", encoding="utf-8") as fh:
-            json.dump({"labels": list(dataset.labels)}, fh)
-            fh.write("\n")
+        write_text(path + ".labels.json",
+                   json.dumps({"labels": list(dataset.labels)}) + "\n")

@@ -161,10 +161,7 @@ def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
         train, test = data_mod.split(dataset, train_share, int(split_seeds[p]))
         for fi, f in enumerate(fracs):
             take = max(1, math.floor(f * len(train)))
-            part = data_mod.ChoiceDataset(
-                n=train.n, observations=train.observations[:take],
-                labels=train.labels,
-            )
+            part = train._rows(slice(take))
             for si, spec in enumerate(specs):
                 try:
                     fitted = spec.fit(part, seed=int(fit_seeds[p, si]))

@@ -6,10 +6,10 @@ any platform. Model JSON carries a "model" tag naming the family.
 """
 
 import json
-import os
 
 import numpy as np
 
+from .base import write_text
 from .ctmc import RateMatrix
 from .errors import ParseError
 from .luce import MmnlModel, MnlModel
@@ -102,19 +102,6 @@ def model_from_dict(d: dict):
                           blades=blades, chests=chests,
                           variant=d.get("variant", "distance"))
     raise ParseError(0, "unknown model tag %r" % kind)
-
-
-def write_text(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it into
-    place, so path never holds a partial file."""
-    tmp = "%s.%d.tmp" % (path, os.getpid())
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def save_model(model, path: str) -> None:

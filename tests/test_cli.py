@@ -128,6 +128,23 @@ class TestFit:
         assert _read(str(path)) == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
+    def test_failed_dataset_save_keeps_old_files(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.txt"
+        old = data.ChoiceDataset(n=2, observations=((0, (0, 1)),),
+                                 labels=("a", "b"))
+        data.save(old, str(path))
+        before = {p.name: _read(str(p)) for p in tmp_path.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", fail)
+        new = data.ChoiceDataset(n=2, observations=((1, (0, 1)),) * 3,
+                                 labels=("c", "d"))
+        with pytest.raises(OSError):
+            data.save(new, str(path))
+        assert {p.name: _read(str(p)) for p in tmp_path.iterdir()} == before
+
 
 class TestEval:
     def test_report_written(self, synth_files, tmp_path):

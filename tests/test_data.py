@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +55,30 @@ class TestChoiceDataset:
         with pytest.raises(InvalidChoice) as err:
             make_dataset([(0, (0, 1)), (2, (1, 0))], n=3)
         assert err.value.line_number == 2
+
+    def test_columns(self):
+        ds = make_dataset([(1, (2, 1)), (0, (0, 1)), (2, (1, 2))], n=3)
+        assert ds.chosen.tolist() == [1, 0, 2]
+        assert [ds.sets[k] for k in ds.set_id.tolist()] == [(1, 2), (0, 1), (1, 2)]
+        assert ds.observations == ((1, (1, 2)), (0, (0, 1)), (2, (1, 2)))
+        for column in (ds.chosen, ds.set_id):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        with pytest.raises(AttributeError):
+            ds.n = 4
+
+    def test_rows_match_the_constructor(self):
+        rows = [(0, (0, 1)), (2, (0, 1, 2)), (1, (1, 2)), (0, (0, 2))]
+        ds = make_dataset(rows, n=3)
+        for part in (slice(2), np.array([3, 0, 2])):
+            got = ds._rows(part)
+            want = make_dataset([rows[i] for i in range(4)[part]] if
+                                isinstance(part, slice) else
+                                [rows[i] for i in part.tolist()], n=3)
+            assert got == want and len(got) == len(want)
+            assert got.distinct_sets == want.distinct_sets
+            for (a, u), (b, v) in zip(data._set_terms(got), data._set_terms(want)):
+                assert np.array_equal(a, b) and np.array_equal(u, v)
 
     def test_distinct_sets_in_sorted_set_order(self):
         ds = make_dataset([(0, (0, 2)), (1, (2, 1, 0)), (1, (1, 0)),
@@ -405,6 +432,31 @@ class TestLoadSave:
         ds = data.load(str(path), format="sf-matrix")
         assert ds.observations == ((0, (0, 1)), (2, (0, 1, 2)))
 
+    def test_last_header_sets_n(self, tmp_path):
+        path = tmp_path / "tiny.txt"
+        path.write_text("# n=5\n0,0 1\n# n=6\n")
+        assert data.load(str(path)).n == 6
+
+    def test_chosen_outside_the_universe_is_not_offered(self, tmp_path):
+        # 3 in (0, 1) and -1 in (1, 2) sit where a search over the sets
+        # (0, 1), (0, 2), (1, 2) would find a member of the next or the
+        # previous set
+        with pytest.raises(InvalidChoice) as err:
+            make_dataset([(0, (0, 2)), (-1, (1, 2))], n=3)
+        assert err.value.line_number == 2
+        path = tmp_path / "sf.txt"
+        path.write_text("0 1 1 0\n3 1 1 0\n0 1 0 1\n")
+        with pytest.raises(InvalidChoice) as err:
+            data.load(str(path), format="sf-matrix")
+        assert err.value.line_number == 2
+
+    def test_sf_matrix_ragged_across_chunks(self, tmp_path):
+        path = tmp_path / "sf.txt"
+        path.write_text("0 1 1 0\n" * data._CHUNK_ROWS + "0 1 1\n")
+        with pytest.raises(ParseError) as err:
+            data.load(str(path), format="sf-matrix")
+        assert err.value.line_number == data._CHUNK_ROWS + 1
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("0,0 1\n")
@@ -467,3 +519,163 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(_SF_MATRIX_FAULTS))
     def test_sf_matrix(self, tmp_path, case):
         self._check(tmp_path, *_SF_MATRIX_FAULTS[case], "sf-matrix")
+
+
+def _reference_load(path, fmt):
+    """The line loop alone: the reference for load's array path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    loop = {"chosen-set-v1": data._parse_chosen_set,
+            "sf-matrix": data._parse_sf_matrix}[fmt]
+    return data._from_records(path, *loop(text))
+
+
+def _outcome(read):
+    """What a load returns, or the type, line and message it raises."""
+    try:
+        ds = read()
+    except Exception as exc:  # noqa: BLE001 - any raise must match
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+    return ds.n, ds.observations, ds.labels, [
+        (idx.tolist(), w.tolist()) for idx, w in data._set_terms(ds)]
+
+
+def _load_both(text, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return (_outcome(lambda: data.load(path, format=fmt)),
+                _outcome(lambda: _reference_load(path, fmt)))
+
+
+# tokens the array path must decline or read as int() does
+_ODD_TOKENS = ["1.0", "1e0", "2.0", "+1", "1_0", "-1", "-0", "007", "01", "x",
+               "-", "1-2", "nan", "2147483648", "99999999999999999999", "\u0661"]
+_SPACES = [" ", " ", " ", "\t", "  ", "\u00a0", "\u2003"]
+_COMMENTS = ["# n=%d", "#n = %d", "# note %d", "#%d,1 2"]
+
+
+@st.composite
+def _token(draw, top, faulty):
+    if not faulty or draw(st.integers(0, 9)) < 8:
+        return str(draw(st.integers(0, top)))
+    return draw(st.sampled_from(_ODD_TOKENS))
+
+
+@st.composite
+def _file(draw, record):
+    """Lines from record(faulty), comments, '# n=' headers and blank
+    lines, joined by one line ending, some padded with whitespace. A
+    third of the files are well formed; in the rest a tenth or two
+    fifths of the records may hold faults."""
+    rate = draw(st.sampled_from([0, 1, 4]))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind < 7:
+            line = draw(record(draw(st.integers(0, 9)) < rate))
+        elif kind < 9:
+            line = draw(st.sampled_from(_COMMENTS)) % draw(st.integers(0, 12))
+        else:
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        pad = draw(st.sampled_from(["", "", " ", "\t", "\u2003"]))
+        lines.append(pad + line + pad[::-1])
+    return draw(st.sampled_from(["\n", "\n", "\r\n"])).join(lines) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def _chosen_set_record(draw, faulty):
+    unique = not faulty or draw(st.integers(0, 4)) > 0
+    members = draw(st.lists(st.integers(0, 7), min_size=2 if unique else 0,
+                            max_size=5, unique=unique))
+    tokens = [str(i) if draw(st.integers(0, 9)) < 9 else draw(_token(7, faulty))
+              for i in members]
+    if members and (not faulty or draw(st.booleans())):
+        chosen = str(draw(st.sampled_from(members)))
+    elif faulty and not draw(st.integers(0, 9)):
+        chosen = draw(st.sampled_from(["", "0 1", "1\t2"]))
+    else:
+        chosen = draw(_token(8, faulty))
+    comma = draw(st.sampled_from([",", ", ", " ,", "", ",,"] if faulty else
+                                 [",", ", ", " ,\t"]))
+    return chosen + comma + draw(st.sampled_from(_SPACES)).join(tokens)
+
+
+@st.composite
+def _sf_matrix_file(draw):
+    width = draw(st.integers(2 if draw(st.booleans()) else 3, 6))
+
+    @st.composite
+    def record(draw, faulty):
+        cells = [str(draw(st.integers(0, 1))) if not faulty or draw(st.integers(0, 19))
+                 else draw(st.sampled_from(["2", "-1", "-0", "01", "1.0", "1e0", "+1",
+                                            "1_0", "x"]))
+                 for _ in range(width - 1)]
+        if not faulty and cells.count("1") < 2:
+            cells[:2] = ["1", "1"]
+        if faulty and not draw(st.integers(0, 14)):
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        offered = [str(i) for i, c in enumerate(cells) if c == "1"]
+        if offered and (not faulty or draw(st.integers(0, 3))):
+            chosen = draw(st.sampled_from(offered))
+        else:
+            chosen = draw(_token(width, faulty))
+        sep = draw(st.sampled_from(_SPACES + [",", ", "]))
+        return sep.join([chosen] + cells)
+
+    return draw(_file(record))
+
+
+class TestParserEquivalence:
+    """load parses whole arrays and falls back to the line loop; on any
+    file it returns what the line loop returns, or raises the same error
+    type, line number and message."""
+
+    @given(_file(_chosen_set_record))
+    def test_chosen_set(self, text):
+        got, want = _load_both(text, "chosen-set-v1")
+        assert got == want
+
+    @given(_sf_matrix_file())
+    def test_sf_matrix(self, text):
+        got, want = _load_both(text, "sf-matrix")
+        assert got == want
+
+    @pytest.mark.parametrize("text, fmt", [
+        ("1 2,1 2\n", "chosen-set-v1"),
+        ("0,0 1\n,0 1\n", "chosen-set-v1"),
+        ("0,0 1,\n", "chosen-set-v1"),
+        ("0,0 1\n1,-0 1\n1,0 01\n", "chosen-set-v1"),
+        ("0,0 -1\n", "chosen-set-v1"),
+        ("# n=2\n0,0 1\n# n=1\n", "chosen-set-v1"),
+        ("0 1 1 0\n3 1 1 0\n0 1 0 1\n", "sf-matrix"),
+        ("0 1 1 0\n1 -0 01 1\n", "sf-matrix"),
+        ("0 1 1 0\n1 0 +1 1\n", "sf-matrix"),
+        ("0 1 1 0\n-1 1 1 0\n", "sf-matrix"),
+    ])
+    def test_edge_files(self, text, fmt):
+        got, want = _load_both(text, fmt)
+        assert got == want
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_array_path_reads_plain_files(self, seed):
+        # plain files never reach the line loop
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        rows = []
+        for _ in range(int(rng.integers(1, 40))):
+            menu = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)),
+                                      replace=False))
+            rows.append((int(rng.choice(menu)), tuple(menu.tolist())))
+        chosen_set = "# n=%d\n" % n + "".join(
+            "%d,%s\n" % (c, " ".join(map(str, s))) for c, s in rows)
+        sf = "".join("%d %s\n" % (c, " ".join(
+            "1" if i in s else "0" for i in range(n))) for c, s in rows)
+        for text, fmt, columns in ((chosen_set, "chosen-set-v1",
+                                    data._chosen_set_columns),
+                                   (sf, "sf-matrix", data._sf_matrix_columns)):
+            assert columns(text) is not None
+            got, want = _load_both(text, fmt)
+            assert got == want and got[1] == tuple(rows)

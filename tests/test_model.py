@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pcmc import cli, ctmc, data, evaluate, luce, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
-from pcmc.errors import EmptyDataset, InfeasibleStart, NegativeAlpha
+from pcmc.errors import EmptyDataset, InfeasibleStart, NegativeAlpha, OptimizerFailure
 from pcmc.luce import MnlModel
 from pcmc.model import (
     FitConfig,
@@ -462,6 +462,39 @@ class TestFit:
         assert np.isfinite(report.loglik)
         assert report.iterations >= 0
         assert isinstance(report.converged, bool)
+
+
+class TestFitAtExtremeRates:
+    """The fit path from starts whose rates sit near TOL_EDGE or near 1e8
+    ends in a finite canonical matrix, or in OptimizerFailure when every
+    point it reaches scores _PENALTY; never in an uncaught error."""
+
+    @settings(max_examples=10)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["edge", "large"]))
+    def test_ends_finite_and_canonical(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        n = 6
+        gen = PcmcModel(q=RateMatrix(n=n, rates=random_canonical(rng, n)))
+        menus = sorted({tuple(sorted(rng.choice(n, size=int(rng.integers(2, 5)),
+                                                replace=False).tolist()))
+                        for _ in range(10)})
+        ds = data.sample(gen, menus, count=400, seed=seed)
+        rates = random_canonical(rng, n)
+        if scale == "edge":
+            for i, j in zip(*np.nonzero(rng.random((n, n)) < 0.4)):
+                if i != j:
+                    rates[i, j] = ctmc.TOL_EDGE * rng.uniform(0.1, 10.0)
+                    rates[j, i] = max(rates[j, i], 1.0)
+        else:
+            rates *= 1e8 * rng.uniform(0.5, 2.0)
+        start = PcmcModel(q=RateMatrix(n=n, rates=rates))
+        try:
+            report = fit(ds, FitConfig(max_iters=200), start=start)
+        except OptimizerFailure:
+            return
+        q = report.params.q
+        assert np.isfinite(q.rates).all() and q.is_canonical
+        assert np.isfinite(report.loglik)
 
 
 class TestPermutationEquivariance:
