@@ -62,11 +62,14 @@ def _model_list(text):
     for kind in out:
         if kind not in _KINDS:
             raise argparse.ArgumentTypeError("unknown model kind %r" % kind)
+    if len(set(out)) < len(out):
+        raise argparse.ArgumentTypeError("model kinds must not repeat")
     return out
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pcmc", description=__doc__.splitlines()[0])
+    formats = dict(default="chosen-set-v1", choices=tuple(data_mod._FORMATS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a model to a dataset")
@@ -83,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--variant", choices=("distance", "inner"),
                        default="distance")
     p_fit.add_argument("--max-iters", type=_positive_int, default=200)
-    p_fit.add_argument("--format", default="chosen-set-v1",
-                       choices=("chosen-set-v1", "sf-matrix"))
+    p_fit.add_argument("--format", **formats)
     p_fit.add_argument("--report", default=None,
                        help="also write a fit report JSON here")
 
@@ -92,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model-file", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--format", default="chosen-set-v1",
-                        choices=("chosen-set-v1", "sf-matrix"))
+    p_eval.add_argument("--format", **formats)
 
     p_curve = sub.add_parser("curve", help="learning curve over training fractions")
     p_curve.add_argument("--data", required=True)
@@ -108,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--k", type=_positive_int, default=None)
     p_curve.add_argument("--d", type=_positive_int, default=2)
     p_curve.add_argument("--max-iters", type=_positive_int, default=200)
-    p_curve.add_argument("--format", default="chosen-set-v1",
-                         choices=("chosen-set-v1", "sf-matrix"))
+    p_curve.add_argument("--format", **formats)
 
     p_audit = sub.add_parser("audit", help="axiom checks on a saved model")
     p_audit.add_argument("--model-file", required=True)

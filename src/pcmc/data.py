@@ -63,17 +63,7 @@ class ChoiceDataset:
     """
 
     def __init__(self, n: int, observations, labels=None):
-        raw, raw_id, chosen = {}, [], []
-        for c, members in observations:
-            raw_id.append(raw.setdefault(tuple(members), len(raw)))
-            chosen.append(int(c))
-        _build(self, n, chosen, raw_id, list(raw), labels)
-
-    @classmethod
-    def _from_columns(cls, n, chosen, raw_id, raw_sets, labels=None):
-        """Dataset whose row r chose chosen[r] from raw_sets[raw_id[r]],
-        validated as the constructor validates observations."""
-        return _build(cls.__new__(cls), n, chosen, raw_id, raw_sets, labels)
+        _build(self, n, *_raw_columns(observations), labels)
 
     def _rows(self, rows):
         """The dataset of the given rows (an index array or a slice). It
@@ -117,10 +107,21 @@ class ChoiceDataset:
         return _tally(self)
 
 
-def _build(ds, n, chosen, raw_id, raw_sets, labels):
-    """Fill ds with validated columns: each distinct raw set checked once
-    (_canonical_set), each choice checked against its set in one array
-    comparison, and the first fault in row order raised."""
+def _raw_columns(observations):
+    """Each observation's chosen id, the index of its members among the
+    distinct member tuples, and those tuples in first-seen order."""
+    raw, raw_id, chosen = {}, [], []
+    for c, members in observations:
+        raw_id.append(raw.setdefault(tuple(members), len(raw)))
+        chosen.append(int(c))
+    return chosen, raw_id, list(raw)
+
+
+def _build(ds, n, chosen, raw_id, raw_sets, labels=None):
+    """Fill ds with the validated columns of the rows where chosen[r]
+    was picked from raw_sets[raw_id[r]]: each distinct raw set checked
+    once (_canonical_set), each choice checked against its set in one
+    array comparison, and the first fault in row order raised."""
     ids = chosen if isinstance(chosen, np.ndarray) else np.fromiter(
         (c if 0 <= c < n else -1 for c in chosen), np.int64, len(chosen))
     ids, raw_id = ids.astype(np.int64, copy=False), np.asarray(raw_id, np.intp)
@@ -233,9 +234,7 @@ def smooth(tables: CountTables, alpha: float) -> CountTables:
     Only sets that occur in the data are touched; unobserved sets stay
     absent. Set totals grow by alpha * |S| accordingly.
     """
-    alpha = float(alpha)
-    if alpha < 0:
-        raise NegativeAlpha("smoothing pseudocount must be >= 0, got %r" % alpha)
+    alpha = _pseudocount(alpha)
     choice_counts = {
         s: {i: c + alpha for i, c in per_item.items()}
         for s, per_item in tables.choice_counts.items()
@@ -250,6 +249,15 @@ def smooth(tables: CountTables, alpha: float) -> CountTables:
         cooccurrence=tables.cooccurrence,
         set_size_histogram=tables.set_size_histogram,
     )
+
+
+def _pseudocount(alpha) -> float:
+    """alpha as a float, once checked to be a finite pseudocount >= 0."""
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise NegativeAlpha("smoothing pseudocount must be finite and >= 0, got %r"
+                            % alpha)
+    return alpha
 
 
 def split(dataset: ChoiceDataset, train_fraction: float, seed: int):
@@ -298,7 +306,7 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
     pos = (u[:, None] > cdfs[set_ids]).sum(axis=1)
     last = np.array([len(s) - 1 for s in norm_sets])[set_ids]
     chosen = members[set_ids, np.minimum(pos, last)]
-    return ChoiceDataset._from_columns(model.n, chosen, set_ids, norm_sets)
+    return _build(ChoiceDataset.__new__(ChoiceDataset), model.n, chosen, set_ids, norm_sets)
 
 
 def gen_random_q(n: int, seed: int):
@@ -384,9 +392,7 @@ def _tally(dataset):
 def _smoothed(layout, alpha: float):
     """The layout with alpha pseudocounts added to every member of every
     set; the same numbers smooth() puts in the count tables."""
-    alpha = float(alpha)
-    if alpha < 0:
-        raise NegativeAlpha("smoothing pseudocount must be >= 0, got %r" % alpha)
+    alpha = _pseudocount(alpha)
     return [(idx, w + alpha) for idx, w in layout]
 
 
@@ -404,31 +410,36 @@ def _pair_scatter(n, pairs):
 _HEADER_RE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
 
 
+def _declared_n(lines, default):
+    """The n of the last '# n=<int>' among the stripped lines, else default."""
+    for s in reversed(lines):
+        if s[:1] == "#" and (m := _HEADER_RE.match(s)):
+            return int(m.group(1))
+    return default
+
+
 def _load_labels(path: str, n: int):
     sidecar = path + ".labels.json"
     if not os.path.exists(sidecar):
         return None
     with open(sidecar, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    labels = payload.get("labels")
+        try:
+            labels = json.load(fh)["labels"]
+        except (KeyError, TypeError, ValueError):  # not JSON, or not {"labels": ...}
+            labels = None
     if not isinstance(labels, list) or len(labels) != n:
-        raise ParseError(0, "labels sidecar must hold exactly %d labels" % n)
+        raise ParseError(0, 'labels sidecar must hold {"labels": [%d labels]}' % n)
     return labels
 
 
 _CHUNK_ROWS = 4096
 
 
-def _record_lines(text):
-    """The stripped lines that are neither blank nor comments, as both
-    line loops see them."""
-    return [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-
-
-def _plain(lines, alphabet) -> bool:
-    """Whether the lines hold only ASCII characters from alphabet."""
-    text = "\n".join(lines)
-    return text.isascii() and not text.encode().translate(None, alphabet + b"\n")
+def _plain(lines, alphabet):
+    """The lines as bytes, each ended by a newline; None if one holds a
+    character outside the ASCII alphabet."""
+    raw = ("\n".join(lines) + "\n").encode()
+    return None if raw.translate(None, alphabet + b"\n") else raw
 
 
 def _distinct_rows(block):
@@ -445,12 +456,12 @@ def _chosen_set_columns(text: str):
     array; None for a file the line loop must read. It reads only lines
     of one nonnegative decimal chosen id, one comma and at least two
     such member ids, all below any '# n='."""
-    records = _record_lines(text)
-    if not records or not _plain(records, b"0123456789-, \t"):
+    lines = list(map(str.strip, text.splitlines()))
+    raw = _plain([s for s in lines if s and s[0] != "#"], b"0123456789-, \t")
+    if raw is None:
         return None
-    raw = ("\n".join(records) + "\n").encode()
     b = np.frombuffer(raw, np.uint8)
-    token = (b != ord(" ")) & (b != ord("\t")) & (b != ord("\n")) & (b != ord(","))
+    token = b > ord(",")  # a digit or '-'
     starts = np.flatnonzero(token & ~np.r_[False, token[:-1]])
     newlines = np.flatnonzero(b == ord("\n"))
     commas = np.flatnonzero(b == ord(","))
@@ -466,8 +477,7 @@ def _chosen_set_columns(text: str):
     except (ValueError, OverflowError):  # '-', '1-2', an id beyond int64
         return None
     members, size = values[~left], np.bincount(line[~left], minlength=rows)
-    declared = [m for m in map(_HEADER_RE.match, map(str.strip, text.splitlines())) if m]
-    n = int(declared[-1].group(1)) if declared else int(members.max(initial=0)) + 1
+    n = _declared_n(lines, int(members.max(initial=0)) + 1)
     if values.min() < 0 or size.min() < 2 or members.max() >= n:
         return None
     raw_id, raw_sets = np.empty(rows, np.intp), []
@@ -486,11 +496,11 @@ def _sf_matrix_columns(text: str):
     for a file the line loop must read: any token but a decimal integer,
     a comma, a ragged row, a width below 3 or an indicator outside
     {0, 1}."""
-    records = _record_lines(text)
+    records = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     chosen, keys, width = [], [], None
     for i in range(0, len(records), _CHUNK_ROWS):
         chunk = records[i:i + _CHUNK_ROWS]
-        if not _plain(chunk, b"0123456789- \t"):
+        if _plain(chunk, b"0123456789- \t") is None:
             return None
         try:
             a = np.loadtxt(chunk, dtype=np.int32, comments=None, ndmin=2)
@@ -512,20 +522,14 @@ def _sf_matrix_columns(text: str):
 
 
 def _parse_chosen_set(text: str):
-    """Records, their line numbers and n, one line at a time; checks
-    only the format: a comma, integer ids, none negative, none at or
-    above '# n='. The reference for _chosen_set_columns, and the path
+    """n and the columns of a chosen-set-v1 file, one line at a time;
+    checks only the format: a comma, integer ids, none negative, none at
+    or above '# n='. The reference for _chosen_set_columns, and the path
     for any file it declines."""
-    records, lines = [], []
-    declared_n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _HEADER_RE.match(line)
-            if m:
-                declared_n = int(m.group(1))
+    lines = list(map(str.strip, text.splitlines()))
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line[0] == "#":
             continue
         if "," not in line:
             raise ParseError(lineno, "expected '<chosen>,<set members>'")
@@ -538,20 +542,19 @@ def _parse_chosen_set(text: str):
         if chosen < 0 or min(members, default=0) < 0:
             raise ParseError(lineno, "alternative ids must be nonnegative")
         records.append((chosen, members))
-        lines.append(lineno)
     max_id = max((max(m, default=0) for _, m in records), default=-1)
-    n = declared_n if declared_n is not None else max_id + 1
+    n = _declared_n(lines, max_id + 1)
     if max_id >= n:
         raise ParseError(0, "alternative %d exceeds declared n=%d" % (max_id, n))
-    return records, lines, n
+    return (n, *_raw_columns(records))
 
 
 def _parse_sf_matrix(text: str):
-    """Records, their line numbers and n, one line at a time; checks
-    only the format: whole-number tokens, one width of at least 3, 0/1
-    indicators. The reference for _sf_matrix_columns, and the path for
-    any file it declines."""
-    records, lines = [], []
+    """n and the columns of an sf-matrix file, one line at a time;
+    checks only the format: whole-number tokens, one width of at least
+    3, 0/1 indicators. The reference for _sf_matrix_columns, and the
+    path for any file it declines."""
+    records = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -578,9 +581,7 @@ def _parse_sf_matrix(text: str):
         if any(v not in (0, 1) for v in indicators):
             raise ParseError(lineno, "membership indicators must be 0 or 1")
         records.append((row[0], tuple(i for i, v in enumerate(indicators) if v)))
-        lines.append(lineno)
-    n = width - 1 if width is not None else 0
-    return records, lines, n
+    return (width - 1 if width else 0, *_raw_columns(records))
 
 
 _FORMATS = {"chosen-set-v1": (_chosen_set_columns, _parse_chosen_set),
@@ -591,34 +592,26 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     """Read a dataset file. Formats: "chosen-set-v1" (native) and
     "sf-matrix" (chosen index plus 0/1 membership columns).
 
-    The file is parsed as whole arrays. A file the array parser
-    declines, or whose dataset fails validation, goes to the line loop,
-    which reads it or raises the error that names the file line."""
+    The file is parsed as whole arrays; a file the array parser
+    declines goes to the line loop, which raises any format error at
+    its file line. Both give the same columns to one validation, whose
+    errors are renumbered from observation to file line."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if format not in _FORMATS:
         raise ValueError("unknown dataset format %r" % format)
     columns, line_loop = _FORMATS[format]
-    parsed = columns(text)
-    if parsed is not None:
-        labels = _load_labels(path, parsed[0])
-        try:
-            return ChoiceDataset._from_columns(*parsed, labels=labels)
-        except (ParseError, InvalidChoice):
-            pass
-    return _from_records(path, *line_loop(text))
-
-
-def _from_records(path, records, lines, n) -> ChoiceDataset:
-    """The dataset of a line loop's records, with any validation error
-    numbered by its file line."""
-    if not records:
+    n, chosen, raw_id, raw_sets = columns(text) or line_loop(text)
+    if len(chosen) == 0:
         raise EmptyDataset("no observations in %s" % path)
     labels = _load_labels(path, n)
     try:
-        return ChoiceDataset(n=n, observations=records, labels=labels)
+        return _build(ChoiceDataset.__new__(ChoiceDataset), n, chosen, raw_id, raw_sets,
+                      labels)
     except (ParseError, InvalidChoice) as exc:
-        # the constructor numbers observations; name the file line instead
+        # observation k is the k-th line that is neither blank nor a comment
+        lines = [k for k, s in enumerate(map(str.strip, text.splitlines()), start=1)
+                 if s and s[0] != "#"]
         raise type(exc)(lines[exc.line_number - 1],
                         str(exc).partition(": ")[2]) from None
 

@@ -72,7 +72,7 @@ class InvalidChoice(_Numbered):
 
 
 class NegativeAlpha(PcmcError, ValueError):
-    """Additive smoothing requires a nonnegative pseudocount."""
+    """Additive smoothing requires a finite, nonnegative pseudocount."""
 
 
 class DegenerateSplit(PcmcError, ValueError):

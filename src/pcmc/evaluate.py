@@ -91,6 +91,7 @@ class FitSpec:
     def __post_init__(self):
         if self.kind not in ("pcmc", "mnl", "mmnl", "bladechest"):
             raise ValueError("unknown model kind %r" % self.kind)
+        data_mod._pseudocount(self.alpha)
 
     @property
     def label(self) -> str:

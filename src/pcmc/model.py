@@ -32,7 +32,6 @@ from .errors import (
     EmptyDataset,
     InfeasibleStart,
     MultipleClosedClasses,
-    NegativeAlpha,
     OptimizerFailure,
     SingularSystem,
 )
@@ -211,9 +210,7 @@ class FitConfig:
             raise ValueError("max_iters must be >= 1, got %r" % self.max_iters)
         if not self.ftol > 0:
             raise ValueError("ftol must be positive, got %r" % self.ftol)
-        if self.smoothing_alpha < 0:
-            raise NegativeAlpha(
-                "smoothing pseudocount must be >= 0, got %r" % self.smoothing_alpha)
+        data_mod._pseudocount(self.smoothing_alpha)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ any platform. Model JSON carries a "model" tag naming the family.
 """
 
 import json
+import math
 
 import numpy as np
 
 from .base import write_text
 from .ctmc import RateMatrix
-from .errors import ParseError
+from .errors import ParseError, PcmcError
 from .luce import MmnlModel, MnlModel
 from .model import FitReport, PcmcModel
 from .param import BladeChest
@@ -19,7 +20,7 @@ from .param import BladeChest
 
 def _fmt_float(x: float) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite value %r" % x)
     if x == 0.0:
         x = 0.0  # normalize -0.0
@@ -116,7 +117,12 @@ def load_model(path: str):
             raise ParseError(exc.lineno, "invalid JSON: %s" % exc.msg) from None
     if not isinstance(payload, dict):
         raise ParseError(0, "model file must hold a JSON object")
-    return model_from_dict(payload)
+    try:
+        return model_from_dict(payload)
+    except PcmcError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(0, "malformed %r model: %r" % (payload.get("model"), exc)) from None
 
 
 def fit_report_to_dict(report: FitReport) -> dict:

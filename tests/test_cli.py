@@ -181,6 +181,14 @@ class TestCurve:
                      "--fractions", "0.5", "--permutations", "2",
                      "--out", str(tmp_path / "c.csv")]) == 1
 
+    def test_repeated_model_kind(self, synth_files, tmp_path, capsys):
+        data_path, _ = synth_files
+        assert main(["curve", "--data", data_path, "--models", "mnl,mnl",
+                     "--fractions", "0.5", "--permutations", "2",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        assert "must not repeat" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestAudit:
     def test_audit_pcmc(self, synth_files, tmp_path):
@@ -223,10 +231,47 @@ class TestFailureCodes:
                      "--out", str(tmp_path / "m.json")]) == 3
 
     @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
-    def test_negative_alpha(self, synth_files, tmp_path, kind):
-        assert main(["fit", "--data", synth_files[0], "--model", kind,
-                     "--alpha", "-1", "--out", str(tmp_path / "m.json")]) == 2
+    def test_negative_alpha(self, synth_files, tmp_path, kind, capsys):
+        # not finite is as bad as negative
+        for alpha in ("-1", "nan", "inf"):
+            assert main(["fit", "--data", synth_files[0], "--model", kind,
+                         "--alpha", alpha, "--out", str(tmp_path / "m.json"),
+                         "--report", str(tmp_path / "r.json")]) == 2
+            assert capsys.readouterr().err.startswith("data error: ")
+            assert not (tmp_path / "m.json").exists()
+            assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_curve_bad_alpha(self, synth_files, tmp_path, alpha):
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--data", synth_files[0], "--models", "mnl",
+                     "--fractions", "0.5", "--permutations", "1",
+                     "--alpha", alpha, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"labels": "ab"}',
+                                      '{"labels": ["a"]}'])
+    def test_malformed_labels_sidecar(self, tmp_path, text, capsys):
+        path = tmp_path / "d.txt"
+        path.write_text("0,0 1\n1,0 1\n")
+        (tmp_path / "d.txt.labels.json").write_text(text)
+        assert main(["fit", "--data", str(path), "--model", "mnl",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("text", ['{"model": "mnl"}',
+                                      '{"model": "pcmc", "n": 3, "rates": [0, 1]}',
+                                      '{"model": "pcmc", "n": 2, "rates": [0, 0.2, 0.3, 0]}'])
+    def test_malformed_model_file(self, synth_files, tmp_path, text, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(text)
+        for argv in (["eval", "--data", synth_files[0]], ["audit"]):
+            out = tmp_path / "out.json"
+            assert main(argv + ["--model-file", str(model_path),
+                                "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("data error: ")
+            assert not out.exists()
 
     def test_missing_required_flag(self, tmp_path):
         assert main(["fit", "--model", "mnl",

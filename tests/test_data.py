@@ -1,5 +1,6 @@
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -375,6 +376,15 @@ class TestLoadSave:
         data.save(ds, str(path))
         assert data.load(str(path)).labels == ("car", "bus")
 
+    @pytest.mark.parametrize("text", ["{not json", "[\"car\", \"bus\"]",
+                                      '{"labels": "car"}', '{"labels": ["car"]}'])
+    def test_malformed_labels_sidecar(self, tmp_path, text):
+        path = tmp_path / "out.txt"
+        path.write_text("0,0 1\n")
+        (tmp_path / "out.txt.labels.json").write_text(text)
+        with pytest.raises(ParseError):
+            data.load(str(path))
+
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0,0 1\nnot a row\n")
@@ -457,6 +467,20 @@ class TestLoadSave:
             data.load(str(path), format="sf-matrix")
         assert err.value.line_number == data._CHUNK_ROWS + 1
 
+    def test_accepted_file_is_read_once(self, tmp_path):
+        # the array parser accepts the file but its third record fails
+        # validation: the error names that record's file line, and the
+        # line loop never reads the file
+        path = tmp_path / "data.txt"
+        path.write_text("# n=3\n0,0 1\n\n# note\n1,1 2\n2,0 1\n0,0 2\n")
+        columns, line_loop = data._FORMATS["chosen-set-v1"]
+        columns, line_loop = mock.Mock(wraps=columns), mock.Mock(wraps=line_loop)
+        with mock.patch.dict(data._FORMATS, {"chosen-set-v1": (columns, line_loop)}):
+            with pytest.raises(InvalidChoice) as err:
+                data.load(str(path))
+        assert err.value.line_number == 6
+        assert columns.call_count == 1 and line_loop.call_count == 0
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("0,0 1\n")
@@ -522,12 +546,11 @@ class TestMalformedInput:
 
 
 def _reference_load(path, fmt):
-    """The line loop alone: the reference for load's array path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    loop = {"chosen-set-v1": data._parse_chosen_set,
-            "sf-matrix": data._parse_sf_matrix}[fmt]
-    return data._from_records(path, *loop(text))
+    """load with the array parser declining every file, so the line
+    loop reads it: the reference for load's array path."""
+    line_loop = data._FORMATS[fmt][1]
+    with mock.patch.dict(data._FORMATS, {fmt: (lambda text: None, line_loop)}):
+        return data.load(path, format=fmt)
 
 
 def _outcome(read):

@@ -6,7 +6,7 @@ import pytest
 from pcmc import data, evaluate, serialize
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
-from pcmc.errors import ParseError
+from pcmc.errors import NonpositiveGamma, ParseError
 from pcmc.evaluate import FitSpec
 from pcmc.luce import MmnlModel, MnlModel
 from pcmc.model import FitReport, PcmcModel, fit
@@ -104,6 +104,28 @@ class TestModelRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ParseError):
+            serialize.load_model(str(path))
+
+    @pytest.mark.parametrize("payload", [
+        {"model": "mnl"},
+        {"model": "pcmc", "rates": [0.0]},
+        {"model": "pcmc", "n": 3, "rates": [0.0, 1.0]},
+        {"model": "pcmc", "n": 2, "rates": [0.0, 0.2, 0.3, 0.0]},
+        {"model": "pcmc", "n": [2], "rates": [0.0]},
+        {"model": "mmnl", "weights": [1.0], "components": 5},
+        {"model": "bladechest", "d": 2, "blades": 1.0, "chests": 1.0},
+    ])
+    def test_malformed_model(self, tmp_path, payload):
+        # a missing key, a wrong length or shape, a non-canonical matrix
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            serialize.load_model(str(path))
+
+    def test_library_errors_pass_through(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"model": "mnl", "gamma": [0.5, -0.5]}')
+        with pytest.raises(NonpositiveGamma):
             serialize.load_model(str(path))
 
 
