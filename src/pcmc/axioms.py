@@ -100,13 +100,8 @@ def check_contractible(q: RateMatrix, partition: Partition, tol: float = 1e-9):
                 return None
             lam[a, b] = float(vals.mean())
     sizes = np.array([len(b) for b in partition.blocks], dtype=float)
-    contracted = lam * sizes[None, :]
-    gen = contracted.copy()
-    np.fill_diagonal(gen, 0.0)
-    np.fill_diagonal(gen, -gen.sum(axis=1))
-    pi = ctmc.stationary(
-        ctmc.RestrictedGenerator(subset=tuple(range(k)), matrix=gen)
-    )
+    contracted = RateMatrix(n=k, rates=lam * sizes[None, :])
+    pi = ctmc.stationary(ctmc.restrict(contracted, range(k)))
     return ContractionSummary(
         lam=lam, block_sizes=tuple(len(b) for b in partition.blocks),
         contracted_pi=pi,

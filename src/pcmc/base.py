@@ -1,4 +1,4 @@
-"""Shared structural types, and the atomic file writer.
+"""Shared structural types, the text reader and the atomic file writer.
 
 A choice model is anything that knows its universe size and can assign
 a probability distribution to any choice set of two or more
@@ -13,6 +13,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .ctmc import Distribution
+from .errors import ParseError
 
 # Probabilities are floored at this value inside logs.
 LOG_FLOOR = 1e-12
@@ -40,6 +41,19 @@ def probabilities_many(model: ChoiceModel, sets: Sequence) -> list:
         return model.probabilities_many(sets)
     dists = [model.probabilities(s) for s in sets]
     return [np.array([d.prob(i) for i in s]) for s, d in zip(sets, dists)]
+
+
+def read_text(path: str) -> str:
+    """A file's UTF-8 text with line ends made '\\n', as text mode reads
+    it; a byte that is not UTF-8 raises ParseError at its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(raw.count(b"\n", 0, exc.start) + 1,
+                         "byte 0x%02x is not UTF-8 text" % raw[exc.start]) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_text(path: str, text: str) -> None:

@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data or file error,
 """
 
 import argparse
-import itertools
+import math
 import sys
 
 import numpy as np
@@ -191,6 +191,18 @@ def _cmd_audit(args) -> int:
     return 0
 
 
+def _triple(n: int, rank: int) -> tuple:
+    """The rank-th 3-subset of range(n) in itertools.combinations order."""
+    out, first = [], 0
+    for left in (2, 1, 0):
+        while rank >= math.comb(n - first - 1, left):  # the ranks of sets led by first
+            rank -= math.comb(n - first - 1, left)
+            first += 1
+        out.append(first)
+        first += 1
+    return tuple(out)
+
+
 def _cmd_synth(args) -> int:
     if args.n < 3:
         raise _UsageError("synth needs --n of at least 3")
@@ -202,11 +214,10 @@ def _cmd_synth(args) -> int:
     else:
         generator = data_mod.gen_bladechest_circle(args.n, seeds[0])
 
-    triples = list(itertools.combinations(range(args.n), 3))
-    want = min(args.sets, len(triples))
+    total = math.comb(args.n, 3)
     rng = np.random.default_rng(seeds[1])
-    picked = rng.choice(len(triples), size=want, replace=False)
-    menus = [triples[i] for i in sorted(picked)]
+    picked = rng.choice(total, size=min(args.sets, total), replace=False)
+    menus = [_triple(args.n, int(k)) for k in sorted(picked)]
 
     dataset = data_mod.sample(generator, menus, args.samples, seeds[2])
     data_mod.save(dataset, args.out)

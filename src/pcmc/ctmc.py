@@ -5,12 +5,12 @@ rates. Restricting the chain to a subset keeps only the rates among the
 subset's members and rebuilds the diagonal so rows sum to zero. The
 stationary distribution of a restriction is found by communicating-class
 analysis followed by a dense linear solve; states outside the single
-closed class receive zero mass. stationary_many solves many sets with
-one batched solve per set size and sends only the sets whose solution
-fails certification down the per-set path.
+closed class receive zero mass. One certified solve serves both paths:
+stationary_many solves many sets with one batched solve per set size
+and sends only the sets whose solution fails certification down the
+per-set path, which retries a failed solve by least squares.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -35,13 +35,12 @@ TOL_CONSTRAINT = 1e-9
 # A stationary solve is accepted when max|pi Q| is at or below this.
 RESIDUAL_TOL = 1e-9
 
-# Lowest mass a solve may hold: a batched row below -NEGATIVE_MASS_TOL
-# fails certification in _stationary_rows and goes to the per-set path,
-# and there _solve_on_class accepts its direct solve only above it,
-# retrying by least squares otherwise.
+# Lowest mass a certified solve may hold: a row below it fails
+# _certified_solve, which sends a batched row to the per-set path and
+# makes stationary retry its solve by least squares.
 NEGATIVE_MASS_TOL = 1e-9
 
-# Lowest mass _solve_on_class accepts in the end: looser than
+# Lowest mass stationary accepts after that retry: looser than
 # NEGATIVE_MASS_TOL, which only triggers a retry, because failing here
 # raises SingularSystem, and accepted masses are clipped at 0 anyway.
 ACCEPT_NEGATIVE_MASS_TOL = 1e-6
@@ -188,6 +187,18 @@ class Distribution:
         return {s: float(p) for s, p in zip(self.support, self.mass)}
 
 
+def _generators(rates, idx):
+    """Generators of the chain restricted to each row of an (m, s) array
+    of sets: the rates among the row's members, with each diagonal
+    entry set to minus its row sum."""
+    m, size = idx.shape
+    sub = rates[idx[:, :, None], idx[:, None, :]]
+    diag = sub.reshape(m, size * size)[:, ::size + 1]  # a view: sub is C-ordered
+    diag[...] = 0.0
+    diag[...] = -sub.sum(axis=2)
+    return sub
+
+
 def restrict(q: RateMatrix, subset: Iterable[int]) -> RestrictedGenerator:
     """Generator of the chain watched only on the given alternatives.
 
@@ -195,10 +206,7 @@ def restrict(q: RateMatrix, subset: Iterable[int]) -> RestrictedGenerator:
     minus its row sum.
     """
     members = _check_subset(subset, q.n)
-    idx = np.array(members, dtype=int)
-    block = q.rates[np.ix_(idx, idx)].copy()
-    np.fill_diagonal(block, 0.0)
-    np.fill_diagonal(block, -block.sum(axis=1))
+    block = _generators(q.rates, np.array([members], dtype=int))[0]
     return RestrictedGenerator(subset=members, matrix=block)
 
 
@@ -230,48 +238,29 @@ def closed_classes(g: RestrictedGenerator) -> list:
     return closed
 
 
-def _solve_on_class(gen: np.ndarray):
-    """Stationary row vector of an irreducible generator block.
-
-    Solves pi G = 0 with the last equation replaced by sum(pi) = 1,
-    falling back to least squares on the stacked system when the direct
-    solve is singular or inaccurate.
-    """
-    s = gen.shape[0]
-    if s == 1:
-        return np.array([1.0]), 0.0
-
-    def residual_of(pi):
-        return float(np.abs(pi @ gen).max())
-
-    a = gen.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(s)
-    b[-1] = 1.0
-    best = None
-    best_res = math.inf
+def _certified_solve(sub):
+    """Stationary rows of an (m, s, s) stack of generators, from one
+    batched solve of A pi = e_last, A being G^T with its last row
+    replaced by ones (Golub & Meyer, SIAM J. Alg. Disc. Meth. 7(2),
+    1986). A row is certified when finite, max|pi G| <= RESIDUAL_TOL *
+    scale and min pi >= -NEGATIVE_MASS_TOL. Returns pi, the residuals
+    (inf where the solve failed), the certified-row mask and A."""
+    m, size = sub.shape[:2]
+    a = np.transpose(sub, (0, 2, 1)).copy()
+    a[:, -1, :] = 1.0
     try:
-        pi = np.linalg.solve(a, b)
-        res = residual_of(pi)
-        if np.all(np.isfinite(pi)):
-            best, best_res = pi, res
+        # a (1, s, 1) right-hand side broadcasts over the stack without a
+        # copy; a 1-d one would only broadcast from NumPy 2.0 on
+        pi = np.linalg.solve(a, np.eye(size)[None, :, -1:])[:, :, 0]
     except np.linalg.LinAlgError:
-        pass
-    scale = max(1.0, float(np.abs(gen).max()))
-    if best is None or best_res > RESIDUAL_TOL * scale or best.min() < -NEGATIVE_MASS_TOL:
-        stacked = np.vstack([gen.T, np.ones((1, s))])
-        rhs = np.zeros(s + 1)
-        rhs[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        res = residual_of(pi)
-        if res < best_res:
-            best, best_res = pi, res
-    if (best is None or best_res > RESIDUAL_TOL * scale
-            or best.min() < -ACCEPT_NEGATIVE_MASS_TOL):
-        raise SingularSystem(best_res if best is not None else math.inf)
-    pi = np.clip(best, 0.0, None)
-    pi /= pi.sum()
-    return pi, best_res
+        pi = np.full((m, size), np.nan)
+    finite = np.isfinite(pi).all(axis=1)
+    resid = np.where(finite, np.abs(np.matmul(pi[:, None, :], sub)).max(axis=(1, 2)),
+                     np.inf)
+    # rates are nonnegative, so G's largest entry in size is on its diagonal
+    scale = np.maximum(1.0, -np.diagonal(sub, axis1=1, axis2=2).min(axis=1))
+    ok = finite & (resid <= RESIDUAL_TOL * scale) & (pi.min(axis=1) >= -NEGATIVE_MASS_TOL)
+    return pi, resid, ok, a
 
 
 def stationary(g: RestrictedGenerator) -> Distribution:
@@ -279,56 +268,49 @@ def stationary(g: RestrictedGenerator) -> Distribution:
 
     Raises MultipleClosedClasses when the restriction has more than one
     closed communicating class. Alternatives outside the closed class
-    are transient and get exactly zero mass.
+    are transient and get exactly zero mass. When the closed class's
+    solve fails certification, least squares on [G^T; 1] pi = e_last
+    retries it; the better of the two is accepted down to
+    -ACCEPT_NEGATIVE_MASS_TOL, and otherwise SingularSystem is raised.
     """
     classes = closed_classes(g)
     if len(classes) != 1:
         raise MultipleClosedClasses(classes)
-    members = classes[0]
     pos = {item: k for k, item in enumerate(g.subset)}
-    cls_idx = np.array([pos[item] for item in members], dtype=int)
+    cls_idx = np.array([pos[item] for item in classes[0]], dtype=int)
 
-    block = g.matrix[np.ix_(cls_idx, cls_idx)].copy()
     # Rebuild the diagonal: rates leaving the closed class are zero by
     # definition, but tiny sub-threshold leaks must not skew row sums.
-    np.fill_diagonal(block, 0.0)
-    np.fill_diagonal(block, -block.sum(axis=1))
-    pi_class, _ = _solve_on_class(block)
-
+    block = _generators(g.matrix, cls_idx[None])
+    pi, resid, ok, _ = _certified_solve(block)
+    pi, res, block = pi[0], resid[0], block[0]
+    if not ok[0]:
+        s = len(cls_idx)
+        retry = np.linalg.lstsq(np.vstack([block.T, np.ones((1, s))]),
+                                np.eye(s + 1)[-1], rcond=None)[0]
+        retry_res = np.abs(retry @ block).max()
+        if retry_res < res:
+            pi, res = retry, retry_res
+        scale = max(1.0, np.abs(block).max())
+        if res > RESIDUAL_TOL * scale or pi.min() < -ACCEPT_NEGATIVE_MASS_TOL:
+            raise SingularSystem(float(res))
+    pi = np.clip(pi, 0.0, None)
     mass = np.zeros(g.size)
-    mass[cls_idx] = pi_class
+    mass[cls_idx] = pi / pi.sum()
     return Distribution(support=g.subset, mass=mass)
 
 
 def _stationary_rows(rates, idx):
     """Stationary masses of the chain restricted to each row of an (m, s)
-    array of equal-size sets, from one batched solve of A pi = e_last
-    (A = G^T with its last row ones). A row is certified when finite,
-    max|pi G| <= RESIDUAL_TOL * scale, min pi >= -NEGATIVE_MASS_TOL and
-    every pair has a rate above TOL_EDGE one way, so one class is closed;
-    other rows come from stationary() and its errors. Returns the masses,
-    the certified-row mask and A.
+    array of equal-size sets, from one _certified_solve. A row is kept
+    when certified and every pair has a rate above TOL_EDGE one way, so
+    one class is closed; other rows come from stationary() and its
+    errors. Returns the masses, the kept-row mask and A.
     """
-    m, size = idx.shape
-    sub = rates[idx[:, :, None], idx[:, None, :]]
-    diag = sub.reshape(m, size * size)[:, ::size + 1]  # a view: sub is C-ordered
-    diag[...] = 0.0
-    diag[...] = -sub.sum(axis=2)
-    a = np.transpose(sub, (0, 2, 1)).copy()
-    a[:, -1, :] = 1.0
-    try:
-        # a (1, s, 1) right-hand side broadcasts over the stack without a
-        # copy; a 1-d one would only broadcast from NumPy 2.0 on
-        pi = np.linalg.solve(a, np.eye(size)[None, :, -1:])[:, :, 0]
-        ok = np.isfinite(pi).all(axis=1)
-    except np.linalg.LinAlgError:
-        pi, ok = np.zeros((m, size)), np.zeros(m, dtype=bool)
-    resid = np.abs(np.einsum("mi,mij->mj", pi, sub)).max(axis=1)
-    # rates are nonnegative, so G's largest entry in size is on its diagonal
-    scale = np.maximum(1.0, -diag.min(axis=1))
+    sub = _generators(rates, idx)
+    pi, _, ok, a = _certified_solve(sub)
     # a is G^T apart from its row of ones, so this is max(q_ij, q_ji)
-    linked = (np.maximum(sub, a) > TOL_EDGE) | np.eye(size, dtype=bool)
-    ok &= (resid <= RESIDUAL_TOL * scale) & (pi.min(axis=1) >= -NEGATIVE_MASS_TOL)
+    linked = (np.maximum(sub, a) > TOL_EDGE) | np.eye(idx.shape[1], dtype=bool)
     ok &= linked.all(axis=(1, 2))
     if not ok.all():
         q = RateMatrix(n=len(rates), rates=rates)

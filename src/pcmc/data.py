@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import ChoiceModel, probabilities_many, write_text
+from .base import ChoiceModel, probabilities_many, read_text, write_text
 from .errors import (
     DegenerateSplit,
     EmptyDataset,
@@ -422,11 +422,10 @@ def _load_labels(path: str, n: int):
     sidecar = path + ".labels.json"
     if not os.path.exists(sidecar):
         return None
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        try:
-            labels = json.load(fh)["labels"]
-        except (KeyError, TypeError, ValueError):  # not JSON, or not {"labels": ...}
-            labels = None
+    try:
+        labels = json.loads(read_text(sidecar))["labels"]
+    except (KeyError, TypeError, ValueError):  # not UTF-8 JSON, or not {"labels": ...}
+        labels = None
     if not isinstance(labels, list) or len(labels) != n:
         raise ParseError(0, 'labels sidecar must hold {"labels": [%d labels]}' % n)
     return labels
@@ -596,8 +595,7 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     declines goes to the line loop, which raises any format error at
     its file line. Both give the same columns to one validation, whose
     errors are renumbered from observation to file line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if format not in _FORMATS:
         raise ValueError("unknown dataset format %r" % format)
     columns, line_loop = _FORMATS[format]

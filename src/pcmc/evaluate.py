@@ -23,12 +23,11 @@ from .model import FitConfig
 def empirical_distribution(test: data_mod.ChoiceDataset, subset) -> Distribution:
     """Observed choice frequencies for one set in the test data."""
     s = tuple(sorted(int(i) for i in subset))
-    tables = data_mod.counts(test)
-    if s not in tables.choice_counts:
-        raise UnseenSet("set %s never occurs in the dataset" % (s,))
-    per_item = tables.choice_counts[s]
-    mass = np.array([per_item[i] for i in s], dtype=float)
-    return Distribution(support=s, mass=mass / mass.sum())
+    for idx, w in data_mod._set_terms(test):
+        if idx.shape[1] == len(s):
+            for row in np.flatnonzero((idx == s).all(axis=1)):
+                return Distribution(support=s, mass=w[row] / w[row].sum())
+    raise UnseenSet("set %s never occurs in the dataset" % (s,))
 
 
 @dataclass(frozen=True)

@@ -121,10 +121,7 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
         )
 
     for _ in range(max_iters):
-        np.fill_diagonal(gen, -gen.sum(axis=1))
-        dist = ctmc.stationary(
-            ctmc.RestrictedGenerator(subset=tuple(range(n)), matrix=gen)
-        )
+        dist = ctmc.stationary(ctmc.restrict(ctmc.RateMatrix(n=n, rates=gen), range(n)))
         new_gamma = np.clip(dist.mass, LOG_FLOOR, None)
         new_gamma = new_gamma / new_gamma.sum()
         if np.abs(new_gamma - gamma).sum() < tol:

@@ -91,15 +91,16 @@ def log_likelihood(model, dataset) -> float:
 
 def smoothed_log_likelihood(q: RateMatrix, dataset, alpha: float) -> float:
     """Log-likelihood with alpha pseudocounts added to every member of
-    every observed set. This is the objective the fitters maximize."""
+    every observed set. This is the objective the fitters maximize.
+    A set with no unique stationary distribution raises its own
+    MultipleClosedClasses or SingularSystem."""
     if len(dataset) == 0:
         raise EmptyDataset("log-likelihood of an empty dataset")
     obj = _SetObjective(data_mod._smoothed(data_mod._set_terms(dataset), alpha))
     value = obj.loglik(q.rates)
-    if value is None:
-        raise MultipleClosedClasses(
-            ctmc.closed_classes(ctmc.restrict(q, range(q.n)))
-        )
+    if value is None:  # solve again, uncaught, to raise the failing set's own error
+        for sets_arr, _ in obj.groups:
+            ctmc._stationary_rows(q.rates, sets_arr)
     return value
 
 
@@ -176,9 +177,9 @@ def _minimand(objective, parameterize):
 def finite_difference_gradient(fun: Callable, x: np.ndarray, step: float) -> np.ndarray:
     """Forward-difference gradient: (f(x + step e_k) - f(x)) / step.
 
-    Forward steps are used deliberately: with nonnegative rates and
-    pair-sum constraints, increasing one coordinate never leaves the
-    feasible region.
+    No fitter uses it: both chain fits take the exact adjoint gradient
+    of _SetObjective. It stays as a public helper for checking a
+    gradient by hand.
     """
     x = np.asarray(x, dtype=float)
     f0 = fun(x)

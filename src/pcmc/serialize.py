@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .base import write_text
+from .base import read_text, write_text
 from .ctmc import RateMatrix
 from .errors import ParseError, PcmcError
 from .luce import MmnlModel, MnlModel
@@ -110,11 +110,10 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, "invalid JSON: %s" % exc.msg) from None
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, "invalid JSON: %s" % exc.msg) from None
     if not isinstance(payload, dict):
         raise ParseError(0, "model file must hold a JSON object")
     try:

@@ -40,6 +40,25 @@ ORACLE_RATES = np.array([
 ORACLE_PI = np.array([61.0, 81.0, 145.0]) / 287.0
 
 
+# Found by a seeded search: default_rng(1), then for each draw
+# n = rng.integers(2, 9) and rates = rng.random((n, n))
+# * 10.0 ** rng.integers(-14, 14, (n, n)) * (rng.random((n, n)) < 0.7),
+# diagonal zeroed. Draw 1413 puts mass below -NEGATIVE_MASS_TOL in its
+# direct solve, so least squares retries it; draw 25966 fails both.
+RETRY_RATES = np.array([
+    [0.0, 7071980798.015167, 4.897172064282493, 1.0182440575402751e-13],
+    [4711.029809360048, 0.0, 4.367857721866653e-15, 0.0],
+    [7148155.1731278, 103490980926.98727, 0.0, 7.030932201747591e-12],
+    [0.0, 4.8174485970633896e-05, 0.0, 0.0],
+])
+SINGULAR_RATES = np.array([
+    [0.0, 7361484506454.836, 0.0, 1.5465648261742493e-07],
+    [982731524990.0378, 0.0, 9.7308414918482, 0.0],
+    [7.495309888406865e-10, 5080136.016575537, 0.0, 5.4125742561046587e-14],
+    [0.0, 3.061424765977513e-14, 8.928627587082317e-07, 0.0],
+])
+
+
 def random_canonical(rng, n):
     """Uniform rates with each pair scaled up to sum at least one."""
     rates = rng.uniform(0.0, 1.0, size=(n, n))

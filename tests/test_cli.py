@@ -1,9 +1,12 @@
+import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pcmc import data, model, serialize
+from pcmc import cli, data, model, serialize
 from pcmc.cli import main
 from pcmc.luce import MnlModel
 from pcmc.model import PcmcModel
@@ -50,6 +53,24 @@ class TestSynth:
                      "--out", str(tmp_path / "d.txt"),
                      "--model-out", model_path]) == 0
         assert isinstance(serialize.load_model(model_path), BladeChest)
+
+    def test_triples_in_combinations_order(self):
+        for n in range(3, 13):
+            assert [cli._triple(n, k) for k in range(math.comb(n, 3))] \
+                == list(itertools.combinations(range(n), 3))
+
+    def test_menus_without_every_triple(self, tmp_path):
+        # 1,313,400 triples at n=200; listing them all traced about 90 MB
+        tracemalloc.start()
+        try:
+            assert main(["synth", "--regime", "mnl", "--n", "200",
+                         "--samples", "50", "--seed", "1",
+                         "--out", str(tmp_path / "d.txt")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert len(data.load(str(tmp_path / "d.txt")).distinct_sets) <= 25
 
     def test_n_too_small(self, tmp_path):
         assert main(["synth", "--regime", "randq", "--n", "2",
@@ -271,6 +292,26 @@ class TestFailureCodes:
             assert main(argv + ["--model-file", str(model_path),
                                 "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith("data error: ")
+            assert not out.exists()
+
+    def test_data_file_not_utf8(self, synth_files, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0,0 1\n\xff,0 1\n")
+        for argv in (["fit", "--model", "mnl"],
+                     ["eval", "--model-file", synth_files[1]]):
+            out = tmp_path / "out.json"
+            assert main(argv + ["--data", str(bad), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("data error: line 2: ")
+            assert not out.exists()
+
+    def test_model_file_not_utf8(self, synth_files, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_bytes(b"\xff\xfe")
+        for argv in (["eval", "--data", synth_files[0]], ["audit"]):
+            out = tmp_path / "out.json"
+            assert main(argv + ["--model-file", str(model_path),
+                                "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("data error: line 1: ")
             assert not out.exists()
 
     def test_missing_required_flag(self, tmp_path):

@@ -8,11 +8,14 @@ from pcmc.errors import (
     EmptySubset,
     IndexOutOfRange,
     MultipleClosedClasses,
+    SingularSystem,
 )
 
 from _support import (
     ORACLE_PI,
     ORACLE_RATES,
+    RETRY_RATES,
+    SINGULAR_RATES,
     cyclic_matrix,
     cyclic_rates,
     random_canonical,
@@ -184,6 +187,49 @@ class TestStationary:
             assert tv <= 5e-3
 
 
+def _assert_certified(g, mass):
+    """The certificate of a stationary solve, computed here: residual
+    within RESIDUAL_TOL of the generator's scale, unit sum, no negative
+    mass."""
+    scale = max(1.0, float(np.abs(g.matrix).max()))
+    assert np.abs(mass @ g.matrix).max() <= ctmc.RESIDUAL_TOL * scale
+    assert abs(mass.sum() - 1.0) <= 1e-12
+    assert mass.min() >= 0.0
+
+
+class TestLeastSquaresRetry:
+    """The careful solver's paths past a failed direct solve."""
+
+    @pytest.fixture()
+    def lstsq_calls(self, monkeypatch):
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+        return calls
+
+    def test_retry_is_accepted(self, lstsq_calls):
+        g = ctmc.restrict(RateMatrix(n=4, rates=RETRY_RATES), range(4))
+        a = g.matrix.T.copy()
+        a[-1] = 1.0
+        assert np.linalg.solve(a, np.eye(4)[-1]).min() < -ctmc.NEGATIVE_MASS_TOL
+        pi = ctmc.stationary(g)
+        assert lstsq_calls
+        _assert_certified(g, pi.mass)
+        many = ctmc.stationary_many(RateMatrix(n=4, rates=RETRY_RATES), [range(4)])
+        _assert_certified(g, many[0])
+        assert np.abs(many[0] - pi.mass).max() <= 1e-15
+
+    def test_both_solves_fail(self, lstsq_calls):
+        q = RateMatrix(n=4, rates=SINGULAR_RATES)
+        assert ctmc.closed_classes(ctmc.restrict(q, range(4))) == [(0, 1, 2, 3)]
+        with pytest.raises(SingularSystem) as err:
+            ctmc.stationary(ctmc.restrict(q, range(4)))
+        assert lstsq_calls
+        assert err.value.residual > 0.0
+        with pytest.raises(SingularSystem, match=str(err.value)):
+            ctmc.stationary_many(q, [(0, 1), range(4)])
+
+
 def _sets_of(rng, n, count):
     """Sorted sets of mixed sizes from 1 to n, repeats allowed."""
     sizes = rng.integers(1, n + 1, size=count)
@@ -229,6 +275,9 @@ class TestStationaryMany:
         many = ctmc.stationary_many(big, sets)
         for got, want in zip(many, _per_set(big, sets)):
             assert np.array_equal(got, want)
+        # both paths share one solve, so check it against its certificate too
+        for s, got in zip(sets, many):
+            _assert_certified(ctmc.restrict(big, s), got)
         unit = ctmc.stationary_many(RateMatrix(n=n, rates=rates), sets)
         for got, want in zip(many, unit):
             assert np.abs(got - want).max() <= 1e-9

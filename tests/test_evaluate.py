@@ -43,6 +43,25 @@ class TestEmpiricalDistribution:
         with pytest.raises(UnseenSet):
             empirical_distribution(pair_dataset(1, 1), (0, 2))
 
+    def test_reads_the_tally_not_count_tables(self, monkeypatch):
+        ds = data.sample(MnlModel(gamma=np.array([0.4, 0.3, 0.2, 0.1])),
+                         [(0, 1), (1, 2, 3), (0, 1, 2, 3)], count=200, seed=5)
+        sets = [(0, 1), (3, 2, 1), (0, 1, 2, 3)]
+        tables = data.counts(ds)
+        want = [np.array([tables.choice_counts[tuple(sorted(s))][i] for i in sorted(s)],
+                         dtype=float) for s in sets]
+
+        def forbidden(*args):
+            raise AssertionError("empirical_distribution built count tables")
+
+        monkeypatch.setattr(data, "counts", forbidden)
+        for s, counts in zip(sets, want):
+            d = empirical_distribution(ds, s)
+            assert d.support == tuple(sorted(s))
+            assert np.array_equal(d.mass, counts / counts.sum())
+        with pytest.raises(UnseenSet):
+            empirical_distribution(ds, (0, 2))
+
 
 class TestPredictionError:
     def test_exact_match_is_zero(self):

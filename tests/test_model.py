@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 from pcmc import cli, ctmc, data, evaluate, luce, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
-from pcmc.errors import EmptyDataset, InfeasibleStart, NegativeAlpha, OptimizerFailure
+from pcmc.errors import (
+    EmptyDataset,
+    InfeasibleStart,
+    MultipleClosedClasses,
+    NegativeAlpha,
+    OptimizerFailure,
+    SingularSystem,
+)
 from pcmc.luce import MnlModel
 from pcmc.model import (
     FitConfig,
@@ -18,6 +25,7 @@ from pcmc.model import (
 )
 
 from _support import (
+    SINGULAR_RATES,
     central_gradient,
     cyclic_matrix,
     random_canonical,
@@ -121,6 +129,17 @@ class TestLogLikelihood:
         ds = ChoiceDataset(n=3, observations=((0, (0, 1)), (1, (0, 1, 2))))
         with pytest.raises(NegativeAlpha):
             smoothed_log_likelihood(cyclic_matrix(0.7), ds, -0.5)
+
+    def test_smoothed_raises_the_failing_sets_error(self):
+        # one closed class in the universe, two in the menu {0, 1}
+        q = RateMatrix(n=3, rates=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        ds = ChoiceDataset(n=3, observations=((0, (0, 1)), (2, (0, 1, 2))))
+        with pytest.raises(MultipleClosedClasses) as err:
+            smoothed_log_likelihood(q, ds, 0.1)
+        assert err.value.classes == [(0,), (1,)]
+        ds = ChoiceDataset(n=4, observations=((0, (0, 1, 2, 3)),))
+        with pytest.raises(SingularSystem):
+            smoothed_log_likelihood(RateMatrix(n=4, rates=SINGULAR_RATES), ds, 0.1)
 
 
 class TestFitConfig:
