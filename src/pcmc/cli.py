@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import axioms, data as data_mod, evaluate, luce, model as model_mod, param, serialize
+from . import axioms, data as data_mod, evaluate, model as model_mod, serialize
 from .errors import (
     MultipleClosedClasses,
     NoConvergence,
@@ -24,7 +24,6 @@ from .errors import (
     SingularSystem,
 )
 
-_KINDS = ("pcmc", "mnl", "mmnl", "bladechest")
 _REGIMES = ("randq", "mnl", "bladechest")
 
 class _UsageError(Exception):
@@ -60,7 +59,7 @@ def _model_list(text):
     if not out:
         raise argparse.ArgumentTypeError("need at least one model kind")
     for kind in out:
-        if kind not in _KINDS:
+        if kind not in evaluate._KINDS:
             raise argparse.ArgumentTypeError("unknown model kind %r" % kind)
     if len(set(out)) < len(out):
         raise argparse.ArgumentTypeError("model kinds must not repeat")
@@ -70,23 +69,28 @@ def _model_list(text):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pcmc", description=__doc__.splitlines()[0])
     formats = dict(default="chosen-set-v1", choices=tuple(data_mod._FORMATS))
+    # the fit options that fit and curve share
+    fitting = _Parser(add_help=False)
+    fitting.add_argument("--alpha", type=float, default=0.1,
+                         help="smoothing pseudocount (default 0.1)")
+    fitting.add_argument("--seed", type=int, default=0)
+    fitting.add_argument("--k", type=_positive_int, default=None,
+                         help="mixture size for mmnl")
+    fitting.add_argument("--d", type=_positive_int, default=2,
+                         help="embedding dimension for bladechest")
+    fitting.add_argument("--max-iters", type=_positive_int, default=200,
+                         help="L-BFGS-B iteration cap of the pcmc and bladechest "
+                              "fits (default 200); mnl keeps its cap of 10,000 "
+                              "fixed-point iterations, mmnl 500 per restart")
+    fitting.add_argument("--format", **formats)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a model to a dataset")
+    p_fit = sub.add_parser("fit", parents=[fitting], help="fit a model to a dataset")
     p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--model", required=True, choices=_KINDS)
+    p_fit.add_argument("--model", required=True, choices=evaluate._KINDS)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--alpha", type=float, default=0.1,
-                       help="smoothing pseudocount (default 0.1)")
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--k", type=_positive_int, default=None,
-                       help="mixture size for mmnl")
-    p_fit.add_argument("--d", type=_positive_int, default=2,
-                       help="embedding dimension for bladechest")
     p_fit.add_argument("--variant", choices=("distance", "inner"),
                        default="distance")
-    p_fit.add_argument("--max-iters", type=_positive_int, default=200)
-    p_fit.add_argument("--format", **formats)
     p_fit.add_argument("--report", default=None,
                        help="also write a fit report JSON here")
 
@@ -96,20 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--format", **formats)
 
-    p_curve = sub.add_parser("curve", help="learning curve over training fractions")
+    p_curve = sub.add_parser("curve", parents=[fitting],
+                             help="learning curve over training fractions")
     p_curve.add_argument("--data", required=True)
     p_curve.add_argument("--models", required=True, type=_model_list,
                          help="comma-separated model kinds")
     p_curve.add_argument("--fractions", required=True, type=_fraction_list,
                          help="comma-separated training fractions")
     p_curve.add_argument("--permutations", required=True, type=_positive_int)
-    p_curve.add_argument("--seed", type=int, default=0)
     p_curve.add_argument("--out", required=True)
-    p_curve.add_argument("--alpha", type=float, default=0.1)
-    p_curve.add_argument("--k", type=_positive_int, default=None)
-    p_curve.add_argument("--d", type=_positive_int, default=2)
-    p_curve.add_argument("--max-iters", type=_positive_int, default=200)
-    p_curve.add_argument("--format", **formats)
 
     p_audit = sub.add_parser("audit", help="axiom checks on a saved model")
     p_audit.add_argument("--model-file", required=True)
@@ -131,25 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit(args) -> int:
     dataset = data_mod.load(args.data, format=args.format)
-    cfg = model_mod.FitConfig(smoothing_alpha=args.alpha, seed=args.seed,
-                              max_iters=args.max_iters)
-    report_dict = None
-    if args.model == "pcmc":
-        report = model_mod.fit(dataset, cfg)
-        fitted = report.params
-        report_dict = serialize.fit_report_to_dict(report)
-    elif args.model == "mnl":
-        fitted = luce.fit_mnl(dataset, alpha=args.alpha)
-    elif args.model == "mmnl":
-        fitted = luce.fit_mmnl(dataset, k=args.k, alpha=args.alpha,
-                               seed=args.seed)
-    else:
-        fitted = param.fit_bladechest(dataset, d=args.d, variant=args.variant,
-                                      cfg=cfg)
+    spec = evaluate.FitSpec(kind=args.model, alpha=args.alpha, k=args.k, d=args.d,
+                            variant=args.variant, max_iters=args.max_iters)
+    fitted, report = spec._fit(dataset, args.seed)
     # serialized before any write, so a failure leaves no partial output
     report_text = None
     if args.report:
-        if report_dict is None:
+        if report is not None:
+            report_dict = serialize.fit_report_to_dict(report)
+        else:
             report_dict = {
                 "loglik": model_mod.log_likelihood(fitted, dataset),
                 "n_observations": len(dataset),

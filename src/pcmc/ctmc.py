@@ -8,7 +8,7 @@ analysis followed by a dense linear solve; states outside the single
 closed class receive zero mass. One certified solve serves both paths:
 stationary_many solves many sets with one batched solve per set size
 and sends only the sets whose solution fails certification down the
-per-set path, which retries a failed solve by least squares.
+per-set path, which makes the same solve on the closed class alone.
 """
 
 from dataclasses import dataclass, field
@@ -35,14 +35,13 @@ TOL_CONSTRAINT = 1e-9
 # A stationary solve is accepted when max|pi Q| is at or below this.
 RESIDUAL_TOL = 1e-9
 
-# Lowest mass a certified solve may hold: a row below it fails
-# _certified_solve, which sends a batched row to the per-set path and
-# makes stationary retry its solve by least squares.
+# Lowest mass a batched row may hold: a row below it goes to the
+# per-set path.
 NEGATIVE_MASS_TOL = 1e-9
 
-# Lowest mass stationary accepts after that retry: looser than
-# NEGATIVE_MASS_TOL, which only triggers a retry, because failing here
-# raises SingularSystem, and accepted masses are clipped at 0 anyway.
+# Lowest mass stationary accepts: looser than NEGATIVE_MASS_TOL, which
+# only sends a row to stationary, because failing here raises
+# SingularSystem, and accepted masses are clipped at 0 anyway.
 ACCEPT_NEGATIVE_MASS_TOL = 1e-6
 
 # Stationary mass must sum to one within this tolerance.
@@ -238,12 +237,12 @@ def closed_classes(g: RestrictedGenerator) -> list:
     return closed
 
 
-def _certified_solve(sub):
+def _certified_solve(sub, negative_mass_tol):
     """Stationary rows of an (m, s, s) stack of generators, from one
     batched solve of A pi = e_last, A being G^T with its last row
     replaced by ones (Golub & Meyer, SIAM J. Alg. Disc. Meth. 7(2),
     1986). A row is certified when finite, max|pi G| <= RESIDUAL_TOL *
-    scale and min pi >= -NEGATIVE_MASS_TOL. Returns pi, the residuals
+    scale and min pi >= -negative_mass_tol. Returns pi, the residuals
     (inf where the solve failed), the certified-row mask and A."""
     m, size = sub.shape[:2]
     a = np.transpose(sub, (0, 2, 1)).copy()
@@ -259,7 +258,7 @@ def _certified_solve(sub):
                      np.inf)
     # rates are nonnegative, so G's largest entry in size is on its diagonal
     scale = np.maximum(1.0, -np.diagonal(sub, axis1=1, axis2=2).min(axis=1))
-    ok = finite & (resid <= RESIDUAL_TOL * scale) & (pi.min(axis=1) >= -NEGATIVE_MASS_TOL)
+    ok = finite & (resid <= RESIDUAL_TOL * scale) & (pi.min(axis=1) >= -negative_mass_tol)
     return pi, resid, ok, a
 
 
@@ -268,10 +267,9 @@ def stationary(g: RestrictedGenerator) -> Distribution:
 
     Raises MultipleClosedClasses when the restriction has more than one
     closed communicating class. Alternatives outside the closed class
-    are transient and get exactly zero mass. When the closed class's
-    solve fails certification, least squares on [G^T; 1] pi = e_last
-    retries it; the better of the two is accepted down to
-    -ACCEPT_NEGATIVE_MASS_TOL, and otherwise SingularSystem is raised.
+    are transient and get exactly zero mass. The closed class gets one
+    certified solve, with masses accepted down to
+    -ACCEPT_NEGATIVE_MASS_TOL; a solve that fails raises SingularSystem.
     """
     classes = closed_classes(g)
     if len(classes) != 1:
@@ -282,19 +280,10 @@ def stationary(g: RestrictedGenerator) -> Distribution:
     # Rebuild the diagonal: rates leaving the closed class are zero by
     # definition, but tiny sub-threshold leaks must not skew row sums.
     block = _generators(g.matrix, cls_idx[None])
-    pi, resid, ok, _ = _certified_solve(block)
-    pi, res, block = pi[0], resid[0], block[0]
+    pi, resid, ok, _ = _certified_solve(block, ACCEPT_NEGATIVE_MASS_TOL)
     if not ok[0]:
-        s = len(cls_idx)
-        retry = np.linalg.lstsq(np.vstack([block.T, np.ones((1, s))]),
-                                np.eye(s + 1)[-1], rcond=None)[0]
-        retry_res = np.abs(retry @ block).max()
-        if retry_res < res:
-            pi, res = retry, retry_res
-        scale = max(1.0, np.abs(block).max())
-        if res > RESIDUAL_TOL * scale or pi.min() < -ACCEPT_NEGATIVE_MASS_TOL:
-            raise SingularSystem(float(res))
-    pi = np.clip(pi, 0.0, None)
+        raise SingularSystem(float(resid[0]))
+    pi = np.clip(pi[0], 0.0, None)
     mass = np.zeros(g.size)
     mass[cls_idx] = pi / pi.sum()
     return Distribution(support=g.subset, mass=mass)
@@ -308,16 +297,17 @@ def _stationary_rows(rates, idx):
     errors. Returns the masses, the kept-row mask and A.
     """
     sub = _generators(rates, idx)
-    pi, _, ok, a = _certified_solve(sub)
+    pi, _, ok, a = _certified_solve(sub, NEGATIVE_MASS_TOL)
     # a is G^T apart from its row of ones, so this is max(q_ij, q_ji)
     linked = (np.maximum(sub, a) > TOL_EDGE) | np.eye(idx.shape[1], dtype=bool)
     ok &= linked.all(axis=(1, 2))
+    pi = np.clip(pi, 0.0, None)
+    # only kept rows are normalised: the others take stationary's masses
+    pi /= np.where(ok[:, None], pi.sum(axis=1, keepdims=True), 1.0)
     if not ok.all():
         q = RateMatrix(n=len(rates), rates=rates)
         for row in np.flatnonzero(~ok):
             pi[row] = stationary(restrict(q, idx[row])).mass
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum(axis=1, keepdims=True)
     return pi, ok, a
 
 

@@ -19,6 +19,8 @@ from .ctmc import Distribution
 from .errors import EmptyDataset, PcmcError, UnseenSet
 from .model import FitConfig
 
+_KINDS = ("pcmc", "mnl", "mmnl", "bladechest")
+
 
 def empirical_distribution(test: data_mod.ChoiceDataset, subset) -> Distribution:
     """Observed choice frequencies for one set in the test data."""
@@ -72,12 +74,15 @@ def prediction_error(model: ChoiceModel, test: data_mod.ChoiceDataset) -> ErrorR
 
 @dataclass(frozen=True)
 class FitSpec:
-    """Recipe for fitting one model family inside a learning curve.
+    """Recipe for fitting one model family, for `pcmc fit` and inside a
+    learning curve.
 
     kind is one of "pcmc", "mnl", "mmnl", "bladechest". alpha is the
     smoothing pseudocount; k the mixture size (None picks the default
     matching the rate matrix's parameter count); d and variant configure
-    the embedding model.
+    the embedding model. max_iters caps the L-BFGS-B iterations of the
+    pcmc and bladechest fits only: mnl keeps its own cap of 10,000
+    fixed-point iterations and mmnl 500 L-BFGS-B iterations per restart.
     """
 
     kind: str
@@ -88,7 +93,7 @@ class FitSpec:
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.kind not in ("pcmc", "mnl", "mmnl", "bladechest"):
+        if self.kind not in _KINDS:
             raise ValueError("unknown model kind %r" % self.kind)
         data_mod._pseudocount(self.alpha)
 
@@ -97,15 +102,20 @@ class FitSpec:
         return self.kind
 
     def fit(self, dataset: data_mod.ChoiceDataset, seed: int = 0) -> ChoiceModel:
+        return self._fit(dataset, seed)[0]
+
+    def _fit(self, dataset, seed):
+        """The fitted model and, for pcmc, its FitReport (otherwise None)."""
         cfg = FitConfig(smoothing_alpha=self.alpha, seed=seed,
                         max_iters=self.max_iters)
         if self.kind == "pcmc":
-            return model_mod.fit(dataset, cfg).params
+            report = model_mod.fit(dataset, cfg)
+            return report.params, report
         if self.kind == "mnl":
-            return luce.fit_mnl(dataset, alpha=self.alpha)
+            return luce.fit_mnl(dataset, alpha=self.alpha), None
         if self.kind == "mmnl":
-            return luce.fit_mmnl(dataset, k=self.k, alpha=self.alpha, seed=seed)
-        return param.fit_bladechest(dataset, d=self.d, variant=self.variant, cfg=cfg)
+            return luce.fit_mmnl(dataset, k=self.k, alpha=self.alpha, seed=seed), None
+        return param.fit_bladechest(dataset, d=self.d, variant=self.variant, cfg=cfg), None
 
 
 @dataclass(frozen=True)

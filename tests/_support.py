@@ -8,10 +8,11 @@ none of the library's machinery.
 
 import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from pcmc.ctmc import RateMatrix
+from pcmc.ctmc import TOL_EDGE, RateMatrix
 
 
 def cyclic_rates(alpha):
@@ -44,7 +45,11 @@ ORACLE_PI = np.array([61.0, 81.0, 145.0]) / 287.0
 # n = rng.integers(2, 9) and rates = rng.random((n, n))
 # * 10.0 ** rng.integers(-14, 14, (n, n)) * (rng.random((n, n)) < 0.7),
 # diagonal zeroed. Draw 1413 puts mass below -NEGATIVE_MASS_TOL in its
-# direct solve, so least squares retries it; draw 25966 fails both.
+# direct solve, so the batched kernel hands it to the per-set solver,
+# which accepts it down to -ACCEPT_NEGATIVE_MASS_TOL; draw 25966 fails
+# both. Draw 10172 fails both too, but least squares on [G^T; 1] gives
+# it masses that pass the certificate and lie at L1 1.0 from the exact
+# ones, (3.3e-5, 5.7e-10, 0.99985, 1.1e-4).
 RETRY_RATES = np.array([
     [0.0, 7071980798.015167, 4.897172064282493, 1.0182440575402751e-13],
     [4711.029809360048, 0.0, 4.367857721866653e-15, 0.0],
@@ -57,6 +62,54 @@ SINGULAR_RATES = np.array([
     [7.495309888406865e-10, 5080136.016575537, 0.0, 5.4125742561046587e-14],
     [0.0, 3.061424765977513e-14, 8.928627587082317e-07, 0.0],
 ])
+WRONG_RETRY_RATES = np.array([
+    [0.0, 8.444131932469547e-07, 24063746811.15576, 0.0],
+    [0.04897045327682686, 0.0, 2.4220946546585465e-15, 4.5567277476635595e-10],
+    [799243.2481309398, 0.0, 0.0, 6.89597991780652e-15],
+    [6.010066064086173e-11, 3.2420057027515826e-14, 0.0, 0.0],
+])
+
+
+def exact_stationary(rates, members):
+    """Stationary masses of the chain restricted to members, aligned
+    with them, solved in exact rational arithmetic. A rate above
+    TOL_EDGE is an edge; the one closed class is found from reachability
+    and solved by Gaussian elimination on its balance equations with the
+    rates read exactly, and every other member gets zero."""
+    r = np.asarray(rates, dtype=float)
+    members = list(members)
+    reach = {}
+    for i in members:
+        seen, todo = {i}, [i]
+        while todo:
+            a = todo.pop()
+            for b in members:
+                if b not in seen and r[a, b] > TOL_EDGE:
+                    seen.add(b)
+                    todo.append(b)
+        reach[i] = seen
+    # i lies in a closed class when everything it reaches reaches it back
+    closed = {frozenset(seen) for i, seen in reach.items()
+              if all(i in reach[j] for j in seen)}
+    if len(closed) != 1:
+        raise ValueError("%d closed classes" % len(closed))
+    cls = sorted(closed.pop())
+    s = len(cls)
+    q = [[Fraction(float(r[i, j])) if i != j else Fraction(0) for j in cls] for i in cls]
+    # row j of the system is sum_i pi_i q_ij = pi_j sum_k q_jk; the last
+    # row is replaced by sum_i pi_i = 1
+    a = [[q[i][j] - (sum(q[j]) if i == j else 0) for i in range(s)] + [Fraction(0)]
+         for j in range(s)]
+    a[-1] = [Fraction(1)] * (s + 1)
+    for col in range(s):
+        piv = next(k for k in range(col, s) if a[k][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        for k in range(s):
+            if k != col and a[k][col] != 0:
+                f = a[k][col] / a[col][col]
+                a[k] = [x - f * y for x, y in zip(a[k], a[col])]
+    mass = dict(zip(cls, (a[k][s] / a[k][k] for k in range(s))))
+    return np.array([float(mass.get(i, 0)) for i in members])
 
 
 def random_canonical(rng, n):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcmc import cli, data, model, serialize
+from pcmc import cli, data, evaluate, model, serialize
 from pcmc.cli import main
 from pcmc.luce import MnlModel
 from pcmc.model import PcmcModel
@@ -90,6 +90,23 @@ class TestFit:
         rep = json.loads(_read(report))
         assert rep["converged"] in (True, False)
         assert rep["loglik"] <= 0.0
+
+    @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
+    def test_fits_through_fitspec(self, synth_files, tmp_path, monkeypatch, kind):
+        # the learning curve's FitSpec fits every kind, with the flags' values
+        calls, fit = [], evaluate.FitSpec._fit
+
+        def spy(spec, dataset, seed):
+            calls.append((spec, seed))
+            return fit(spec, dataset, seed)
+
+        monkeypatch.setattr(evaluate.FitSpec, "_fit", spy)
+        data_path, _ = synth_files
+        assert main(["fit", "--data", data_path, "--model", kind, "--seed", "3",
+                     "--alpha", "0.2", "--k", "2", "--d", "3", "--variant", "inner",
+                     "--max-iters", "7", "--out", str(tmp_path / "m.json")]) == 0
+        assert calls == [(evaluate.FitSpec(kind=kind, alpha=0.2, k=2, d=3,
+                                           variant="inner", max_iters=7), 3)]
 
     def test_mnl(self, synth_files, tmp_path):
         data_path, _ = synth_files

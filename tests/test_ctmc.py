@@ -16,8 +16,10 @@ from _support import (
     ORACLE_RATES,
     RETRY_RATES,
     SINGULAR_RATES,
+    WRONG_RETRY_RATES,
     cyclic_matrix,
     cyclic_rates,
+    exact_stationary,
     random_canonical,
     simulate_stationary,
 )
@@ -197,8 +199,10 @@ def _assert_certified(g, mass):
     assert mass.min() >= 0.0
 
 
-class TestLeastSquaresRetry:
-    """The careful solver's paths past a failed direct solve."""
+class TestCarefulSolve:
+    """The per-set solver on a row the batched kernel cannot certify:
+    one solve of the closed class, accepted or SingularSystem, and no
+    least-squares second opinion."""
 
     @pytest.fixture()
     def lstsq_calls(self, monkeypatch):
@@ -213,21 +217,33 @@ class TestLeastSquaresRetry:
         a[-1] = 1.0
         assert np.linalg.solve(a, np.eye(4)[-1]).min() < -ctmc.NEGATIVE_MASS_TOL
         pi = ctmc.stationary(g)
-        assert lstsq_calls
+        assert not lstsq_calls
         _assert_certified(g, pi.mass)
+        assert np.abs(pi.mass - exact_stationary(RETRY_RATES, range(4))).sum() <= 1e-12
         many = ctmc.stationary_many(RateMatrix(n=4, rates=RETRY_RATES), [range(4)])
         _assert_certified(g, many[0])
-        assert np.abs(many[0] - pi.mass).max() <= 1e-15
+        assert np.array_equal(many[0], pi.mass)
 
     def test_both_solves_fail(self, lstsq_calls):
         q = RateMatrix(n=4, rates=SINGULAR_RATES)
         assert ctmc.closed_classes(ctmc.restrict(q, range(4))) == [(0, 1, 2, 3)]
         with pytest.raises(SingularSystem) as err:
             ctmc.stationary(ctmc.restrict(q, range(4)))
-        assert lstsq_calls
+        assert not lstsq_calls
         assert err.value.residual > 0.0
         with pytest.raises(SingularSystem, match=str(err.value)):
             ctmc.stationary_many(q, [(0, 1), range(4)])
+
+    def test_uncertified_solve_is_refused(self):
+        # least squares would return masses here that pass the residual
+        # test yet lie at L1 1.0 from the exact ones
+        q = RateMatrix(n=4, rates=WRONG_RETRY_RATES)
+        exact = exact_stationary(WRONG_RETRY_RATES, range(4))
+        assert exact[2] > 0.999
+        with pytest.raises(SingularSystem):
+            ctmc.stationary(ctmc.restrict(q, range(4)))
+        with pytest.raises(SingularSystem):
+            ctmc.stationary_many(q, [range(4)])
 
 
 def _sets_of(rng, n, count):

@@ -223,10 +223,10 @@ class TestAdjointGradient:
     def test_careful_fallback_gives_same_gradient(self, monkeypatch):
         # demanding every mass be at least 1 fails every row's
         # certification, so each set takes the per-set solver and the
-        # least-squares adjoint; the per-set solver then also retries by
-        # least squares and keeps the smaller residual, which its final
-        # test accepts. RESIDUAL_TOL cannot serve here, as that final
-        # test reads it too
+        # least-squares adjoint; the per-set solver makes the same solve
+        # and accepts it, as it tests masses against
+        # ACCEPT_NEGATIVE_MASS_TOL. RESIDUAL_TOL cannot serve here, as
+        # the per-set solver reads it too
         obj, rates = self._problem(5)
         value, grad = obj.loglik_and_grad(rates)
         monkeypatch.setattr(ctmc, "NEGATIVE_MASS_TOL", -1.0)
