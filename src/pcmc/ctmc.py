@@ -4,11 +4,12 @@ A chain over n alternatives is described by its off-diagonal transition
 rates. Restricting the chain to a subset keeps only the rates among the
 subset's members and rebuilds the diagonal so rows sum to zero. The
 stationary distribution of a restriction is found by communicating-class
-analysis followed by a dense linear solve; states outside the single
-closed class receive zero mass. One certified solve serves both paths:
-stationary_many solves many sets with one batched solve per set size
-and sends only the sets whose solution fails certification down the
-per-set path, which makes the same solve on the closed class alone.
+analysis followed by GTH state reduction, which needs no certificate;
+states outside the single closed class receive zero mass. One reduction
+serves both paths: stationary_many reduces each set size in one batch
+and sends only the sets that are not irreducible, or whose masses are
+not finite, down the per-set path, which makes the same reduction on
+the closed class alone.
 """
 
 from dataclasses import dataclass, field
@@ -32,18 +33,6 @@ TOL_EDGE = 1e-12
 # matrix stops counting as canonical.
 TOL_CONSTRAINT = 1e-9
 
-# A stationary solve is accepted when max|pi Q| is at or below this.
-RESIDUAL_TOL = 1e-9
-
-# Lowest mass a batched row may hold: a row below it goes to the
-# per-set path.
-NEGATIVE_MASS_TOL = 1e-9
-
-# Lowest mass stationary accepts: looser than NEGATIVE_MASS_TOL, which
-# only sends a row to stationary, because failing here raises
-# SingularSystem, and accepted masses are clipped at 0 anyway.
-ACCEPT_NEGATIVE_MASS_TOL = 1e-6
-
 # Stationary mass must sum to one within this tolerance.
 MASS_TOL = 1e-10
 
@@ -54,9 +43,11 @@ def _as_rate_array(rates, n=None):
         raise ValueError("rates must be a square matrix, got shape %s" % (q.shape,))
     if n is not None and q.shape[0] != n:
         raise ValueError("rates are %dx%d but n=%d" % (q.shape[0], q.shape[1], n))
-    if not np.all(np.isfinite(q)):
-        raise ValueError("rates must be finite")
     off = ~np.eye(q.shape[0], dtype=bool)
+    # a nan or inf entry, even on the diagonal, makes its row sum nan or inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite((q * off).sum(axis=1))):
+            raise ValueError("rates and their row sums must be finite")
     if np.any(q[off] < 0):
         raise ValueError("off-diagonal rates must be nonnegative")
     np.fill_diagonal(q, 0.0)
@@ -237,29 +228,41 @@ def closed_classes(g: RestrictedGenerator) -> list:
     return closed
 
 
-def _certified_solve(sub, negative_mass_tol):
-    """Stationary rows of an (m, s, s) stack of generators, from one
-    batched solve of A pi = e_last, A being G^T with its last row
-    replaced by ones (Golub & Meyer, SIAM J. Alg. Disc. Meth. 7(2),
-    1986). A row is certified when finite, max|pi G| <= RESIDUAL_TOL *
-    scale and min pi >= -negative_mass_tol. Returns pi, the residuals
-    (inf where the solve failed), the certified-row mask and A."""
-    m, size = sub.shape[:2]
-    a = np.transpose(sub, (0, 2, 1)).copy()
-    a[:, -1, :] = 1.0
-    try:
-        # a (1, s, 1) right-hand side broadcasts over the stack without a
-        # copy; a 1-d one would only broadcast from NumPy 2.0 on
-        pi = np.linalg.solve(a, np.eye(size)[None, :, -1:])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pi = np.full((m, size), np.nan)
-    finite = np.isfinite(pi).all(axis=1)
-    resid = np.where(finite, np.abs(np.matmul(pi[:, None, :], sub)).max(axis=(1, 2)),
-                     np.inf)
-    # rates are nonnegative, so G's largest entry in size is on its diagonal
-    scale = np.maximum(1.0, -np.diagonal(sub, axis1=1, axis2=2).min(axis=1))
-    ok = finite & (resid <= RESIDUAL_TOL * scale) & (pi.min(axis=1) >= -negative_mass_tol)
-    return pi, resid, ok, a
+def _irreducible(sub):
+    """Rows of an (m, s, s) stack of generators whose chain is
+    irreducible under the TOL_EDGE rule, from ceil(log2(s - 1)) boolean
+    squarings of one-step reachability."""
+    reach = (sub > TOL_EDGE) | np.eye(sub.shape[1], dtype=bool)
+    for _ in range(max(sub.shape[1] - 2, 0).bit_length()):
+        reach = np.matmul(reach, reach)
+    return reach.all(axis=(1, 2))
+
+
+def _gth(sub):
+    """Stationary masses of each irreducible chain in an (m, s, s) stack
+    of generators, by GTH state reduction (Grassmann, Taksar & Heyman,
+    Oper. Res. 33(5), 1985) on the jump chain: censor out states s-1 ...
+    1, then rebuild the masses upwards from state 0. No step subtracts,
+    so each mass is nonnegative and accurate relative to its own size
+    (O'Cinneide, Numer. Math. 65, 1993). Masses that double precision
+    cannot hold come back not finite; rows of other chains come back
+    meaningless, without a warning."""
+    size = sub.shape[1]
+    out = np.maximum(-np.diagonal(sub, axis1=1, axis2=2), np.finfo(float).tiny)
+    p = sub / out[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # state k's jumps to the states below it are shared out among
+        # them; its column, divided by their sum, is kept for the rebuild
+        for k in range(size - 1, 0, -1):
+            col = p[:, :k, k]
+            col /= p[:, k, :k].sum(axis=1, keepdims=True)
+            block = p[:, :k, :k]
+            block += col[:, :, None] * p[:, k, None, :k]
+        x = np.ones(sub.shape[:2])
+        for k in range(1, size):
+            x[:, k] = (x[:, :k] * p[:, :k, k]).sum(axis=1)
+        x /= out
+        return x / x.sum(axis=1, keepdims=True)
 
 
 def stationary(g: RestrictedGenerator) -> Distribution:
@@ -267,9 +270,9 @@ def stationary(g: RestrictedGenerator) -> Distribution:
 
     Raises MultipleClosedClasses when the restriction has more than one
     closed communicating class. Alternatives outside the closed class
-    are transient and get exactly zero mass. The closed class gets one
-    certified solve, with masses accepted down to
-    -ACCEPT_NEGATIVE_MASS_TOL; a solve that fails raises SingularSystem.
+    are transient and get exactly zero mass. The closed class is solved
+    by GTH state reduction, which needs no certificate; SingularSystem
+    is raised only when its masses are not finite.
     """
     classes = closed_classes(g)
     if len(classes) != 1:
@@ -279,35 +282,29 @@ def stationary(g: RestrictedGenerator) -> Distribution:
 
     # Rebuild the diagonal: rates leaving the closed class are zero by
     # definition, but tiny sub-threshold leaks must not skew row sums.
-    block = _generators(g.matrix, cls_idx[None])
-    pi, resid, ok, _ = _certified_solve(block, ACCEPT_NEGATIVE_MASS_TOL)
-    if not ok[0]:
-        raise SingularSystem(float(resid[0]))
-    pi = np.clip(pi[0], 0.0, None)
+    pi = _gth(_generators(g.matrix, cls_idx[None]))[0]
+    if not np.isfinite(pi).all():
+        raise SingularSystem(np.inf, "stationary masses are not finite in double precision")
     mass = np.zeros(g.size)
-    mass[cls_idx] = pi / pi.sum()
+    mass[cls_idx] = pi
     return Distribution(support=g.subset, mass=mass)
 
 
 def _stationary_rows(rates, idx):
     """Stationary masses of the chain restricted to each row of an (m, s)
-    array of equal-size sets, from one _certified_solve. A row is kept
-    when certified and every pair has a rate above TOL_EDGE one way, so
-    one class is closed; other rows come from stationary() and its
-    errors. Returns the masses, the kept-row mask and A.
-    """
+    array of equal-size sets: a row is kept when its chain is irreducible
+    and its _gth masses are finite, others come from stationary() and its
+    errors. Returns the masses, the kept-row mask and A (G^T with its
+    last row set to ones) for the adjoint."""
     sub = _generators(rates, idx)
-    pi, _, ok, a = _certified_solve(sub, NEGATIVE_MASS_TOL)
-    # a is G^T apart from its row of ones, so this is max(q_ij, q_ji)
-    linked = (np.maximum(sub, a) > TOL_EDGE) | np.eye(idx.shape[1], dtype=bool)
-    ok &= linked.all(axis=(1, 2))
-    pi = np.clip(pi, 0.0, None)
-    # only kept rows are normalised: the others take stationary's masses
-    pi /= np.where(ok[:, None], pi.sum(axis=1, keepdims=True), 1.0)
+    pi = _gth(sub)
+    ok = _irreducible(sub) & np.isfinite(pi).all(axis=1)
     if not ok.all():
         q = RateMatrix(n=len(rates), rates=rates)
         for row in np.flatnonzero(~ok):
             pi[row] = stationary(restrict(q, idx[row])).mass
+    a = np.transpose(sub, (0, 2, 1)).copy()
+    a[:, -1, :] = 1.0
     return pi, ok, a
 
 
@@ -321,8 +318,8 @@ def _size_groups(sets):
 
 def stationary_many(q: RateMatrix, sets: Sequence) -> list:
     """Stationary masses of the chain restricted to each set, in input
-    order, each aligned with its set's members. Sets of one size share a
-    batched solve; a set that fails certification takes stationary()."""
+    order, each aligned with its set's members. The irreducible sets of
+    one size share a batched reduction; any other set takes stationary()."""
     members = [_check_subset(s, q.n) for s in sets]
     out = [None] * len(members)
     for ks, idx in _size_groups(members):

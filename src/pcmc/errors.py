@@ -38,7 +38,7 @@ class MultipleClosedClasses(PcmcError):
 
 
 class SingularSystem(PcmcError):
-    """The stationary linear system could not be solved to tolerance."""
+    """The stationary masses of a chain are not finite in double precision."""
 
     def __init__(self, residual, message=None):
         self.residual = float(residual)

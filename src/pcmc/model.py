@@ -36,9 +36,9 @@ from .errors import (
     SingularSystem,
 )
 
-# Objective value returned where the rates are not finite or some set
-# has no unique stationary distribution; large enough that line search
-# backs off.
+# Objective value returned where a row sum of the rates is not finite
+# or some set has no unique stationary distribution; large enough that
+# line search backs off.
 _PENALTY = 1e12
 
 
@@ -110,7 +110,7 @@ class _SetObjective:
 
     Stationary distributions for all sets of equal size are solved in
     one batched call of the chain kernel, which sends the sets it cannot
-    certify to the careful per-set solver.
+    keep from the batch to the per-set solver.
     """
 
     def __init__(self, groups):
@@ -160,12 +160,14 @@ def _minimand(objective, parameterize):
     """Function for minimize(jac=True) over x: minus the smoothed
     log-likelihood of the rates in parameterize(x) -> (rates, pullback),
     and minus its gradient carried back to x by pullback. Returns
-    _PENALTY and a zero gradient where a rate is not finite or some set
-    has no unique stationary distribution."""
+    _PENALTY and a zero gradient where a row sum of the rates is not
+    finite or some set has no unique stationary distribution."""
 
     def fun(x, grad=True):
         rates, pullback = parameterize(x)
-        if np.isfinite(rates).all():
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(rates.sum(axis=1)).all()
+        if finite:
             value, g = objective.loglik_and_grad(rates, grad)
             if value is not None and math.isfinite(value):
                 return -value, (-pullback(g) if grad else None)

@@ -44,12 +44,11 @@ ORACLE_PI = np.array([61.0, 81.0, 145.0]) / 287.0
 # Found by a seeded search: default_rng(1), then for each draw
 # n = rng.integers(2, 9) and rates = rng.random((n, n))
 # * 10.0 ** rng.integers(-14, 14, (n, n)) * (rng.random((n, n)) < 0.7),
-# diagonal zeroed. Draw 1413 puts mass below -NEGATIVE_MASS_TOL in its
-# direct solve, so the batched kernel hands it to the per-set solver,
-# which accepts it down to -ACCEPT_NEGATIVE_MASS_TOL; draw 25966 fails
-# both. Draw 10172 fails both too, but least squares on [G^T; 1] gives
-# it masses that pass the certificate and lie at L1 1.0 from the exact
-# ones, (3.3e-5, 5.7e-10, 0.99985, 1.1e-4).
+# diagonal zeroed. Draws 1413, 25966 and 10172: a replaced-row LU solve
+# puts mass below -1e-9 on draw 1413 and fails on draw 25966, and least
+# squares on [G^T; 1] gives draw 10172 masses that pass a residual test
+# and lie at L1 1.0 from the exact ones, (3.3e-5, 5.7e-10, 0.99985,
+# 1.1e-4). Each is one irreducible chain.
 RETRY_RATES = np.array([
     [0.0, 7071980798.015167, 4.897172064282493, 1.0182440575402751e-13],
     [4711.029809360048, 0.0, 4.367857721866653e-15, 0.0],
@@ -67,6 +66,36 @@ WRONG_RETRY_RATES = np.array([
     [0.04897045327682686, 0.0, 2.4220946546585465e-15, 4.5567277476635595e-10],
     [799243.2481309398, 0.0, 0.0, 6.89597991780652e-15],
     [6.010066064086173e-11, 3.2420057027515826e-14, 0.0, 0.0],
+])
+
+
+# Draw 404 of the seed-7 subset search (default_rng(7), per draw
+# n = rng.integers(3, 9), rates as above with exponents in [-14, 14) and
+# density 0.85, then six sorted subsets of size rng.integers(2, n + 1)),
+# restricted to its set (0, 1, 2): the exact masses are (7.2e-8,
+# 0.99999, 1.0e-5), and a replaced-row solve gives 5.1e-3 for the last.
+DRAW_404_RATES = np.array([
+    [0.0, 81761007359.34561, 5.4560066464878937e-10],
+    [5858.6663506416617, 0.0, 1.8076635942092545e-15],
+    [8.8222478483116313e-11, 8.9922874372285162e-11, 0.0],
+])
+
+# A 3-cycle 0 -> 2 -> 1 -> 0 with rates from 1e-11 to 1e300: its masses
+# are about (5e-312, 0.5, 0.5).
+CYCLE_300_RATES = np.array([
+    [0.0, 0.0, 1e300],
+    [1e-11, 0.0, 0.0],
+    [0.0, 1e-11, 0.0],
+])
+
+# An irreducible 4-state chain whose rates span about 320 decades, more
+# than double precision holds: its exact masses are (0, 1e-308, 1,
+# 1e-319), but a censored jump probability underflows.
+SPAN_320_RATES = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 1e308, 1e-11],
+    [0.0, 1.0, 0.0, 1e-11],
+    [1e-11, 0.0, 1e308, 0.0],
 ])
 
 

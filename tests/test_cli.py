@@ -331,6 +331,19 @@ class TestFailureCodes:
             assert capsys.readouterr().err.startswith("data error: line 1: ")
             assert not out.exists()
 
+    def test_model_rates_overflow_row_sums(self, synth_files, tmp_path, capsys):
+        # every rate is finite, but each row sums past the largest float
+        model_path = tmp_path / "m.json"
+        model_path.write_text('{"model": "pcmc", "n": 3, "rates": '
+                              '[0, 1e308, 1e308, 1e308, 0, 1e308, 1e308, 1e308, 0]}')
+        for argv in (["eval", "--data", synth_files[0]], ["audit"]):
+            out = tmp_path / "out.json"
+            assert main(argv + ["--model-file", str(model_path),
+                                "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and "row sums" in err
+            assert not out.exists()
+
     def test_missing_required_flag(self, tmp_path):
         assert main(["fit", "--model", "mnl",
                      "--out", str(tmp_path / "m.json")]) == 1

@@ -12,10 +12,13 @@ from pcmc.errors import (
 )
 
 from _support import (
+    CYCLE_300_RATES,
+    DRAW_404_RATES,
     ORACLE_PI,
     ORACLE_RATES,
     RETRY_RATES,
     SINGULAR_RATES,
+    SPAN_320_RATES,
     WRONG_RETRY_RATES,
     cyclic_matrix,
     cyclic_rates,
@@ -35,6 +38,11 @@ class TestRateMatrix:
         rates = np.array([[0.0, -0.1], [1.2, 0.0]])
         with pytest.raises(ValueError):
             RateMatrix(n=2, rates=rates)
+
+    def test_overflowing_row_sum_rejected(self):
+        # each rate is finite, but each row sums past the largest float
+        with pytest.raises(ValueError, match="row sums"):
+            RateMatrix(n=3, rates=np.full((3, 3), 1e308))
 
     def test_canonical_flag(self):
         assert RateMatrix(n=2, rates=[[0, 0.5], [0.5, 0]]).is_canonical
@@ -189,20 +197,19 @@ class TestStationary:
             assert tv <= 5e-3
 
 
-def _assert_certified(g, mass):
-    """The certificate of a stationary solve, computed here: residual
-    within RESIDUAL_TOL of the generator's scale, unit sum, no negative
-    mass."""
-    scale = max(1.0, float(np.abs(g.matrix).max()))
-    assert np.abs(mass @ g.matrix).max() <= ctmc.RESIDUAL_TOL * scale
+def _assert_exact(rates, members, mass):
+    """mass against exact_stationary: within 1e-12 L1, unit sum, no
+    negative mass."""
+    assert np.abs(mass - exact_stationary(rates, members)).sum() <= 1e-12
     assert abs(mass.sum() - 1.0) <= 1e-12
     assert mass.min() >= 0.0
 
 
 class TestCarefulSolve:
-    """The per-set solver on a row the batched kernel cannot certify:
-    one solve of the closed class, accepted or SingularSystem, and no
-    least-squares second opinion."""
+    """The per-set solver and the batched kernel on chains whose rates
+    span many decades: both give the exact masses, bit for bit alike,
+    with no least-squares second opinion, and SingularSystem only where
+    double precision cannot hold the chain."""
 
     @pytest.fixture()
     def lstsq_calls(self, monkeypatch):
@@ -211,39 +218,56 @@ class TestCarefulSolve:
                             lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
         return calls
 
+    @staticmethod
+    def _assert_both_exact(rates):
+        n = len(rates)
+        q = RateMatrix(n=n, rates=rates)
+        pi = ctmc.stationary(ctmc.restrict(q, range(n)))
+        _assert_exact(rates, range(n), pi.mass)
+        many = ctmc.stationary_many(q, [range(n)])
+        assert np.array_equal(many[0], pi.mass)
+
     def test_retry_is_accepted(self, lstsq_calls):
         g = ctmc.restrict(RateMatrix(n=4, rates=RETRY_RATES), range(4))
         a = g.matrix.T.copy()
         a[-1] = 1.0
-        assert np.linalg.solve(a, np.eye(4)[-1]).min() < -ctmc.NEGATIVE_MASS_TOL
-        pi = ctmc.stationary(g)
+        # a replaced-row solve puts mass below -1e-9 here
+        assert np.linalg.solve(a, np.eye(4)[-1]).min() < -1e-9
+        self._assert_both_exact(RETRY_RATES)
         assert not lstsq_calls
-        _assert_certified(g, pi.mass)
-        assert np.abs(pi.mass - exact_stationary(RETRY_RATES, range(4))).sum() <= 1e-12
-        many = ctmc.stationary_many(RateMatrix(n=4, rates=RETRY_RATES), [range(4)])
-        _assert_certified(g, many[0])
-        assert np.array_equal(many[0], pi.mass)
 
     def test_both_solves_fail(self, lstsq_calls):
+        # a replaced-row solve fails its certificate here
         q = RateMatrix(n=4, rates=SINGULAR_RATES)
         assert ctmc.closed_classes(ctmc.restrict(q, range(4))) == [(0, 1, 2, 3)]
-        with pytest.raises(SingularSystem) as err:
-            ctmc.stationary(ctmc.restrict(q, range(4)))
+        self._assert_both_exact(SINGULAR_RATES)
         assert not lstsq_calls
-        assert err.value.residual > 0.0
-        with pytest.raises(SingularSystem, match=str(err.value)):
-            ctmc.stationary_many(q, [(0, 1), range(4)])
 
     def test_uncertified_solve_is_refused(self):
         # least squares would return masses here that pass the residual
         # test yet lie at L1 1.0 from the exact ones
-        q = RateMatrix(n=4, rates=WRONG_RETRY_RATES)
         exact = exact_stationary(WRONG_RETRY_RATES, range(4))
         assert exact[2] > 0.999
-        with pytest.raises(SingularSystem):
+        self._assert_both_exact(WRONG_RETRY_RATES)
+
+    def test_small_mass_is_accurate(self):
+        # a replaced-row solve gives the last mass 5.1e-3 here, not 1.0e-5
+        self._assert_both_exact(DRAW_404_RATES)
+        pi = ctmc.stationary(ctmc.restrict(RateMatrix(n=3, rates=DRAW_404_RATES),
+                                           range(3)))
+        # each mass is accurate relative to its own size
+        exact = exact_stationary(DRAW_404_RATES, range(3))
+        assert np.abs(pi.mass / exact - 1.0).max() <= 1e-12
+
+    def test_rates_spanning_300_decades(self):
+        self._assert_both_exact(CYCLE_300_RATES)
+
+    def test_rates_beyond_double_precision_raise(self):
+        q = RateMatrix(n=4, rates=SPAN_320_RATES)
+        with pytest.raises(SingularSystem) as err:
             ctmc.stationary(ctmc.restrict(q, range(4)))
-        with pytest.raises(SingularSystem):
-            ctmc.stationary_many(q, [range(4)])
+        with pytest.raises(SingularSystem, match=str(err.value)):
+            ctmc.stationary_many(q, [(0, 1), range(4)])
 
 
 def _sets_of(rng, n, count):
@@ -291,9 +315,9 @@ class TestStationaryMany:
         many = ctmc.stationary_many(big, sets)
         for got, want in zip(many, _per_set(big, sets)):
             assert np.array_equal(got, want)
-        # both paths share one solve, so check it against its certificate too
+        # both paths share one solve, so check it against the exact masses too
         for s, got in zip(sets, many):
-            _assert_certified(ctmc.restrict(big, s), got)
+            _assert_exact(big.rates, s, got)
         unit = ctmc.stationary_many(RateMatrix(n=n, rates=rates), sets)
         for got, want in zip(many, unit):
             assert np.abs(got - want).max() <= 1e-9

@@ -25,7 +25,7 @@ from pcmc.model import (
 )
 
 from _support import (
-    SINGULAR_RATES,
+    SPAN_320_RATES,
     central_gradient,
     cyclic_matrix,
     random_canonical,
@@ -139,7 +139,7 @@ class TestLogLikelihood:
         assert err.value.classes == [(0,), (1,)]
         ds = ChoiceDataset(n=4, observations=((0, (0, 1, 2, 3)),))
         with pytest.raises(SingularSystem):
-            smoothed_log_likelihood(RateMatrix(n=4, rates=SINGULAR_RATES), ds, 0.1)
+            smoothed_log_likelihood(RateMatrix(n=4, rates=SPAN_320_RATES), ds, 0.1)
 
 
 class TestFitConfig:
@@ -221,15 +221,13 @@ class TestAdjointGradient:
         assert np.array_equal(noisy_grad, grad)
 
     def test_careful_fallback_gives_same_gradient(self, monkeypatch):
-        # demanding every mass be at least 1 fails every row's
-        # certification, so each set takes the per-set solver and the
-        # least-squares adjoint; the per-set solver makes the same solve
-        # and accepts it, as it tests masses against
-        # ACCEPT_NEGATIVE_MASS_TOL. RESIDUAL_TOL cannot serve here, as
-        # the per-set solver reads it too
+        # calling no row irreducible sends each set to the per-set
+        # solver and the least-squares adjoint; the per-set solver finds
+        # the closed class itself and makes the same reduction
         obj, rates = self._problem(5)
         value, grad = obj.loglik_and_grad(rates)
-        monkeypatch.setattr(ctmc, "NEGATIVE_MASS_TOL", -1.0)
+        monkeypatch.setattr(ctmc, "_irreducible",
+                            lambda sub: np.zeros(len(sub), dtype=bool))
         solved = []
         careful = ctmc.stationary
         monkeypatch.setattr(ctmc, "stationary",
@@ -439,6 +437,22 @@ class TestFit:
             value, grad = fun(x)
             assert value == model._PENALTY
             assert np.array_equal(grad, np.zeros_like(x0))
+
+    def test_overflowing_row_sums_get_the_penalty(self, monkeypatch):
+        # exp(709.5) is finite, but two of them in a row overflow its sum
+        ds = data.sample(PcmcModel(q=cyclic_matrix(0.7)),
+                         [(0, 1), (1, 2), (0, 1, 2)], count=300, seed=3)
+        seen = _spy_minimize(monkeypatch)
+        fit(ds, FitConfig(max_iters=2))
+        fun, x0 = seen["fun"], seen["x0"]
+
+        def forbidden(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(ctmc, "_generators", forbidden)
+        value, grad = fun(np.full_like(x0, 709.5))
+        assert value == model._PENALTY
+        assert np.array_equal(grad, np.zeros_like(x0))
 
     def test_separable_data_without_smoothing(self):
         # 0 always beats 1 and 2, 1 always beats 2: the likelihood grows
