@@ -354,8 +354,8 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
 
     Checks regularity over all one-item-removed nestings, uniform
     expansion of the induced rate matrix (skipped when the model has
-    none), and counts cyclic triples in the pairwise predictions against
-    the tournament maximum.
+    none or when the expansion's row sums overflow), and counts cyclic
+    triples in the pairwise predictions against the tournament maximum.
     """
     checks = []
 
@@ -382,9 +382,16 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
     })
 
     q = _induced_rates(model)
-    if q is None:
+    with np.errstate(over="ignore"):
+        if q is None:
+            skip = "model has no single rate-matrix form"
+        elif not np.isfinite(expand_k * q.rates.sum(axis=1)).all():
+            skip = "rate row sums overflow in the %d-copy expansion" % expand_k
+        else:
+            skip = None
+    if skip:
         checks.append({"name": "uniform_expansion", "status": "skipped",
-                       "reason": "model has no single rate-matrix form"})
+                       "reason": skip})
     else:
         deviation = _expansion_deviation(q, expand_k)
         checks.append({"name": "uniform_expansion",

@@ -87,7 +87,8 @@ class RateMatrix:
         """
         if self.n < 2:
             return 0.0
-        sums = self.rates + self.rates.T
+        with np.errstate(over="ignore"):  # an infinite pair sum is >= 1
+            sums = self.rates + self.rates.T
         off = ~np.eye(self.n, dtype=bool)
         return float(max(0.0, 1.0 - sums[off].min()))
 
@@ -284,18 +285,19 @@ def stationary(g: RestrictedGenerator) -> Distribution:
     # definition, but tiny sub-threshold leaks must not skew row sums.
     pi = _gth(_generators(g.matrix, cls_idx[None]))[0]
     if not np.isfinite(pi).all():
-        raise SingularSystem(np.inf, "stationary masses are not finite in double precision")
+        raise SingularSystem("stationary masses are not finite in double precision")
     mass = np.zeros(g.size)
     mass[cls_idx] = pi
     return Distribution(support=g.subset, mass=mass)
 
 
 def _stationary_rows(rates, idx):
-    """Stationary masses of the chain restricted to each row of an (m, s)
-    array of equal-size sets: a row is kept when its chain is irreducible
-    and its _gth masses are finite, others come from stationary() and its
-    errors. Returns the masses, the kept-row mask and A (G^T with its
-    last row set to ones) for the adjoint."""
+    """Stationary masses and generators G of the chain restricted to each
+    row of an (m, s) array of equal-size sets. A row's _gth masses are
+    kept when its chain is irreducible and they are finite; other rows
+    come from stationary() and its errors. Every row returned has one
+    closed class, so its adjoint A (G^T with the last row set to ones)
+    is nonsingular in exact arithmetic."""
     sub = _generators(rates, idx)
     pi = _gth(sub)
     ok = _irreducible(sub) & np.isfinite(pi).all(axis=1)
@@ -303,9 +305,7 @@ def _stationary_rows(rates, idx):
         q = RateMatrix(n=len(rates), rates=rates)
         for row in np.flatnonzero(~ok):
             pi[row] = stationary(restrict(q, idx[row])).mass
-    a = np.transpose(sub, (0, 2, 1)).copy()
-    a[:, -1, :] = 1.0
-    return pi, ok, a
+    return pi, sub
 
 
 def _size_groups(sets):

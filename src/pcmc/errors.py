@@ -40,13 +40,6 @@ class MultipleClosedClasses(PcmcError):
 class SingularSystem(PcmcError):
     """The stationary masses of a chain are not finite in double precision."""
 
-    def __init__(self, residual, message=None):
-        self.residual = float(residual)
-        super().__init__(
-            message
-            or "stationary solve failed, best residual %.3e" % self.residual
-        )
-
 
 class EmptyDataset(PcmcError, ValueError):
     """An operation that needs observations received none."""
@@ -107,14 +100,7 @@ class InfeasibleStart(PcmcError, ValueError):
 
 
 class OptimizerFailure(PcmcError):
-    """Numerical optimization failed outright.
-
-    The best iterate found so far, if any, is attached as .report.
-    """
-
-    def __init__(self, message, report=None):
-        self.report = report
-        super().__init__(message)
+    """Numerical optimization reached no point with a finite objective."""
 
 
 class InvalidPairwise(PcmcError, ValueError):

@@ -36,9 +36,8 @@ from .errors import (
     SingularSystem,
 )
 
-# Objective value returned where a row sum of the rates is not finite
-# or some set has no unique stationary distribution; large enough that
-# line search backs off.
+# Objective value _minimand returns for every failure; large enough
+# that line search backs off.
 _PENALTY = 1e12
 
 
@@ -93,15 +92,12 @@ def smoothed_log_likelihood(q: RateMatrix, dataset, alpha: float) -> float:
     """Log-likelihood with alpha pseudocounts added to every member of
     every observed set. This is the objective the fitters maximize.
     A set with no unique stationary distribution raises its own
-    MultipleClosedClasses or SingularSystem."""
+    MultipleClosedClasses or SingularSystem. It solves no adjoint, so
+    an A singular in double precision (see _SetObjective) passes."""
     if len(dataset) == 0:
         raise EmptyDataset("log-likelihood of an empty dataset")
     obj = _SetObjective(data_mod._smoothed(data_mod._set_terms(dataset), alpha))
-    value = obj.loglik(q.rates)
-    if value is None:  # solve again, uncaught, to raise the failing set's own error
-        for sets_arr, _ in obj.groups:
-            ctmc._stationary_rows(q.rates, sets_arr)
-    return value
+    return obj.loglik(q.rates)
 
 
 class _SetObjective:
@@ -110,7 +106,10 @@ class _SetObjective:
 
     Stationary distributions for all sets of equal size are solved in
     one batched call of the chain kernel, which sends the sets it cannot
-    keep from the batch to the per-set solver.
+    keep from the batch to the per-set solver, and their adjoints in one
+    batched linear solve. A failed set raises: MultipleClosedClasses or
+    SingularSystem from the kernel, LinAlgError from an adjoint that is
+    singular in double precision. _minimand scores each _PENALTY.
     """
 
     def __init__(self, groups):
@@ -118,59 +117,57 @@ class _SetObjective:
 
     def loglik_and_grad(self, rates, grad=True):
         """Smoothed log-likelihood and its gradient in the full rate
-        matrix (None unless grad); value None and gradient zero when a
-        set has no unique stationary distribution.
+        matrix (None unless grad).
 
-        Adjoint of the replaced-row system A pi = e_last (Golub & Meyer,
-        SIAM J. Alg. Disc. Meth. 7(2), 1986): A^T mu = w / pi, 0 at the
-        log floor, with mu's last entry then zeroed; each set adds
-        pi_i (mu_i - mu_j) to dL/dq_ij."""
+        Adjoint of the replaced-row system A pi = e_last, A being G^T
+        with its last row set to ones (Golub & Meyer, SIAM J. Alg. Disc.
+        Meth. 7(2), 1986): A^T mu = w / pi, 0 at the log floor, with mu's
+        last entry then zeroed; each set adds pi_i (mu_i - mu_j) to
+        dL/dq_ij. In exact arithmetic A is nonsingular: the rows of G^T
+        sum to zero, so the dropped row loses nothing, and the row of
+        ones rules out pi, which spans the null space of G^T."""
         total = 0.0
         out = np.zeros(rates.shape) if grad else None
         for sets_arr, w in self.groups:
-            try:
-                pi, ok, a = ctmc._stationary_rows(rates, sets_arr)
-            except (MultipleClosedClasses, SingularSystem):
-                return None, (np.zeros(rates.shape) if grad else None)
+            pi, sub = ctmc._stationary_rows(rates, sets_arr)
             live = pi > LOG_FLOOR
             total += float((w * np.log(np.where(live, pi, LOG_FLOOR))).sum())
             if not grad:
                 continue
             g = np.where(live, w / np.where(live, pi, 1.0), 0.0)
-            mu = np.zeros(sets_arr.shape)
-            try:
-                mu[ok] = np.linalg.solve(a[ok].transpose(0, 2, 1),
-                                         g[ok, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                ok[:] = False
-            for row in np.flatnonzero(~ok):
-                mu[row] = np.linalg.lstsq(a[row].T, g[row], rcond=None)[0]
+            sub[:, :, -1] = 1.0  # now A^T
+            mu = np.linalg.solve(sub, g[:, :, None])[:, :, 0]
             mu[:, -1] = 0.0
             np.add.at(out, (sets_arr[:, :, None], sets_arr[:, None, :]),
                       pi[:, :, None] * (mu[:, :, None] - mu[:, None, :]))
         return total, out
 
     def loglik(self, rates):
-        """Smoothed log-likelihood, or None when any set has no unique
-        stationary distribution."""
+        """Smoothed log-likelihood; makes no adjoint solve."""
         return self.loglik_and_grad(rates, grad=False)[0]
 
 
 def _minimand(objective, parameterize):
     """Function for minimize(jac=True) over x: minus the smoothed
     log-likelihood of the rates in parameterize(x) -> (rates, pullback),
-    and minus its gradient carried back to x by pullback. Returns
-    _PENALTY and a zero gradient where a row sum of the rates is not
-    finite or some set has no unique stationary distribution."""
+    and minus its gradient carried back to x by pullback. The one place
+    where a failure becomes _PENALTY with a zero gradient: a row sum of
+    the rates that is not finite, a set with no unique stationary
+    distribution, an adjoint A singular in double precision though not
+    in exact arithmetic (LinAlgError), or a value or gradient that is
+    not finite."""
 
     def fun(x, grad=True):
         rates, pullback = parameterize(x)
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(rates.sum(axis=1)).all()
-        if finite:
-            value, g = objective.loglik_and_grad(rates, grad)
-            if value is not None and math.isfinite(value):
-                return -value, (-pullback(g) if grad else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                if np.isfinite(rates.sum(axis=1)).all():
+                    value, g = objective.loglik_and_grad(rates, grad)
+                    g = -pullback(g) if grad else None
+                    if math.isfinite(value) and (not grad or np.isfinite(g).all()):
+                        return -value, g
+            except (MultipleClosedClasses, SingularSystem, np.linalg.LinAlgError):
+                pass
         return _PENALTY, np.zeros_like(x)
 
     return fun
@@ -303,9 +300,10 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
     if smallest < 1.0:
         rates[free] /= smallest
     q = RateMatrix(n=n, rates=rates)
-    value = objective.loglik(q.rates)
-    if value is None:
-        raise OptimizerFailure("the fit reached no finite likelihood")
+    try:
+        value = objective.loglik(q.rates)
+    except (MultipleClosedClasses, SingularSystem) as err:
+        raise OptimizerFailure("the fit reached no finite likelihood") from err
     return FitReport(
         params=PcmcModel(q=q),
         loglik=value,

@@ -76,8 +76,8 @@ def q_from_btl(gamma) -> RateMatrix:
     set equals the Luce choice distribution on that set.
     """
     g = np.array(gamma, dtype=float)
-    if g.ndim != 1 or len(g) < 2:
-        raise ValueError("need a vector of at least 2 weights")
+    if g.ndim != 1 or len(g) < 1:
+        raise ValueError("gamma must be a nonempty vector")
     if not np.all(np.isfinite(g)) or g.min() <= 0:
         raise NonpositiveGamma("weights must be finite and > 0")
     denom = g[:, None] + g[None, :]

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from pcmc.base import LOG_FLOOR
 from pcmc.ctmc import TOL_EDGE, RateMatrix
 
 
@@ -99,14 +100,23 @@ SPAN_320_RATES = np.array([
 ])
 
 
-def exact_stationary(rates, members):
-    """Stationary masses of the chain restricted to members, aligned
-    with them, solved in exact rational arithmetic. A rate above
-    TOL_EDGE is an edge; the one closed class is found from reachability
-    and solved by Gaussian elimination on its balance equations with the
-    rates read exactly, and every other member gets zero."""
+def _exact_solve(a):
+    """Solution of a nonsingular system of Fractions held as the rows of
+    a, each ending in its right-hand side, by Gauss-Jordan elimination."""
+    s = len(a)
+    for col in range(s):
+        piv = next(k for k in range(col, s) if a[k][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        for k in range(s):
+            if k != col and a[k][col] != 0:
+                f = a[k][col] / a[col][col]
+                a[k] = [x - f * y for x, y in zip(a[k], a[col])]
+    return [a[k][s] / a[k][k] for k in range(s)]
+
+
+def _exact_masses(rates, members):
+    """exact_stationary's masses as Fractions."""
     r = np.asarray(rates, dtype=float)
-    members = list(members)
     reach = {}
     for i in members:
         seen, todo = {i}, [i]
@@ -130,15 +140,42 @@ def exact_stationary(rates, members):
     a = [[q[i][j] - (sum(q[j]) if i == j else 0) for i in range(s)] + [Fraction(0)]
          for j in range(s)]
     a[-1] = [Fraction(1)] * (s + 1)
-    for col in range(s):
-        piv = next(k for k in range(col, s) if a[k][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        for k in range(s):
-            if k != col and a[k][col] != 0:
-                f = a[k][col] / a[col][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[col])]
-    mass = dict(zip(cls, (a[k][s] / a[k][k] for k in range(s))))
-    return np.array([float(mass.get(i, 0)) for i in members])
+    mass = dict(zip(cls, _exact_solve(a)))
+    return [mass.get(i, Fraction(0)) for i in members]
+
+
+def exact_stationary(rates, members):
+    """Stationary masses of the chain restricted to members, aligned
+    with them, solved in exact rational arithmetic. A rate above
+    TOL_EDGE is an edge; the one closed class is found from reachability
+    and solved by Gaussian elimination on its balance equations with the
+    rates read exactly, and every other member gets zero."""
+    return np.array([float(p) for p in _exact_masses(rates, list(members))])
+
+
+def exact_adjoint_gradient(rates, members, w):
+    """dL/dq_ij of L = sum_k w_k log max(pi_k, LOG_FLOOR) over one set,
+    as an array aligned with its members, in exact rational arithmetic.
+    pi is exact_stationary's; the adjoint mu solves A^T mu = w / pi (0
+    where pi_k <= LOG_FLOOR), A being the set's generator G transposed
+    with its last row set to ones, by Gaussian elimination with the
+    rates read exactly; with mu's last entry zeroed, dL/dq_ij is
+    pi_i (mu_i - mu_j)."""
+    r = np.asarray(rates, dtype=float)
+    members = list(members)
+    s = len(members)
+    pi = _exact_masses(r, members)
+    g = [Fraction(float(wk)) / p if p > LOG_FLOOR else Fraction(0)
+         for wk, p in zip(w, pi)]
+    q = [[Fraction(float(r[i, j])) if i != j else Fraction(0) for j in members]
+         for i in members]
+    # row i of A^T is row i of G, with its last entry set to one
+    at = [[q[i][j] - (sum(q[i]) if i == j else 0) for j in range(s - 1)]
+          + [Fraction(1), g[i]] for i in range(s)]
+    mu = _exact_solve(at)
+    mu[-1] = Fraction(0)
+    return np.array([[float(pi[i] * (mu[i] - mu[j])) for j in range(s)]
+                     for i in range(s)])
 
 
 def random_canonical(rng, n):

@@ -339,27 +339,19 @@ class TestBatchedRegularity:
         n = 8
         model = PcmcModel(q=RateMatrix(
             n=n, rates=random_canonical(np.random.default_rng(8), n)))
-        solves, fallbacks, swept = [], [], []
-        stationary, rows = ctmc.stationary, ctmc._stationary_rows
+        solves, swept = [], []
+        stationary = ctmc.stationary
         sweep = axioms.regularity_violations
-
-        def counted_rows(rates, idx):
-            pi, ok, a = rows(rates, idx)
-            fallbacks.append(int((~ok).sum()))
-            return pi, ok, a
-
         monkeypatch.setattr(ctmc, "stationary",
                             lambda g: solves.append(g.size) or stationary(g))
-        monkeypatch.setattr(ctmc, "_stationary_rows", counted_rows)
         monkeypatch.setattr(axioms, "regularity_violations",
                             lambda m, nest, tol: swept.append(len(nest))
                             or sweep(m, nest, tol))
         run_audit(model)
         assert swept == [sum(math.comb(n, k) * k for k in range(3, n + 1))]
-        # the two expansion solves, plus one per set that failed
-        # certification; none does on this well-conditioned matrix
+        # the two expansion solves, plus one per set that the batched
+        # kernel sends to stationary(); none is on this matrix
         assert sorted(solves) == [n, 2 * n]
-        assert sum(fallbacks) == 0
 
 
 class TestTournament:

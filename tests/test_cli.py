@@ -238,6 +238,25 @@ class TestAudit:
         names = {check["name"] for check in report["checks"]}
         assert {"regularity", "uniform_expansion", "cyclic_triplets"} <= names
 
+    @pytest.mark.parametrize("text, expansion", [
+        # one alternative
+        ('{"model": "mnl", "gamma": [1.0]}', "pass"),
+        # the copy expansion's row sums overflow
+        ('{"model": "pcmc", "n": 2, "rates": [0, 1e308, 1e308, 0]}', "skipped"),
+    ])
+    def test_audit_edge_models(self, tmp_path, text, expansion, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text, encoding="utf-8")
+        out = str(tmp_path / "audit.json")
+        assert main(["audit", "--model-file", str(model_path), "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads(_read(out))["checks"]}
+        assert checks["regularity"]["status"] == "pass"
+        assert checks["cyclic_triplets"]["status"] == "pass"
+        assert checks["uniform_expansion"]["status"] == expansion
+        if expansion == "skipped":
+            assert "overflow" in checks["uniform_expansion"]["reason"]
+
 
 class TestFailureCodes:
     def test_missing_data_file(self, tmp_path):

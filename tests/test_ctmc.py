@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +51,14 @@ class TestRateMatrix:
         weak = RateMatrix(n=2, rates=[[0, 0.2], [0.2, 0]])
         assert not weak.is_canonical
         assert weak.pair_sum_violation() == pytest.approx(0.6)
+
+    def test_overflowing_pair_sum_is_canonical(self):
+        # each row sum is finite, the pair sum is not; no warning
+        q = RateMatrix(n=2, rates=[[0, 1e308], [1e308, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q.is_canonical
+            assert q.pair_sum_violation() == 0.0
 
     def test_immutable(self):
         q = cyclic_matrix(0.9)

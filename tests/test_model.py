@@ -28,6 +28,7 @@ from _support import (
     SPAN_320_RATES,
     central_gradient,
     cyclic_matrix,
+    exact_adjoint_gradient,
     random_canonical,
     random_terms,
 )
@@ -222,8 +223,8 @@ class TestAdjointGradient:
 
     def test_careful_fallback_gives_same_gradient(self, monkeypatch):
         # calling no row irreducible sends each set to the per-set
-        # solver and the least-squares adjoint; the per-set solver finds
-        # the closed class itself and makes the same reduction
+        # solver, which finds the closed class itself and makes the same
+        # reduction; the adjoint solve is the same for every row
         obj, rates = self._problem(5)
         value, grad = obj.loglik_and_grad(rates)
         monkeypatch.setattr(ctmc, "_irreducible",
@@ -234,14 +235,49 @@ class TestAdjointGradient:
                             lambda g: solved.append(g) or careful(g))
         careful_value, careful_grad = obj.loglik_and_grad(rates)
         assert len(solved) == sum(len(w) for _, w in obj.groups)
-        assert careful_value == pytest.approx(value, rel=1e-12)
-        assert np.abs(careful_grad - grad).max() \
-            <= 1e-9 * max(1.0, np.abs(grad).max())
+        assert careful_value == value
+        assert np.array_equal(careful_grad, grad)
+
+    @staticmethod
+    def _penalized(obj, rates):
+        """_minimand over the full rate matrix: (value, gradient)."""
+        return model._minimand(obj, lambda x: (x, lambda g: g))(rates)
 
     def test_no_unique_distribution_gives_zero_gradient(self):
         obj = model._SetObjective([(np.arange(3)[None], np.ones((1, 3)))])
-        value, grad = obj.loglik_and_grad(np.zeros((3, 3)))
-        assert value is None
+        with pytest.raises(MultipleClosedClasses):
+            obj.loglik_and_grad(np.zeros((3, 3)))
+        value, grad = self._penalized(obj, np.zeros((3, 3)))
+        assert value == model._PENALTY
+        assert np.array_equal(grad, np.zeros((3, 3)))
+
+    def test_reducible_set_matches_exact_adjoint(self):
+        # state 0 absorbs; leaving it, the chain takes about 1e18 to
+        # come back, so pi_0 falls steeply in q_01 and q_02
+        rates = np.array([[0.0, 0.0, 0.0],
+                          [0.0, 0.0, 5.275191856212761e-09],
+                          [1.6129467427002697e-05, 74419.03582858907, 0.0]])
+        w = np.array([2.7, 2.5, 1.4])
+        obj = model._SetObjective([(np.arange(3)[None], w[None])])
+        grad = obj.loglik_and_grad(rates)[1]
+        exact = exact_adjoint_gradient(rates, range(3), w)
+        assert exact[0, 1:] == pytest.approx([-2.3615e18] * 2, rel=1e-4)
+        assert np.abs(grad - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    def test_singular_adjoint_gets_the_penalty(self):
+        # q_10 + q_12 rounds to q_10, so the first two columns of A^T
+        # cancel exactly in double precision
+        rates = np.zeros((3, 3))
+        rates[0, 1] = 71675452435.26448
+        rates[1, 0] = 787803001329.0995
+        rates[1, 2] = 4.628048777288063e-05
+        obj = model._SetObjective([(np.arange(3)[None], np.ones((1, 3)))])
+        with pytest.raises(np.linalg.LinAlgError):
+            obj.loglik_and_grad(rates)
+        # state 2 absorbs: two masses at the log floor
+        assert obj.loglik(rates) == -55.262042231857095
+        value, grad = self._penalized(obj, rates)
+        assert value == model._PENALTY
         assert np.array_equal(grad, np.zeros((3, 3)))
 
     def test_fitters_never_use_finite_differences(self, monkeypatch):
