@@ -3,20 +3,19 @@
 A chain over n alternatives is described by its off-diagonal transition
 rates. Restricting the chain to a subset keeps only the rates among the
 subset's members and rebuilds the diagonal so rows sum to zero. The
-stationary distribution of a restriction is found by communicating-class
-analysis followed by GTH state reduction, which needs no certificate;
-states outside the single closed class receive zero mass. One reduction
-serves both paths: stationary_many reduces each set size in one batch
-and sends only the sets that are not irreducible, or whose masses are
-not finite, down the per-set path, which makes the same reduction on
-the closed class alone.
+stationary distribution of a restriction is found by GTH state
+reduction, which needs no certificate; states outside the single closed
+class receive zero mass. One batched kernel serves every caller: it
+finds each chain's closed class from the reachability matrix of its
+stack, reorders a chain that is not irreducible so that its class comes
+first, and reduces the whole stack at once. stationary_many calls it
+once per set size, and stationary on a stack of one.
 """
 
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import (
     EmptySubset,
@@ -178,12 +177,10 @@ class Distribution:
         return {s: float(p) for s, p in zip(self.support, self.mass)}
 
 
-def _generators(rates, idx):
-    """Generators of the chain restricted to each row of an (m, s) array
-    of sets: the rates among the row's members, with each diagonal
-    entry set to minus its row sum."""
-    m, size = idx.shape
-    sub = rates[idx[:, :, None], idx[:, None, :]]
+def _generators(sub):
+    """Generators from a C-ordered (m, s, s) stack of rate blocks: each
+    diagonal entry set, in place, to minus its row's off-diagonal sum."""
+    m, size = sub.shape[:2]
     diag = sub.reshape(m, size * size)[:, ::size + 1]  # a view: sub is C-ordered
     diag[...] = 0.0
     diag[...] = -sub.sum(axis=2)
@@ -197,46 +194,36 @@ def restrict(q: RateMatrix, subset: Iterable[int]) -> RestrictedGenerator:
     minus its row sum.
     """
     members = _check_subset(subset, q.n)
-    block = _generators(q.rates, np.array([members], dtype=int))[0]
+    block = _generators(q.rates[np.ix_(members, members)][None])[0]
     return RestrictedGenerator(subset=members, matrix=block)
 
 
-def closed_classes(g: RestrictedGenerator) -> list:
-    """Closed communicating classes of a restricted chain.
-
-    Uses the directed graph with an edge i -> j whenever the rate
-    exceeds TOL_EDGE. A strongly connected component is closed when no
-    member has an edge leaving the component. Classes come back as
-    sorted tuples of original alternative ids, ordered by smallest
-    member.
-    """
-    s = g.size
-    if s == 1:
-        return [(g.subset[0],)]
-    adj = g.matrix > TOL_EDGE
-    np.fill_diagonal(adj, False)
-    n_comp, labels = csgraph.connected_components(
-        adj.astype(np.int8), directed=True, connection="strong"
-    )
-    closed = []
-    for c in range(n_comp):
-        inside = labels == c
-        leaves = adj[inside][:, ~inside]
-        if leaves.size == 0 or not leaves.any():
-            members = [g.subset[k] for k in np.flatnonzero(inside)]
-            closed.append(tuple(sorted(members)))
-    closed.sort(key=lambda cls: cls[0])
-    return closed
-
-
-def _irreducible(sub):
-    """Rows of an (m, s, s) stack of generators whose chain is
-    irreducible under the TOL_EDGE rule, from ceil(log2(s - 1)) boolean
-    squarings of one-step reachability."""
+def _reach(sub):
+    """reach[r, i, j]: whether chain r of an (m, s, s) stack of
+    generators gets from i to j in zero or more jumps along rates above
+    TOL_EDGE, by ceil(log2(s - 1)) boolean squarings."""
     reach = (sub > TOL_EDGE) | np.eye(sub.shape[1], dtype=bool)
     for _ in range(max(sub.shape[1] - 2, 0).bit_length()):
         reach = np.matmul(reach, reach)
-    return reach.all(axis=(1, 2))
+    return reach
+
+
+def _closed(reach):
+    """States in a closed class: everything they reach reaches them back."""
+    return (reach <= np.swapaxes(reach, -1, -2)).all(axis=-1)
+
+
+def _classes(reach, ids):
+    """Closed classes of one chain from its (s, s) reachability, named by
+    ids: the class of a closed state is what it reaches."""
+    return sorted({tuple(np.sort(ids[row]).tolist()) for row in reach[_closed(reach)]})
+
+
+def closed_classes(g: RestrictedGenerator) -> list:
+    """Closed communicating classes of a restricted chain, on the graph
+    with an edge wherever the rate exceeds TOL_EDGE, as sorted tuples of
+    original alternative ids ordered by smallest member."""
+    return _classes(_reach(g.matrix[None])[0], np.array(g.subset))
 
 
 def _gth(sub):
@@ -245,9 +232,10 @@ def _gth(sub):
     Oper. Res. 33(5), 1985) on the jump chain: censor out states s-1 ...
     1, then rebuild the masses upwards from state 0. No step subtracts,
     so each mass is nonnegative and accurate relative to its own size
-    (O'Cinneide, Numer. Math. 65, 1993). Masses that double precision
-    cannot hold come back not finite; rows of other chains come back
-    meaningless, without a warning."""
+    (O'Cinneide, Numer. Math. 65, 1993). A closed class put first, with
+    no rate leaving it, leaves every later state exactly zero. Masses
+    that double precision cannot hold come back not finite; rows of
+    other chains come back meaningless, without a warning."""
     size = sub.shape[1]
     out = np.maximum(-np.diagonal(sub, axis1=1, axis2=2), np.finfo(float).tiny)
     p = sub / out[:, :, None]
@@ -267,44 +255,53 @@ def _gth(sub):
 
 
 def stationary(g: RestrictedGenerator) -> Distribution:
-    """Unique stationary distribution of a restricted chain.
-
-    Raises MultipleClosedClasses when the restriction has more than one
-    closed communicating class. Alternatives outside the closed class
-    are transient and get exactly zero mass. The closed class is solved
-    by GTH state reduction, which needs no certificate; SingularSystem
-    is raised only when its masses are not finite.
-    """
-    classes = closed_classes(g)
-    if len(classes) != 1:
-        raise MultipleClosedClasses(classes)
-    pos = {item: k for k, item in enumerate(g.subset)}
-    cls_idx = np.array([pos[item] for item in classes[0]], dtype=int)
-
-    # Rebuild the diagonal: rates leaving the closed class are zero by
-    # definition, but tiny sub-threshold leaks must not skew row sums.
-    pi = _gth(_generators(g.matrix, cls_idx[None]))[0]
-    if not np.isfinite(pi).all():
-        raise SingularSystem("stationary masses are not finite in double precision")
-    mass = np.zeros(g.size)
-    mass[cls_idx] = pi
-    return Distribution(support=g.subset, mass=mass)
+    """Unique stationary distribution of a restricted chain: the kernel
+    _stationary_rows on a stack of one. Transient alternatives get
+    exactly zero. Raises MultipleClosedClasses, naming the subset's ids,
+    or SingularSystem when the masses are not finite."""
+    try:
+        pi = _stationary_rows(g.matrix, np.arange(g.size)[None])[0][0]
+    except MultipleClosedClasses:
+        raise MultipleClosedClasses(closed_classes(g)) from None
+    return Distribution(support=g.subset, mass=pi)
 
 
 def _stationary_rows(rates, idx):
     """Stationary masses and generators G of the chain restricted to each
-    row of an (m, s) array of equal-size sets. A row's _gth masses are
-    kept when its chain is irreducible and they are finite; other rows
-    come from stationary() and its errors. Every row returned has one
-    closed class, so its adjoint A (G^T with the last row set to ones)
-    is nonsingular in exact arithmetic."""
-    sub = _generators(rates, idx)
-    pi = _gth(sub)
-    ok = _irreducible(sub) & np.isfinite(pi).all(axis=1)
+    row of an (m, s) array of equal-size sets, by one _gth of the stack.
+    A reducible row enters it reordered, its closed class first, with
+    the rates leaving the class (all at or below TOL_EDGE) set to zero,
+    and gets its masses back in its own order. The first row in input
+    order with more than one closed class raises MultipleClosedClasses,
+    naming idx's ids, or with masses that are not finite SingularSystem.
+    Every row returned has one closed class, so its adjoint A (G^T with
+    the last row set to ones) is nonsingular in exact arithmetic."""
+    sub = _generators(rates[idx[:, :, None], idx[:, None, :]])
+    reach = _reach(sub)
+    irreducible = reach.all(axis=(1, 2))
+    gen = sub
+    if not irreducible.all():
+        red = np.flatnonzero(~irreducible)
+        closed = _closed(reach[red])
+        cls = reach[red, closed.argmax(axis=1)]  # the first closed state's class
+        order = np.argsort(~cls, axis=1, kind="stable")
+        ids = np.take_along_axis(idx[red], order, axis=1)
+        inside = np.take_along_axis(cls, order, axis=1)
+        part = rates[ids[:, :, None], ids[:, None, :]]
+        part[inside[:, :, None] & ~inside[:, None, :]] = 0.0
+        gen = sub.copy()
+        gen[red] = _generators(part)
+    pi = _gth(gen)
+    if gen is not sub:  # masses of the reordered rows back in their own order
+        pi[red[:, None], order] = pi[red]
+        pi[red[(cls != closed).any(axis=1)]] = np.nan  # more than one class
+    ok = np.isfinite(pi).all(axis=1)
     if not ok.all():
-        q = RateMatrix(n=len(rates), rates=rates)
-        for row in np.flatnonzero(~ok):
-            pi[row] = stationary(restrict(q, idx[row])).mass
+        row = int(ok.argmin())
+        classes = _classes(reach[row], idx[row])
+        if len(classes) > 1:
+            raise MultipleClosedClasses(classes)
+        raise SingularSystem("stationary masses are not finite in double precision")
     return pi, sub
 
 
@@ -318,8 +315,8 @@ def _size_groups(sets):
 
 def stationary_many(q: RateMatrix, sets: Sequence) -> list:
     """Stationary masses of the chain restricted to each set, in input
-    order, each aligned with its set's members. The irreducible sets of
-    one size share a batched reduction; any other set takes stationary()."""
+    order, each aligned with its set's members. The sets of one size
+    share one _stationary_rows call."""
     members = [_check_subset(s, q.n) for s in sets]
     out = [None] * len(members)
     for ks, idx in _size_groups(members):

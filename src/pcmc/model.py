@@ -105,9 +105,8 @@ class _SetObjective:
     its size-grouped (idx, smoothed counts) layout.
 
     Stationary distributions for all sets of equal size are solved in
-    one batched call of the chain kernel, which sends the sets it cannot
-    keep from the batch to the per-set solver, and their adjoints in one
-    batched linear solve. A failed set raises: MultipleClosedClasses or
+    one batched call of the chain kernel, reducible sets included, and
+    their adjoints in one batched linear solve. A failed set raises: MultipleClosedClasses or
     SingularSystem from the kernel, LinAlgError from an adjoint that is
     singular in double precision. _minimand scores each _PENALTY.
     """

@@ -114,8 +114,10 @@ def _exact_solve(a):
     return [a[k][s] / a[k][k] for k in range(s)]
 
 
-def _exact_masses(rates, members):
-    """exact_stationary's masses as Fractions."""
+def exact_closed_classes(rates, members):
+    """Closed classes of the chain restricted to members, as sorted
+    tuples of ids ordered by smallest member, from a depth-first search
+    of each member's reachable set along rates above TOL_EDGE."""
     r = np.asarray(rates, dtype=float)
     reach = {}
     for i in members:
@@ -128,11 +130,17 @@ def _exact_masses(rates, members):
                     todo.append(b)
         reach[i] = seen
     # i lies in a closed class when everything it reaches reaches it back
-    closed = {frozenset(seen) for i, seen in reach.items()
-              if all(i in reach[j] for j in seen)}
+    return sorted({tuple(sorted(seen)) for i, seen in reach.items()
+                   if all(i in reach[j] for j in seen)})
+
+
+def _exact_masses(rates, members):
+    """exact_stationary's masses as Fractions."""
+    r = np.asarray(rates, dtype=float)
+    closed = exact_closed_classes(r, members)
     if len(closed) != 1:
         raise ValueError("%d closed classes" % len(closed))
-    cls = sorted(closed.pop())
+    cls = list(closed[0])
     s = len(cls)
     q = [[Fraction(float(r[i, j])) if i != j else Fraction(0) for j in cls] for i in cls]
     # row j of the system is sum_i pi_i q_ij = pi_j sum_k q_jk; the last

@@ -349,8 +349,8 @@ class TestBatchedRegularity:
                             or sweep(m, nest, tol))
         run_audit(model)
         assert swept == [sum(math.comb(n, k) * k for k in range(3, n + 1))]
-        # the two expansion solves, plus one per set that the batched
-        # kernel sends to stationary(); none is on this matrix
+        # only the two full-universe expansion solves go through
+        # stationary(); every menu of the sweep is solved in batches
         assert sorted(solves) == [n, 2 * n]
 
 

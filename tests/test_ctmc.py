@@ -24,6 +24,7 @@ from _support import (
     WRONG_RETRY_RATES,
     cyclic_matrix,
     cyclic_rates,
+    exact_closed_classes,
     exact_stationary,
     random_canonical,
     simulate_stationary,
@@ -137,6 +138,29 @@ class TestClosedClasses:
                 g = ctmc.restrict(q, members)
                 assert len(ctmc.closed_classes(g)) == 1
 
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_matches_reachability_oracle(self, seed):
+        # sparse graphs, some rates at or just above TOL_EDGE, unsorted
+        # subsets; the kernel's MultipleClosedClasses names the same classes
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        rates = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.6))
+        faint = rng.random((n, n)) < 0.2
+        rates[faint] = ctmc.TOL_EDGE * rng.choice([0.5, 1.0, 1.5], int(faint.sum()))
+        np.fill_diagonal(rates, 0.0)
+        q = RateMatrix(n=n, rates=rates)
+        for _ in range(6):
+            members = tuple(rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist())
+            want = exact_closed_classes(rates, members)
+            assert ctmc.closed_classes(ctmc.restrict(q, members)) == want
+            if len(want) > 1:
+                with pytest.raises(MultipleClosedClasses) as err:
+                    ctmc.stationary(ctmc.restrict(q, members))
+                assert err.value.classes == want
+                with pytest.raises(MultipleClosedClasses) as err:
+                    ctmc.stationary_many(q, [members])
+                assert err.value.classes == want
+
 
 class TestStationary:
     def test_cycle_uniform_exact(self):
@@ -216,10 +240,11 @@ def _assert_exact(rates, members, mass):
 
 
 class TestCarefulSolve:
-    """The per-set solver and the batched kernel on chains whose rates
-    span many decades: both give the exact masses, bit for bit alike,
-    with no least-squares second opinion, and SingularSystem only where
-    double precision cannot hold the chain."""
+    """stationary and stationary_many, one kernel on a stack of one and
+    on a batch, on chains whose rates span many decades: both give the
+    exact masses, bit for bit alike, with no least-squares second
+    opinion, and SingularSystem only where double precision cannot hold
+    the chain."""
 
     @pytest.fixture()
     def lstsq_calls(self, monkeypatch):
@@ -292,7 +317,8 @@ def _per_set(q, sets):
 
 
 class TestStationaryMany:
-    """stationary_many against the per-set solver it batches."""
+    """stationary_many against stationary, the same kernel on a stack of
+    one, and against exact_stationary."""
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_matches_per_set_on_canonical(self, seed):
@@ -305,6 +331,8 @@ class TestStationaryMany:
         assert len(many) == len(sets)
         for got, want in zip(many, _per_set(q, sets)):
             assert np.array_equal(got, want)
+        for s, got in zip(sets, many):
+            _assert_exact(q.rates, s, got)
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_unsorted_members_keep_their_order(self, seed):
@@ -334,10 +362,11 @@ class TestStationaryMany:
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_near_reducible(self, seed):
-        # rates on either side of TOL_EDGE: the per-set solver drops the
-        # ones at or below it as edges, the batched solve keeps them, so
-        # they may disagree by the mass such rates carry: each is at most
-        # 10 TOL_EDGE against an outflow of at least one half
+        # rates on either side of TOL_EDGE: one at or below it is no
+        # edge, so it may make a set reducible; the kernel then drops the
+        # ones leaving the closed class and keeps the others, as
+        # exact_stationary does. Each is at most 10 TOL_EDGE against an
+        # outflow of at least one half
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 8))
         rates = random_canonical(rng, n)
@@ -348,9 +377,36 @@ class TestStationaryMany:
         q = RateMatrix(n=n, rates=rates)
         assert q.is_canonical
         sets = _sets_of(rng, n, 10)
-        for got, want in zip(ctmc.stationary_many(q, sets), _per_set(q, sets)):
+        many = ctmc.stationary_many(q, sets)
+        for got, want in zip(many, _per_set(q, sets)):
             assert abs(got.sum() - 1.0) <= 1e-12 and got.min() >= 0.0
             assert np.abs(got - want).max() <= 20 * n * ctmc.TOL_EDGE
+        for s, got in zip(sets, many):
+            _assert_exact(rates, s, got)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_reducible_sets(self, seed):
+        # the states of cls reach one another and leak out only below
+        # TOL_EDGE; every other state reaches each of them, so a set
+        # meeting cls has cls's members as its one closed class and gets
+        # exactly zero on the rest, in any member order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        cls = rng.permutation(n)[:int(rng.integers(1, n))]
+        inside = np.isin(np.arange(n), cls)
+        rates = rng.uniform(0.1, 5.0, (n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+        rates *= (~inside[:, None] & (rng.random((n, n)) < 0.5)) | inside[None, :]
+        leak = inside[:, None] & ~inside[None, :]
+        rates[leak] = ctmc.TOL_EDGE * rng.uniform(0.0, 1.0, int(leak.sum()))
+        np.fill_diagonal(rates, 0.0)
+        q = RateMatrix(n=n, rates=rates)
+        sets = [tuple(rng.permutation(s).tolist()) for s in _sets_of(rng, n, 10)
+                if inside[list(s)].any()]
+        many = ctmc.stationary_many(q, sets)
+        for s, got, want in zip(sets, many, _per_set(q, sets)):
+            assert np.array_equal(got, want)
+            _assert_exact(rates, s, got)
+            assert np.all(got[~inside[list(s)]] == 0.0)
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_two_closed_classes_raise_like_stationary(self, seed):

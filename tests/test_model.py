@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcmc import cli, ctmc, data, evaluate, luce, model, param
+from pcmc.base import LOG_FLOOR
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import (
@@ -29,6 +30,7 @@ from _support import (
     central_gradient,
     cyclic_matrix,
     exact_adjoint_gradient,
+    exact_stationary,
     random_canonical,
     random_terms,
 )
@@ -193,13 +195,20 @@ class TestAdjointGradient:
         return model._SetObjective(random_terms(rng, n, sizes)), rates
 
     @given(st.integers(0, 2 ** 31 - 1))
+    @example(seed=4550625)
     def test_matches_central_differences(self, seed):
         obj, rates = self._problem(seed)
         value, grad = obj.loglik_and_grad(rates)
         assert value == obj.loglik(rates)
-        # steps relative to each rate: curvature grows like 1 / q_ij^2;
-        # the diagonal is ignored by the objective, so any step works there
-        steps = np.where(np.eye(len(rates), dtype=bool), 1.0, 1e-4 * rates)
+        # steps relative to each rate: curvature grows like 1 / q_ij^2.
+        # The objective's round-off, divided by the step, swamps the
+        # difference of a rate far below its row's outflow (q_30 = 7.9e-8
+        # on the example), so no step is below 1e-7 of the outflow unless
+        # that would pass half the rate. The diagonal is ignored by the
+        # objective, so any step works there
+        outflow = rates.sum(axis=1, keepdims=True)
+        steps = np.minimum(rates / 2, 1e-4 * np.maximum(rates, 1e-3 * outflow))
+        steps = np.where(np.eye(len(rates), dtype=bool), 1.0, steps)
         oracle = central_gradient(obj.loglik, rates, steps)
         assert np.abs(grad - oracle).max() \
             <= 1e-6 * max(1.0, np.abs(oracle).max())
@@ -221,22 +230,35 @@ class TestAdjointGradient:
         assert noisy_value == value
         assert np.array_equal(noisy_grad, grad)
 
-    def test_careful_fallback_gives_same_gradient(self, monkeypatch):
-        # calling no row irreducible sends each set to the per-set
-        # solver, which finds the closed class itself and makes the same
-        # reduction; the adjoint solve is the same for every row
-        obj, rates = self._problem(5)
-        value, grad = obj.loglik_and_grad(rates)
-        monkeypatch.setattr(ctmc, "_irreducible",
-                            lambda sub: np.zeros(len(sub), dtype=bool))
-        solved = []
-        careful = ctmc.stationary
-        monkeypatch.setattr(ctmc, "stationary",
-                            lambda g: solved.append(g) or careful(g))
-        careful_value, careful_grad = obj.loglik_and_grad(rates)
-        assert len(solved) == sum(len(w) for _, w in obj.groups)
-        assert careful_value == value
-        assert np.array_equal(careful_grad, grad)
+    def test_batches_mixing_reducible_sets(self):
+        # no rate above TOL_EDGE leaves {3, 4, 5}, so each set meeting
+        # both halves keeps its members above 2 as its closed class, after
+        # its transient members; sets inside one half are irreducible
+        rng = np.random.default_rng(5)
+        rates = random_canonical(rng, 6) * rng.uniform(0.5, 3.0)
+        rates[3:, :3] = ctmc.TOL_EDGE * rng.uniform(0.0, 1.0, (3, 3))
+        sets = {2: [(0, 1), (1, 4), (3, 5), (2, 3)],
+                3: [(0, 1, 2), (0, 3, 5), (3, 4, 5), (2, 4, 5)],
+                4: [(1, 2, 3, 4), (0, 1, 3, 5), (0, 1, 2, 4)]}
+        groups = [(np.array(rows), rng.uniform(0.1, 20.0, (len(rows), size)))
+                  for size, rows in sets.items()]
+        value, grad = model._SetObjective(groups).loglik_and_grad(rates)
+        want_value, want_grad = 0.0, np.zeros((6, 6))
+        for idx, w in groups:
+            pi = ctmc._stationary_rows(rates, idx)[0]
+            for row, (members, weights) in enumerate(zip(idx, w)):
+                alone = ctmc._stationary_rows(rates, idx[row:row + 1])[0][0]
+                assert np.array_equal(pi[row], alone)
+                exact = exact_stationary(rates, members)
+                if members.min() < 3 <= members.max():
+                    assert np.all(pi[row][members < 3] == 0.0)
+                    assert np.all(exact[members < 3] == 0.0)
+                assert np.abs(pi[row] - exact).sum() <= 1e-12
+                want_value += float((weights * np.log(np.maximum(exact, LOG_FLOOR))).sum())
+                want_grad[np.ix_(members, members)] += exact_adjoint_gradient(
+                    rates, members, weights)
+        assert value == pytest.approx(want_value, rel=1e-14)
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
     @staticmethod
     def _penalized(obj, rates):
