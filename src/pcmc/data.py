@@ -409,12 +409,16 @@ def _pair_scatter(n, pairs):
 
 _HEADER_RE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
 
+_MAX_N = int(np.iinfo(np.int64).max)  # ids are stored as int64
+
 
 def _declared_n(lines, default):
     """The n of the last '# n=<int>' among the stripped lines, else default."""
     for s in reversed(lines):
         if s[:1] == "#" and (m := _HEADER_RE.match(s)):
-            return int(m.group(1))
+            if (n := int(m.group(1))) > _MAX_N:
+                raise ParseError(0, "declared n=%d exceeds %d" % (n, _MAX_N))
+            return n
     return default
 
 
@@ -476,8 +480,10 @@ def _chosen_set_columns(text: str):
     except (ValueError, OverflowError):  # '-', '1-2', an id beyond int64
         return None
     members, size = values[~left], np.bincount(line[~left], minlength=rows)
-    n = _declared_n(lines, int(members.max(initial=0)) + 1)
-    if values.min() < 0 or size.min() < 2 or members.max() >= n:
+    if values.min() < 0 or size.min() < 2 or members.max() >= _MAX_N:
+        return None
+    n = _declared_n(lines, int(members.max()) + 1)
+    if members.max() >= n:
         return None
     raw_id, raw_sets = np.empty(rows, np.intp), []
     offset = np.cumsum(size) - size
@@ -540,6 +546,8 @@ def _parse_chosen_set(text: str):
             raise ParseError(lineno, "alternatives must be integers") from None
         if chosen < 0 or min(members, default=0) < 0:
             raise ParseError(lineno, "alternative ids must be nonnegative")
+        if max(members, default=0) >= _MAX_N:
+            raise ParseError(lineno, "alternative ids must be below %d" % _MAX_N)
         records.append((chosen, members))
     max_id = max((max(m, default=0) for _, m in records), default=-1)
     n = _declared_n(lines, max_id + 1)

@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.sparse import csgraph
 
 from . import ctmc, data as data_mod
 from .base import LOG_FLOOR
@@ -48,11 +47,7 @@ class MnlModel:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        if g.ndim != 1 or len(g) < 1:
-            raise ValueError("gamma must be a nonempty vector")
-        if not np.all(np.isfinite(g)) or g.min() <= 0:
-            raise NonpositiveGamma("weights must be finite and > 0")
+        g = _weights(self.gamma)
         g = g / g.sum()
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
@@ -65,6 +60,27 @@ class MnlModel:
         return mnl_probabilities(self, subset)
 
 
+def _weights(gamma) -> np.ndarray:
+    """Luce weights as a float vector, checked nonempty, finite and > 0."""
+    g = np.array(gamma, dtype=float)
+    if g.ndim != 1 or len(g) < 1:
+        raise ValueError("gamma must be a nonempty vector")
+    if not np.all(np.isfinite(g)) or g.min() <= 0:
+        raise NonpositiveGamma("weights must be finite and > 0")
+    return g
+
+
+def _check_pair(i, j, n) -> tuple:
+    """i and j as ints, once checked to be two distinct ids in [0, n)."""
+    i, j = int(i), int(j)
+    if i == j:
+        raise SameItem("cannot compare alternative %d with itself" % i)
+    for k in (i, j):
+        if k < 0 or k >= n:
+            raise IndexOutOfRange("alternative %d outside [0, %d)" % (k, n))
+    return i, j
+
+
 def mnl_probabilities(model: MnlModel, subset: Sequence[int]) -> Distribution:
     """Luce choice distribution over a set: weight over total weight."""
     members = ctmc._check_subset(subset, model.n)
@@ -74,12 +90,7 @@ def mnl_probabilities(model: MnlModel, subset: Sequence[int]) -> Distribution:
 
 def btl_pair(model: MnlModel, i: int, j: int) -> float:
     """Probability that i beats j in a paired comparison."""
-    i, j = int(i), int(j)
-    if i == j:
-        raise SameItem("cannot compare alternative %d with itself" % i)
-    for k in (i, j):
-        if k < 0 or k >= model.n:
-            raise IndexOutOfRange("alternative %d outside [0, %d)" % (k, model.n))
+    i, j = _check_pair(i, j, model.n)
     gi, gj = float(model.gamma[i]), float(model.gamma[j])
     return gi / (gi + gj)
 
@@ -95,7 +106,8 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
     stationary distribution equals the maximum-likelihood weights.
 
     Raises NotConnected when the comparison graph is not strongly
-    connected (the MLE then sits on the boundary and does not exist)
+    connected along rates above ctmc.TOL_EDGE, the edges the stationary
+    kernel sees (the MLE then sits on the boundary and does not exist),
     and NoConvergence when max_iters passes without the estimate
     settling to within tol in L1.
     """
@@ -111,10 +123,7 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
 
     gamma = np.full(n, 1.0 / n)
     gen = chain_for(gamma)
-    n_comp, _ = csgraph.connected_components(
-        (gen > 0).astype(np.int8), directed=True, connection="strong"
-    )
-    if n_comp != 1:
+    if not ctmc._reach(gen[None]).all():
         raise NotConnected(
             "comparison graph is not strongly connected; "
             "add smoothing (alpha > 0) or more data"
@@ -216,7 +225,8 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     When k is omitted it defaults to default_mixture_size(n). The first
     start copies a single fitted Luce model into every component (with
     small noise on all but the first), so the final likelihood is never
-    worse than the best single-component model up to optimizer noise.
+    worse than the best single-component model up to optimizer noise;
+    where that Luce fit fails, the first start's utilities are all zero.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
@@ -233,7 +243,7 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     try:
         base = fit_mnl(dataset, alpha=max(float(alpha), 1e-3))
         base_theta = np.log(base.gamma)
-    except NoConvergence:
+    except (NoConvergence, NotConnected):
         base_theta = np.zeros(n)
 
     seeds = np.random.SeedSequence(seed).spawn(restarts)

@@ -23,18 +23,11 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import expit
 
-from . import data as data_mod, model as model_mod
+from . import data as data_mod, luce, model as model_mod
 from .ctmc import Distribution, RateMatrix
-from .errors import (
-    EmptyDataset,
-    IndexOutOfRange,
-    InvalidK,
-    InvalidPairwise,
-    NonpositiveGamma,
-    OptimizerFailure,
-    SameItem,
-)
+from .errors import EmptyDataset, InvalidK, InvalidPairwise, OptimizerFailure
 from .luce import MnlModel
 from .model import FitConfig, PcmcModel
 
@@ -75,11 +68,7 @@ def q_from_btl(gamma) -> RateMatrix:
     sums to exactly one and the chain's stationary distribution on any
     set equals the Luce choice distribution on that set.
     """
-    g = np.array(gamma, dtype=float)
-    if g.ndim != 1 or len(g) < 1:
-        raise ValueError("gamma must be a nonempty vector")
-    if not np.all(np.isfinite(g)) or g.min() <= 0:
-        raise NonpositiveGamma("weights must be finite and > 0")
+    g = luce._weights(gamma)
     denom = g[:, None] + g[None, :]
     # entry [j, i] must be g_i / (g_i + g_j): column i carries g_i.
     rates = g[None, :] / denom
@@ -97,10 +86,6 @@ def q_from_pairwise(p: PairwiseMatrix) -> RateMatrix:
     rates = p.p.T.copy()
     np.fill_diagonal(rates, 0.0)
     return RateMatrix(n=p.n, rates=rates)
-
-
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass(frozen=True)
@@ -145,7 +130,7 @@ class BladeChest:
         return sq - sq.T
 
     def pairwise(self) -> PairwiseMatrix:
-        p = _sigmoid(self.matchups())
+        p = expit(self.matchups())
         np.fill_diagonal(p, 0.0)
         return PairwiseMatrix(n=self.n, p=p)
 
@@ -165,13 +150,8 @@ class BladeChest:
 
 def bladechest_pair(model: BladeChest, i: int, j: int) -> float:
     """Probability that i beats j under the embedding model."""
-    i, j = int(i), int(j)
-    if i == j:
-        raise SameItem("cannot compare alternative %d with itself" % i)
-    for k in (i, j):
-        if k < 0 or k >= model.n:
-            raise IndexOutOfRange("alternative %d outside [0, %d)" % (k, model.n))
-    return float(_sigmoid(model.matchups()[i, j]))
+    i, j = luce._check_pair(i, j, model.n)
+    return float(expit(model.matchups()[i, j]))
 
 
 def mnl_to_pcmc(mnl: MnlModel) -> PcmcModel:
@@ -183,7 +163,7 @@ def _embedding_rates(bc: BladeChest):
     """Rate matrix of an embedding model (its diagonal is unused) and the
     pullback that carries a rate-matrix gradient through the logistic
     and the scores to the blades then the chests, flattened."""
-    s = _sigmoid(bc.matchups())
+    s = expit(bc.matchups())
 
     def pullback(g):
         # q_ji = sigmoid(M_ij), and M = F - F^T for the variant's score F.
@@ -219,11 +199,6 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
     if d < 1:
         raise InvalidK("embedding dimension must be >= 1, got %d" % d)
     n = dataset.n
-    if variant not in ("distance", "inner"):
-        raise ValueError("variant must be 'distance' or 'inner'")
-
-    objective = model_mod._SetObjective(
-        data_mod._smoothed(data_mod._set_terms(dataset), cfg.smoothing_alpha))
 
     def build(x):
         half = n * d
@@ -236,6 +211,9 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
 
     rng = np.random.default_rng(cfg.seed)
     x0 = rng.standard_normal(2 * n * d) / math.sqrt(d)
+    build(x0)  # the start's own checks reject a bad variant before the tally
+    objective = model_mod._SetObjective(
+        data_mod._smoothed(data_mod._set_terms(dataset), cfg.smoothing_alpha))
     res = minimize(
         model_mod._minimand(objective, lambda x: _embedding_rates(build(x))),
         x0, jac=True, method="L-BFGS-B",

@@ -452,6 +452,20 @@ class TestRunAudit:
         assert by_name["regularity"]["status"] == "pass"
         assert by_name["cyclic_triplets"]["count"] == 0
 
+    def test_above_twelve_checks_only_the_full_universe(self):
+        # _all_nestings enumerates every nesting up to n=12; above that,
+        # only each item dropped from the full universe
+        report = run_audit(MnlModel(gamma=np.arange(1.0, 14.0)))
+        reg = {c["name"]: c for c in report["checks"]}["regularity"]
+        assert reg["pairs_checked"] == 13
+        assert reg["status"] == "pass"
+
+    def test_bladechest_expands_its_chain(self):
+        report = run_audit(gen_bladechest_circle(5, seed=4))
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["uniform_expansion"]["status"] == "pass"
+        assert by_name["uniform_expansion"]["copies"] == 2
+
     def test_mixture_skips_expansion(self):
         mix = MmnlModel(
             weights=np.array([0.5, 0.5]),

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcmc import cli, data, evaluate, model, serialize
+from pcmc import cli, ctmc, data, evaluate, model, serialize
 from pcmc.cli import main
+from pcmc.errors import SingularSystem
 from pcmc.luce import MnlModel
 from pcmc.model import PcmcModel
 from pcmc.param import BladeChest
@@ -271,12 +272,16 @@ class TestFailureCodes:
                      "--out", str(tmp_path / "m.json")]) == 2
 
     @pytest.mark.parametrize("text", ["0,0 0\n", "0,0\n", "-1,0 1\n",
-                                      "# n=2\n0,0 2\n", "0,0 1\n2,0 1\n"])
-    def test_invalid_observation(self, tmp_path, text):
+                                      "# n=2\n0,0 2\n", "0,0 1\n2,0 1\n",
+                                      "0,0 1\n1,0 1 99999999999999999999\n",
+                                      "# n=99999999999999999999\n0,0 1\n"])
+    def test_invalid_observation(self, synth_files, tmp_path, text):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         assert main(["fit", "--data", str(bad), "--model", "mnl",
                      "--out", str(tmp_path / "m.json")]) == 2
+        assert main(["eval", "--data", str(bad), "--model-file", synth_files[1],
+                     "--out", str(tmp_path / "e.json")]) == 2
 
     def test_unsmoothed_disconnected_data(self, tmp_path):
         # item 2 appears but never wins; without smoothing the
@@ -286,6 +291,19 @@ class TestFailureCodes:
         assert main(["fit", "--data", str(never), "--model", "mnl",
                      "--alpha", "0.0",
                      "--out", str(tmp_path / "m.json")]) == 3
+
+    @pytest.mark.parametrize("kind", ["pcmc", "bladechest"])
+    def test_no_finite_likelihood(self, synth_files, tmp_path, monkeypatch, kind,
+                                  capsys):
+        def singular(*args):
+            raise SingularSystem("stationary masses are not finite")
+
+        monkeypatch.setattr(ctmc, "_stationary_rows", singular)
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", synth_files[0], "--model", kind,
+                     "--max-iters", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
     def test_negative_alpha(self, synth_files, tmp_path, kind, capsys):

@@ -503,6 +503,11 @@ _CHOSEN_SET_FAULTS = {
     "choice after comments": ("# note\n\n0,0 1\n\n# more\n2,0 1\n",
                               InvalidChoice, 6),
     "set after comments": ("# note\n\n0,0 1\n\n1,1\n", ParseError, 5),
+    "id beyond int64": ("0,0 1\n1,0 1 99999999999999999999\n", ParseError, 2),
+    "id at int64 max": ("0,0 1\n1,0 1 9223372036854775807\n", ParseError, 2),
+    "n beyond int64": ("# n=99999999999999999999\n0,0 1\n", ParseError, 0),
+    "range token": ("0,0 1\n1,0 1-2\n", ParseError, 2),
+    "lone minus": ("0,0 1\n1,0 - 1\n", ParseError, 2),
 }
 
 _SF_MATRIX_FAULTS = {

@@ -1,14 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pcmc
 from pcmc import data, luce
 from pcmc.ctmc import RateMatrix, RestrictedGenerator, stationary
 from pcmc.data import ChoiceDataset
 from pcmc.errors import NegativeAlpha, NoConvergence, NotConnected, SameItem
 from pcmc.luce import MmnlModel, MnlModel
+from pcmc.model import log_likelihood
 
 from _support import central_gradient, mixture_loglik, random_terms
 
@@ -58,6 +63,10 @@ class TestMnlModel:
         cond = np.array([full.prob(i) for i in sub])
         cond /= cond.sum()
         assert np.abs(cond - m.probabilities(sub).mass).max() <= 1e-12
+
+
+# 2 is offered in three sets and never chosen
+_NEVER_WINS = [(0, (0, 1)), (1, (0, 1)), (0, (0, 2)), (1, (1, 2)), (0, (0, 1, 2))] * 4
 
 
 class TestFitMnl:
@@ -119,6 +128,22 @@ class TestFitMnl:
         with pytest.raises(NotConnected):
             luce.fit_mnl(ds, alpha=0.1)
 
+    @pytest.mark.parametrize("alpha", [1e-13, 1e-15])
+    def test_not_connected_below_the_kernel_edge(self, alpha):
+        # 2 never wins; its smoothed rates, 1.5 * alpha, are at or below
+        # ctmc.TOL_EDGE, where the stationary kernel sees no edge
+        with pytest.raises(NotConnected):
+            luce.fit_mnl(ChoiceDataset(n=3, observations=_NEVER_WINS), alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-11])
+    def test_weight_of_an_item_that_never_wins(self, alpha):
+        # as alpha -> 0 the weights of 0 and 1 tend to 2/3 and 1/3, and
+        # 2's score equation, 3 * alpha = gamma_2 * 4 * (3/2 + 3 + 1),
+        # gives gamma_2 = 3 * alpha / 22
+        ds = ChoiceDataset(n=3, observations=_NEVER_WINS)
+        gamma = luce.fit_mnl(ds, alpha=alpha).gamma
+        assert gamma[2] == pytest.approx(3 * alpha / 22, rel=1e-3)
+
     def test_no_convergence(self):
         ds = pair_dataset(3, 1)
         with pytest.raises(NoConvergence):
@@ -127,6 +152,17 @@ class TestFitMnl:
     def test_negative_alpha(self):
         with pytest.raises(NegativeAlpha):
             luce.fit_mnl(pair_dataset(3, 1), alpha=-0.5)
+
+
+def test_import_loads_no_graph_library():
+    # the comparison graph is tested by the stationary kernel's own
+    # reachability, so importing the package leaves scipy's csgraph unloaded
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pcmc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pcmc; print(sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert "'pcmc.luce'" in out
+    assert "'scipy.sparse.csgraph'" not in out
 
 
 class TestMmnl:
@@ -205,6 +241,34 @@ class TestFitMmnl:
             return total
 
         assert loglik(mix) >= loglik(mnl) - 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_fits_where_the_luce_start_does_not_exist(self, alpha):
+        # alternative 3 is in no set, so the Luce fit raises NotConnected
+        rows = [(0, (0, 1)), (1, (0, 1)), (1, (1, 2)), (2, (1, 2)), (0, (0, 2)),
+                (0, (0, 1, 2))] * 5
+        ds = ChoiceDataset(n=4, observations=rows)
+        mix = luce.fit_mmnl(ds, k=2, seed=0, alpha=alpha)
+        uniform = MnlModel(gamma=np.ones(4))
+        assert log_likelihood(mix, ds) > log_likelihood(uniform, ds) + 1.0
+
+    @pytest.mark.parametrize("error", [NoConvergence(1), NotConnected("cut")])
+    def test_failed_luce_start_falls_back_to_zero(self, monkeypatch, error):
+        starts, optimize = [], luce.minimize
+
+        def fail(*args, **kwargs):
+            raise error
+
+        def spy(fun, x0, **kwargs):
+            starts.append(x0.copy())
+            return optimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(luce, "fit_mnl", fail)
+        monkeypatch.setattr(luce, "minimize", spy)
+        mix = luce.fit_mmnl(pair_dataset(3, 1), k=1, seed=0, restarts=2)
+        assert not starts[0].any()
+        assert starts[1].any()
+        assert mix.probabilities((0, 1)).prob(0) == pytest.approx(0.75, abs=0.01)
 
     def test_negative_alpha(self):
         with pytest.raises(NegativeAlpha):

@@ -512,6 +512,19 @@ class TestFit:
         assert value == model._PENALTY
         assert np.array_equal(grad, np.zeros_like(x0))
 
+    @pytest.mark.parametrize("fitter", [
+        lambda ds: fit(ds, FitConfig(max_iters=3)),
+        lambda ds: param.fit_bladechest(ds, d=1, cfg=FitConfig(max_iters=3))])
+    def test_no_finite_point_raises_optimizer_failure(self, monkeypatch, fitter):
+        # every stationary solve fails, so every point scores _PENALTY and
+        # the final point has no likelihood either
+        def singular(*args):
+            raise SingularSystem("stationary masses are not finite")
+
+        monkeypatch.setattr(ctmc, "_stationary_rows", singular)
+        with pytest.raises(OptimizerFailure):
+            fitter(pair_dataset(3, 1))
+
     def test_separable_data_without_smoothing(self):
         # 0 always beats 1 and 2, 1 always beats 2: the likelihood grows
         # without bound as the losing rates go to zero

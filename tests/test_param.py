@@ -1,9 +1,10 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pcmc import ctmc, data, luce, model, param
 from pcmc.ctmc import RateMatrix
@@ -173,6 +174,21 @@ class TestBladeChest:
                 s = bladechest_pair(bc, i, j) + bladechest_pair(bc, j, i)
                 assert s == pytest.approx(1.0, abs=1e-12)
 
+    def test_logistic_lower_tail_is_accurate(self):
+        # matchup score of 0 over 1 is b0 . c1 - b1 . c0 = -40
+        bc = BladeChest(n=2, d=1, blades=[[-40.0], [0.0]], chests=[[0.0], [1.0]],
+                        variant="inner")
+        assert bladechest_pair(bc, 0, 1) == pytest.approx(
+            math.exp(-40.0) / (1.0 + math.exp(-40.0)), rel=1e-12, abs=0.0)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="variant"):
+            BladeChest(n=2, d=1, blades=[[0.0], [1.0]], chests=[[1.0], [0.0]],
+                       variant="cosine")
+        ds = ChoiceDataset(n=2, observations=((0, (0, 1)), (1, (0, 1))))
+        with pytest.raises(ValueError, match="variant"):
+            fit_bladechest(ds, d=1, variant="cosine")
+
     def test_to_pcmc_pair_consistency(self):
         bc = data.gen_bladechest_circle(4, seed=5)
         m = bc.to_pcmc()
@@ -226,6 +242,9 @@ class TestBladeChestChainCache:
 class TestEmbeddingGradient:
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from(["distance", "inner"]))
+    # a pair's win probability there is about 1e-8: the logistic must
+    # stay accurate relative to its size in the lower tail
+    @example(seed=26789, variant="distance")
     def test_matches_central_differences(self, seed, variant):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 7))
