@@ -67,3 +67,22 @@ def write_text(path: str, text: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def minimize(fun, x0, *args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call: that import
+    takes longer than loading the rest of the package, and a command
+    that does not fit never needs it. The fitting modules import this
+    name, so each holds it as a module attribute that a caller can swap,
+    as the benchmark's tracer does; an import inside a fitter would
+    bypass the swap."""
+    from scipy.optimize import minimize
+    return minimize(fun, x0, *args, **kwargs)
+
+
+def expit(x):
+    """scipy.special.expit, imported on the first call so that loading
+    the package needs only numpy; a module attribute of its importers
+    for the same reason as minimize."""
+    from scipy.special import expit
+    return expit(x)

@@ -141,12 +141,16 @@ def _build(ds, n, chosen, raw_id, raw_sets, labels=None):
     sizes = np.fromiter(map(len, sets), np.intp, len(sets))
     start = np.concatenate(([0], np.cumsum(sizes)))
     flat = np.fromiter(itertools.chain.from_iterable(sets), np.int64, start[-1])
-    # (set, member) keys rise strictly through flat: one search finds
-    # each choice's slot in its set
-    key = np.repeat(np.arange(len(sets)), sizes) * n + flat
-    want = set_id[:end] * n + ids[:end]
-    slot = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0))
-    offered = (ids[:end] >= 0) & (ids[:end] < n) & (key[slot] == want)
+    # each choice's slot: a binary search of its own set's sorted members
+    # in flat, all rows at once; no (set, member) key, so no n can wrap it
+    want, stop = ids[:end], start[set_id[:end] + 1]
+    lo, hi = start[set_id[:end]], stop
+    for _ in range(int(sizes.max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        below = (lo < hi) & (flat[np.minimum(mid, len(flat) - 1)] < want)
+        lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+    slot = np.minimum(lo, max(len(flat) - 1, 0))
+    offered = (lo < stop) & (flat[slot] == want)
     if not offered.all():
         r = int(np.argmin(offered))
         raise InvalidChoice(r + 1, "chosen %d not in set %s" % (chosen[r], sets[set_id[r]]))

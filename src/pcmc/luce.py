@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import ctmc, data as data_mod
-from .base import LOG_FLOOR
+from .base import LOG_FLOOR, minimize
 from .ctmc import Distribution
 from .errors import (
     EmptyDataset,

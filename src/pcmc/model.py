@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import ctmc, data as data_mod
-from .base import LOG_FLOOR, probabilities_many
+from .base import LOG_FLOOR, minimize, probabilities_many
 from .ctmc import Distribution, RateMatrix, TOL_CONSTRAINT
 from .errors import (
     EmptyDataset,

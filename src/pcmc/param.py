@@ -22,10 +22,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from . import data as data_mod, luce, model as model_mod
+from .base import expit, minimize
 from .ctmc import Distribution, RateMatrix
 from .errors import EmptyDataset, InvalidK, InvalidPairwise, OptimizerFailure
 from .luce import MnlModel

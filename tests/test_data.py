@@ -86,6 +86,58 @@ class TestChoiceDataset:
                            (2, (0, 2))], n=3)
         assert ds.distinct_sets == ((0, 1), (0, 1, 2), (0, 2))
 
+    def test_choice_past_its_set_is_not_offered(self):
+        # 2 lies past every member of (0, 1), so the search for it ends on
+        # the first member of the next set, (2, 3)
+        with pytest.raises(InvalidChoice) as err:
+            make_dataset([(3, (2, 3)), (2, (0, 1))], n=4)
+        assert err.value.line_number == 2
+
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([None, 2 ** 63 - 1]))
+    def test_slots_match_a_plain_search(self, seed, n):
+        # ids up to int64's top and universes as wide: the first row whose
+        # choice its set does not offer is the one reported, and otherwise
+        # each row's slot holds its choice inside its own set
+        rng = np.random.default_rng(seed)
+        pool = [0, 1, 2, 3, 5, 2 ** 62, 2 ** 63 - 3, 2 ** 63 - 2]
+        rows = []
+        for _ in range(int(rng.integers(1, 30))):
+            menu = tuple(int(i) for i in rng.choice(pool, size=int(
+                rng.integers(2, len(pool) + 1)), replace=False))
+            pick = menu if rng.random() < 0.9 else pool + [-1]
+            rows.append((int(pick[int(rng.integers(len(pick)))]), menu))
+        n = n or max(max(s) for _, s in rows) + 1
+        bad = [r for r, (c, s) in enumerate(rows) if c not in s]
+        if bad:
+            with pytest.raises(InvalidChoice) as err:
+                make_dataset(rows, n)
+            assert err.value.line_number == bad[0] + 1
+            return
+        ds = make_dataset(rows, n)
+        start, flat = ds._start, ds._flat
+        for (c, _), k, slot in zip(rows, ds.set_id.tolist(), ds._slot.tolist()):
+            assert start[k] <= slot < start[k + 1] and flat[slot] == c
+
+    def test_universe_near_int64_top(self, tmp_path):
+        # at n = 2**63 - 1, len(sets) * n passes 2**63: the valid files
+        # load, and the invalid one names its own faulty record, as it
+        # does under '# n=4'
+        path = tmp_path / "wide.txt"
+        path.write_text("0,0 1\n1,0 1 9223372036854775806\n1,1 2\n2,2 3\n")
+        ds = data.load(str(path))
+        assert ds.n == 2 ** 63 - 1
+        assert ds.observations == ((0, (0, 1)), (1, (0, 1, 2 ** 63 - 2)),
+                                   (1, (1, 2)), (2, (2, 3)))
+        records = "0,0 1\n1,0 2\n1,1 2\n0,0 3\n"
+        for header in ("# n=9223372036854775807\n", "# n=4\n"):
+            path.write_text(header + records)
+            with pytest.raises(InvalidChoice) as err:
+                data.load(str(path))
+            assert str(err.value) == "line 3: chosen 1 not in set (0, 2)"
+            path.write_text(header + records.replace("1,0 2", "2,0 2"))
+            assert data.load(str(path)).observations == (
+                (0, (0, 1)), (2, (0, 2)), (1, (1, 2)), (0, (0, 3)))
+
 
 class TestCounts:
     def test_exact_tallies(self):

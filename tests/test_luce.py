@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import subprocess
@@ -154,15 +155,74 @@ class TestFitMnl:
             luce.fit_mnl(pair_dataset(3, 1), alpha=-0.5)
 
 
+def _fresh_modules(code):
+    """The modules loaded after code runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pcmc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
 def test_import_loads_no_graph_library():
     # the comparison graph is tested by the stationary kernel's own
     # reachability, so importing the package leaves scipy's csgraph unloaded
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pcmc.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, pcmc; print(sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert "'pcmc.luce'" in out
-    assert "'scipy.sparse.csgraph'" not in out
+    loaded = _fresh_modules("import pcmc")
+    assert "pcmc.luce" in loaded
+    assert "scipy.sparse.csgraph" not in loaded
+
+
+def test_import_loads_no_scipy():
+    # scipy's optimizer and logistic load at the first fit or embedding
+    # evaluation, so the package and its CLI need only numpy to load
+    loaded = _fresh_modules("import pcmc, pcmc.cli")
+    assert "pcmc.cli" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_scoring_a_chain_model_loads_no_optimizer(tmp_path):
+    chain = pcmc.PcmcModel(q=pcmc.gen_random_q(3, 0))
+    model_path, data_path = str(tmp_path / "m.json"), str(tmp_path / "d.txt")
+    pcmc.save_model(chain, model_path)
+    pcmc.save(pcmc.sample(chain, [(0, 1), (0, 1, 2)], 50, 0), data_path)
+    loaded = _fresh_modules(
+        "import pcmc.cli\n"
+        "assert pcmc.cli.main(['eval', '--model-file', %r, '--data', %r, '--out', %r]) == 0\n"
+        "assert pcmc.cli.main(['audit', '--model-file', %r, '--out', %r]) == 0"
+        % (model_path, data_path, data_path + ".eval", model_path, model_path + ".audit"))
+    assert os.path.exists(data_path + ".eval") and os.path.exists(model_path + ".audit")
+    assert "pcmc.axioms" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.special"}
+
+
+def _spy(log, name, fn):
+    def spy(*args, **kwargs):
+        log.append(name)
+        return fn(*args, **kwargs)
+    return spy
+
+
+def test_fitters_look_up_their_module_minimize(monkeypatch):
+    # the benchmark's tracer times each optimizer by swapping the module
+    # attributes model.minimize, luce.minimize and param.minimize, and
+    # param.expit is a module attribute for the same reason: a fitter
+    # that imported either inside itself would slip past the swap
+    from pcmc import model, param
+    calls = []
+    for mod in (model, luce, param):
+        monkeypatch.setattr(mod, "minimize", _spy(calls, mod.__name__, mod.minimize))
+    monkeypatch.setattr(param, "expit", _spy(calls, "expit", param.expit))
+    rows = [(0, (0, 1)), (1, (0, 1)), (2, (0, 1, 2)), (1, (1, 2)), (0, (0, 2))]
+    ds = ChoiceDataset(n=3, observations=tuple(rows) * 4)
+    cfg = model.FitConfig(max_iters=3)
+    for fit, want in ((lambda: model.fit(ds, cfg), {"pcmc.model"}),
+                      (lambda: luce.fit_mmnl(ds, k=2, restarts=1, max_iters=3),
+                       {"pcmc.luce"}),
+                      (lambda: param.fit_bladechest(ds, 1, cfg=cfg),
+                       {"pcmc.param", "expit"})):
+        calls.clear()
+        fit()
+        assert set(calls) == want
 
 
 class TestMmnl:
