@@ -18,6 +18,7 @@ Covers three families of checks:
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -196,15 +197,19 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
                           tol: float = 1e-9) -> list:
     """Regularity violations among the given (subset, superset) pairs.
 
-    Each pair must nest strictly: A a proper subset of B. Returns one
+    Each pair must nest strictly, A a proper subset of B, and name its
+    alternatives by integer ids (a float id raises BadNesting). Returns one
     violation record per (pair, item) where the item's probability rose
     when the menu grew by more than tol. Each distinct menu is solved
     once, in one batched call.
     """
     pairs = []
     for a, b in nestings:
-        sa = tuple(sorted(int(i) for i in a))
-        sb = tuple(sorted(int(i) for i in b))
+        try:
+            sa = tuple(sorted(map(operator.index, a)))
+            sb = tuple(sorted(map(operator.index, b)))
+        except TypeError:
+            raise BadNesting("%r or %r holds a non-integer id" % (a, b)) from None
         if not set(sa) < set(sb):
             raise BadNesting("%s is not a strict subset of %s" % (sa, sb))
         pairs.append((sa, sb))
@@ -352,7 +357,9 @@ def _all_nestings(n, max_universe=12):
 def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
     """Battery of axiom checks on a fitted model, as a plain dict.
 
-    Checks regularity over all one-item-removed nestings, uniform
+    Checks regularity over all one-item-removed nestings for at most 12
+    alternatives, and above that only the n nestings that drop one item
+    from the full universe (see _all_nestings). Also checks uniform
     expansion of the induced rate matrix (skipped when the model has
     none or when the expansion's row sums overflow), and counts cyclic
     triples in the pairwise predictions against the tournament maximum.

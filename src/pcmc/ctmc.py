@@ -12,6 +12,7 @@ first, and reduces the whole stack at once. stationary_many calls it
 once per set size, and stationary on a stack of one.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -92,8 +93,16 @@ class RateMatrix:
         return float(max(0.0, 1.0 - sums[off].min()))
 
 
+def _index(i) -> int:
+    """An alternative id as an int; a float or other non-integer raises."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError("alternative %r is not an integer id" % (i,)) from None
+
+
 def _check_subset(subset, n) -> tuple:
-    members = tuple(int(i) for i in subset)
+    members = tuple(map(_index, subset))
     if len(members) == 0:
         raise EmptySubset("choice set must be nonempty")
     seen = set()

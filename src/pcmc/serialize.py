@@ -3,6 +3,12 @@
 All floats are rendered with the '%.17g' format, which round-trips
 doubles exactly, so identical inputs produce byte-identical files on
 any platform. Model JSON carries a "model" tag naming the family.
+
+dumps appends to one flat buffer. In a list whose first item is a dict
+keyed by strings, each item with the same keys in the same order and
+only exact ints, exact floats and lists of exact ints as values is
+written through one '%' template built from those keys; everything else
+takes the general path. The bytes are those of the general path alone.
 """
 
 import json
@@ -30,26 +36,64 @@ def _fmt_float(x: float) -> str:
 def dumps(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, '%.17g' floats, no
     whitespace surprises, one trailing newline."""
-    return _emit(obj) + "\n"
+    parts = []
+    _emit(obj, parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _emit(obj) -> str:
+def _emit(obj, add) -> None:
+    """Append obj's JSON text to the buffer, part by part, through add."""
     if isinstance(obj, dict):
-        items = ("%s: %s" % (json.dumps(str(k)), _emit(v)) for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _emit(obj.tolist())
-    raise TypeError("cannot serialize %r" % type(obj))
+        add("{")
+        for i, (k, v) in enumerate(obj.items()):
+            add("%s%s: " % (", " if i else "", json.dumps(str(k))))
+            _emit(v, add)
+        add("}")
+    elif isinstance(obj, (list, tuple)):
+        keys = list(obj[0]) if obj and isinstance(obj[0], dict) else None
+        if keys and all(type(k) is str for k in keys):
+            row = "{%s}" % ", ".join(
+                "%s: %%s" % json.dumps(k).replace("%", "%%") for k in keys)
+        else:
+            row = None
+        add("[")
+        for i, v in enumerate(obj):
+            if i:
+                add(", ")
+            cells = row and isinstance(v, dict) and list(v) == keys and _cells(v)
+            if cells:
+                add(row % cells)
+            else:
+                _emit(v, add)
+        add("]")
+    elif isinstance(obj, bool) or obj is None:
+        add(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        add(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        add(_fmt_float(obj))
+    elif isinstance(obj, str):
+        add(json.dumps(obj))
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), add)
+    else:
+        raise TypeError("cannot serialize %r" % type(obj))
+
+
+def _cells(record):
+    """A record's value texts for its template, or None unless every
+    value is an exact int, an exact float or a list of exact ints."""
+    out = []
+    for v in record.values():
+        t = type(v)
+        if t is float:
+            out.append(_fmt_float(v))
+        elif t is int or t is list and all(type(i) is int for i in v):
+            out.append(repr(v))
+        else:
+            return None
+    return tuple(out)
 
 
 def rate_matrix_to_dict(q: RateMatrix) -> dict:

@@ -7,6 +7,7 @@ none of the library's machinery.
 """
 
 import bisect
+import json
 import math
 from fractions import Fraction
 
@@ -384,3 +385,34 @@ def central_gradient(f, x, step):
         lo[k] -= step[k]
         grad[k] = (f(hi) - f(lo)) / (2.0 * step[k])
     return grad
+
+
+def reference_dumps(obj) -> str:
+    """The serializer as first written, one recursive join per level:
+    insertion-ordered keys, '%.17g' floats with -0.0 written as 0, no
+    non-finite values, one trailing newline. serialize.dumps must match
+    it byte for byte."""
+    return _reference_emit(obj) + "\n"
+
+
+def _reference_emit(obj) -> str:
+    if isinstance(obj, dict):
+        items = ("%s: %s" % (json.dumps(str(k)), _reference_emit(v))
+                 for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_reference_emit(v) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError("cannot serialize non-finite value %r" % x)
+        return "%.17g" % (0.0 if x == 0.0 else x)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _reference_emit(obj.tolist())
+    raise TypeError("cannot serialize %r" % type(obj))

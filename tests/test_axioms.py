@@ -272,6 +272,21 @@ class TestRegularity:
         with pytest.raises(BadNesting):
             regularity_violations(m, [((0, 2), (0, 1))])
 
+    def test_float_id_rejected_not_truncated(self):
+        # 1.7 once read as 1, so the sweep audited the subset (0, 1)
+        m = MnlModel(gamma=np.array([0.5, 0.3, 0.2]))
+        with pytest.raises(BadNesting, match="non-integer"):
+            regularity_violations(m, [((0, 1.7), (0, 1, 2))], -1.0)
+        with pytest.raises(BadNesting, match="non-integer"):
+            regularity_violations(m, [((0, 1), (0, 1, np.float64(2)))], -1.0)
+
+    def test_numpy_integer_ids_accepted(self):
+        m = PcmcModel(q=cyclic_matrix(0.9))
+        nesting = (np.array([0, 1]), (np.int64(0), np.int32(1), np.uint8(2)))
+        got = regularity_violations(m, [nesting])
+        assert got == regularity_violations(m, [((0, 1), (0, 1, 2))])
+        assert all(type(i) is int for v in got for i in (v.item,) + v.subset + v.superset)
+
 
 def _brute_force_regularity(model, nestings, tol):
     """Regularity violations by one probabilities call per menu, per

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcmc import cli, ctmc, data, evaluate, model, serialize
+from pcmc import axioms, cli, ctmc, data, evaluate, model, serialize
 from pcmc.cli import main
 from pcmc.errors import SingularSystem
 from pcmc.luce import MnlModel
@@ -238,6 +238,21 @@ class TestAudit:
         report = json.loads(_read(out))
         names = {check["name"] for check in report["checks"]}
         assert {"regularity", "uniform_expansion", "cyclic_triplets"} <= names
+
+    def test_audit_looks_up_module_dumps_and_sweep(self, synth_files, tmp_path,
+                                                   monkeypatch):
+        # the benchmark's tracer times the serialize.* and axioms.regularity.*
+        # layers by swapping these module attributes; an audit that imported
+        # either by name would slip past the swap and empty those metrics
+        _, model_path = synth_files
+        calls = []
+        for mod, name in ((serialize, "dumps"), (axioms, "regularity_violations")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **kw:
+                                calls.append(name) or real(*a, **kw))
+        assert main(["audit", "--model-file", model_path,
+                     "--out", str(tmp_path / "audit.json")]) == 0
+        assert calls == ["regularity_violations", "dumps"]
 
     @pytest.mark.parametrize("text, expansion", [
         # one alternative

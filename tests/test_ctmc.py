@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -99,6 +100,20 @@ class TestRestrict:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
             ctmc.restrict(cyclic_matrix(0.5), (0, 0))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, np.float64(1.0), "1"])
+    def test_non_integer_id_rejected_not_truncated(self, bad):
+        # 1.7 once read as 1, so the restriction was to (0, 1)
+        for solve in (lambda s: ctmc.restrict(cyclic_matrix(0.5), s),
+                      lambda s: ctmc.stationary_many(cyclic_matrix(0.5), [s])):
+            with pytest.raises(ValueError, match=re.escape(
+                    "alternative %r is not an integer id" % (bad,))):
+                solve((0, bad))
+
+    def test_numpy_integer_ids_accepted(self):
+        g = ctmc.restrict(cyclic_matrix(0.5), np.array([2, 0]))
+        assert g.subset == (2, 0) and all(type(i) is int for i in g.subset)
+        assert ctmc.restrict(cyclic_matrix(0.5), (np.int64(0), np.uint8(2))).subset == (0, 2)
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pcmc import data, evaluate, serialize
+from pcmc import axioms, data, evaluate, serialize
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import NonpositiveGamma, ParseError
@@ -12,7 +13,7 @@ from pcmc.luce import MmnlModel, MnlModel
 from pcmc.model import FitReport, PcmcModel, fit
 from pcmc.param import BladeChest
 
-from _support import cyclic_matrix
+from _support import cyclic_matrix, reference_dumps
 
 
 class TestDumps:
@@ -41,6 +42,98 @@ class TestDumps:
 
     def test_trailing_newline(self):
         assert serialize.dumps([]).endswith("\n")
+
+
+# Keys a template must escape or quote: a quote, non-ASCII, '%' signs.
+_KEYS = st.one_of(st.text(max_size=4),
+                  st.sampled_from(["item", '"q"', "\u00e9\u4e2d", "%s", "%%", "a%"]))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INTS = st.integers(-2 ** 70, 2 ** 70)
+_LEAVES = st.one_of(
+    _INTS, st.booleans(), st.none(), _FINITE, st.just(-0.0),
+    st.text(max_size=6), st.sampled_from(['say "hi"', "caf\u00e9", "\\", "%d"]),
+    _FINITE.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.lists(_FINITE, max_size=3).map(np.array),
+    st.lists(_INTS, max_size=3).map(np.array),
+    st.lists(_INTS, max_size=4), st.lists(st.one_of(_INTS, st.booleans()), max_size=3))
+
+
+_FLAT = st.one_of(_INTS, _FINITE, st.lists(_INTS, max_size=4))
+
+
+def _alias(k):
+    """A key equal to k that prints differently, where there is one."""
+    if type(k) is bool:
+        return int(k)
+    return float(k) if type(k) is int else k
+
+
+@st.composite
+def _record_lists(draw, values):
+    """A list (or tuple) of dicts: mostly with one key order, some with
+    the keys reordered, dropped, extended or swapped for equal keys that
+    print differently (1 for True, 1.0 for 1), some items not dicts.
+    Values are mostly the kinds a record template takes."""
+    keys = draw(st.lists(st.one_of(_KEYS, _KEYS, st.booleans(), st.integers(-2, 2)),
+                         min_size=1, max_size=4, unique=True))
+    cell = st.one_of(_FLAT, _FLAT, _FLAT, values)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        shape = draw(st.sampled_from(["same", "same", "same", "mixed", "alias", "other"]))
+        if shape == "other":
+            rows.append(draw(values))
+            continue
+        if shape == "same":
+            order = keys
+        elif shape == "alias":
+            order = [_alias(k) for k in keys]
+        else:
+            order = draw(st.permutations(keys + ["extra"]))[:draw(st.integers(0, len(keys) + 1))]
+        rows.append({k: draw(cell) for k in order})
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(_KEYS, _INTS), children, max_size=4),
+    _record_lists(children)), max_leaves=40)
+
+
+class TestDumpsOracle:
+    """dumps against reference_dumps, the serializer it replaced."""
+
+    @given(_TREES)
+    def test_matches_reference_bytes(self, obj):
+        assert serialize.dumps(obj) == reference_dumps(obj)
+
+    @given(_record_lists(_LEAVES))
+    def test_record_lists_match_reference_bytes(self, rows):
+        assert serialize.dumps({"rows": rows}) == reference_dumps({"rows": rows})
+
+    def test_bool_in_a_record_is_true_not_one(self):
+        rows = [{"a": 1, "b": True, "c": [1, 2]}, {"a": True, "b": 1, "c": [True]}]
+        assert serialize.dumps(rows) == (
+            '[{"a": 1, "b": true, "c": [1, 2]}, {"a": true, "b": 1, "c": [true]}]\n')
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_in_a_record_raises(self, bad):
+        rows = [{"a": 1, "p": 0.5}, {"a": 2, "p": bad}]
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.dumps(rows)
+
+    def test_numpy_bool_raises(self):
+        for obj in (np.bool_(True), [{"a": 1}, {"a": np.bool_(False)}]):
+            with pytest.raises(TypeError):
+                serialize.dumps(obj)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_audit_reports_at_workload_scale(self, seed):
+        # the benchmark's audit workload: thousands of violation records
+        for m in (PcmcModel(q=data.gen_random_q(10, seed)),
+                  data.gen_bladechest_circle(10, seed)):
+            report = axioms.run_audit(m)
+            assert len(report["checks"][0]["violations"]) > 1000
+            assert serialize.dumps(report) == reference_dumps(report)
 
 
 class TestModelRoundTrip:
