@@ -44,7 +44,7 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        blocks = tuple(tuple(sorted(map(ctmc._index, b))) for b in self.blocks)
         flat = [i for b in blocks for i in b]
         if any(len(b) == 0 for b in blocks):
             raise ValueError("blocks must be nonempty")
@@ -242,8 +242,9 @@ class Tournament:
     ties: frozenset
 
     def __post_init__(self):
-        beats = frozenset((int(a), int(b)) for a, b in self.beats)
-        ties = frozenset(tuple(sorted((int(a), int(b)))) for a, b in self.ties)
+        beats = frozenset((ctmc._index(a), ctmc._index(b)) for a, b in self.beats)
+        ties = frozenset(tuple(sorted((ctmc._index(a), ctmc._index(b))))
+                         for a, b in self.ties)
         want = {tuple(sorted(e)) for e in beats}
         expect = {(i, j) for i in range(self.n) for j in range(i + 1, self.n)}
         if want != expect or len(beats) != len(expect):

@@ -53,7 +53,9 @@ def read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(raw.count(b"\n", 0, exc.start) + 1,
                          "byte 0x%02x is not UTF-8 text" % raw[exc.start]) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:  # each replace is a pass over the whole text
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def write_text(path: str, text: str) -> None:

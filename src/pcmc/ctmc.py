@@ -145,7 +145,7 @@ class RestrictedGenerator:
             raise ValueError("generator rows must sum to zero")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
+        object.__setattr__(self, "subset", tuple(map(_index, self.subset)))
 
     @property
     def size(self) -> int:
@@ -161,7 +161,7 @@ class Distribution:
 
     def __post_init__(self):
         m = np.array(self.mass, dtype=float)
-        sup = tuple(int(i) for i in self.support)
+        sup = tuple(map(_index, self.support))
         if m.ndim != 1 or len(m) != len(sup):
             raise ValueError("mass length must match support length")
         if len(sup) != len(set(sup)):
@@ -176,7 +176,7 @@ class Distribution:
 
     def prob(self, item: int) -> float:
         """Mass assigned to one alternative (zero if outside the support)."""
-        item = int(item)
+        item = _index(item)
         for i, s in enumerate(self.support):
             if s == item:
                 return float(self.mass[i])

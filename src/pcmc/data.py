@@ -442,86 +442,136 @@ def _load_labels(path: str, n: int):
 _CHUNK_ROWS = 4096
 
 
-def _plain(lines, alphabet):
-    """The lines as bytes, each ended by a newline; None if one holds a
-    character outside the ASCII alphabet."""
-    raw = ("\n".join(lines) + "\n").encode()
-    return None if raw.translate(None, alphabet + b"\n") else raw
+def _records(text: str, alphabet: bytes):
+    """The stripped lines of a file that holds a '#' (else []), and its
+    record lines as one uint8 array, each line ended by a newline; None
+    if a record holds a byte outside the ASCII alphabet. When the text
+    holds a '#', a line filter drops comment and blank lines as the line
+    loops do; otherwise blank lines stay, as lines holding no token."""
+    lines = []
+    if "#" in text:
+        lines = list(map(str.strip, text.splitlines()))
+        text = "\n".join([s for s in lines if s and s[0] != "#"])
+    raw = text.encode()
+    if raw.translate(None, alphabet + b"\n"):
+        return None
+    return lines, np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)
+
+
+def _blocks(b):
+    """The tokens of the lines of b, _CHUNK_ROWS lines at a time, so the
+    position arrays stay small; a token is a run of digits. Each block is
+    (block, ends, starts, count): its bytes, and the offset of each line's
+    newline, the offset of each token and the number of tokens per line."""
+    newlines = np.flatnonzero(b == ord("\n"))
+    for first in range(0, len(newlines), _CHUNK_ROWS):
+        lo = newlines[first - 1] + 1 if first else 0
+        ends = newlines[first:first + _CHUNK_ROWS] - lo
+        block = b[lo:lo + ends[-1] + 1]
+        digit = np.r_[False, block >= ord("0")]  # digit[i + 1]: block[i] is a digit
+        starts = np.flatnonzero(digit[1:] > digit[:-1])
+        yield block, ends, starts, np.diff(np.searchsorted(starts, ends), prepend=0)
+
+
+def _integers(b, starts):
+    """The values of the runs of digits that begin at starts in the byte
+    array b; None if one is longer than 18 digits, past which an int64
+    could overflow."""
+    value, at = np.zeros(len(starts), np.int64), starts.copy()
+    for _ in range(18):  # in place: a fresh array per digit raised peak RSS
+        digit = b[at] - np.uint8(ord("0"))  # wraps below '0'
+        more = digit < 10
+        if not more.any():
+            return value
+        np.multiply(value, 10, out=value, where=more)
+        np.add(value, digit, out=value, where=more)
+        at += more
+    return None if (b[at] >= ord("0")).any() else value
 
 
 def _distinct_rows(block):
     """The distinct rows of a 2-d array and each row's index among them,
-    keyed by each row's bytes (np.unique(axis=0) is far slower)."""
+    keyed by each row's bytes (np.unique(axis=0) is far slower). A row
+    of at most 8 bytes is keyed as a big-endian integer, which sorts in
+    the same order as its bytes and far faster than a void key."""
     block = np.ascontiguousarray(block)
-    keys = block.view(np.dtype((np.void, block.strides[0]))).ravel()
-    rows, inverse = np.unique(keys, return_inverse=True)
-    return rows.view(block.dtype).reshape(len(rows), -1), inverse
+    width = block.strides[0]
+    if width <= 8:
+        keys = np.zeros((len(block), 8), np.uint8)
+        keys[:, :width] = block.view(np.uint8).reshape(len(block), width)
+        keys = keys.view(">u8")
+    else:
+        keys = block.view(np.dtype((np.void, width)))
+    rows, inverse = np.unique(keys.ravel(), return_inverse=True)
+    return rows.view(np.uint8).reshape(len(rows), -1)[:, :width].view(block.dtype), inverse
 
 
 def _chosen_set_columns(text: str):
-    """n and the columns of a chosen-set-v1 file, tokenised as one byte
-    array; None for a file the line loop must read. It reads only lines
-    of one nonnegative decimal chosen id, one comma and at least two
-    such member ids, all below any '# n='."""
-    lines = list(map(str.strip, text.splitlines()))
-    raw = _plain([s for s in lines if s and s[0] != "#"], b"0123456789-, \t")
-    if raw is None:
+    """n and the columns of a chosen-set-v1 file, read from its token
+    blocks (_blocks); None for a file the line loop must read. It reads
+    only lines of a chosen id, one comma and at least two member ids,
+    each id at most 18 ASCII digits and all below any '# n='; so a
+    '-', '+' or '.' sends the file to the line loop."""
+    records = _records(text, b"0123456789, \t")
+    if records is None:
         return None
-    b = np.frombuffer(raw, np.uint8)
-    token = b > ord(",")  # a digit or '-'
-    starts = np.flatnonzero(token & ~np.r_[False, token[:-1]])
-    newlines = np.flatnonzero(b == ord("\n"))
-    commas = np.flatnonzero(b == ord(","))
-    rows = len(newlines)
-    if len(commas) != rows or (np.searchsorted(newlines, commas) != np.arange(rows)).any():
+    chosen, members, size = [], [], []
+    for b, ends, starts, count in _blocks(records[1]):
+        # one comma on each line holding a token and no other, so
+        # commas[k] is record k's: its first token lies before that
+        # comma and its second after it
+        commas = np.flatnonzero(b == ord(","))
+        lines = np.flatnonzero(count)
+        count = count[lines]
+        first = np.cumsum(count) - count  # each record's first token
+        values = _integers(b, starts)
+        if (not np.array_equal(np.searchsorted(ends, commas), lines) or (count < 3).any()
+                or values is None or (starts[first] > commas).any()
+                or (starts[first + 1] < commas).any()):
+            return None
+        chosen.append(values[first])
+        members.append(np.delete(values, first))
+        size.append(count - 1)
+    chosen, members, size = map(np.concatenate, (chosen, members, size))
+    if len(size) == 0:
         return None
-    line = np.searchsorted(newlines, starts)
-    left = starts < commas[line]  # the chosen id, if alone before the comma
-    if (np.bincount(line[left], minlength=rows) != 1).any():
-        return None
-    try:
-        values = np.array(raw.replace(b",", b" ").split()).astype(np.int64)
-    except (ValueError, OverflowError):  # '-', '1-2', an id beyond int64
-        return None
-    members, size = values[~left], np.bincount(line[~left], minlength=rows)
-    if values.min() < 0 or size.min() < 2 or members.max() >= _MAX_N:
-        return None
-    n = _declared_n(lines, int(members.max()) + 1)
+    n = _declared_n(records[0], int(members.max()) + 1)
     if members.max() >= n:
         return None
-    raw_id, raw_sets = np.empty(rows, np.intp), []
+    raw_id, raw_sets = np.empty(len(size), np.intp), []
     offset = np.cumsum(size) - size
     for s in np.unique(size):
         at = np.flatnonzero(size == s)
         sets, inverse = _distinct_rows(members[offset[at, None] + np.arange(s)])
         raw_id[at] = inverse + len(raw_sets)
         raw_sets += map(tuple, sets.tolist())
-    return n, values[left], raw_id, raw_sets
+    return n, chosen, raw_id, raw_sets
 
 
 def _sf_matrix_columns(text: str):
-    """n and the columns of an sf-matrix file, parsed by np.loadtxt in
-    chunks of int32 rows and keyed by their packed indicator bits; None
-    for a file the line loop must read: any token but a decimal integer,
-    a comma, a ragged row, a width below 3 or an indicator outside
-    {0, 1}."""
-    records = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    """n and the columns of an sf-matrix file, read from its token
+    blocks (_blocks), each indicator as its one byte and each set keyed
+    by its packed indicator bits; None for a file the line loop must
+    read: a byte outside comments but a digit, space, tab or newline (so
+    a comma, '-', '+' or '.'), a chosen id of more than 18 digits, a
+    ragged row, a width below 3, or an indicator but the byte 0 or 1."""
+    records = _records(text, b"0123456789 \t")
+    if records is None:
+        return None
     chosen, keys, width = [], [], None
-    for i in range(0, len(records), _CHUNK_ROWS):
-        chunk = records[i:i + _CHUNK_ROWS]
-        if _plain(chunk, b"0123456789- \t") is None:
+    for b, _, starts, count in _blocks(records[1]):
+        count = count[count > 0]
+        if len(count) == 0:
+            continue
+        width = width or int(count[0])
+        if width < 3 or (count != width).any():
             return None
-        try:
-            a = np.loadtxt(chunk, dtype=np.int32, comments=None, ndmin=2)
-        except (ValueError, OverflowError):
+        bits = b[starts].reshape(-1, width)[:, 1:] - np.uint8(ord("0"))
+        single = b[starts + 1].reshape(-1, width)[:, 1:] < ord("0")
+        chosen.append(_integers(b, starts[::width]))
+        if chosen[-1] is None or (bits > 1).any() or not single.all():
             return None
-        width = width or a.shape[1]
-        indicators = a[:, 1:]
-        if (a.shape[1] != width or width < 3 or indicators.min() < 0
-                or indicators.max() > 1):
-            return None
-        chosen.append(a[:, 0])
-        keys.append(np.packbits(indicators, axis=1))
+        keys.append(np.packbits(bits, axis=1))
     if width is None:
         return None
     sets, raw_id = _distinct_rows(np.concatenate(keys))
@@ -603,8 +653,8 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     """Read a dataset file. Formats: "chosen-set-v1" (native) and
     "sf-matrix" (chosen index plus 0/1 membership columns).
 
-    The file is parsed as whole arrays; a file the array parser
-    declines goes to the line loop, which raises any format error at
+    The file is read by the byte tokeniser (_blocks); a file the array
+    parser declines goes to the line loop, which raises any format error at
     its file line. Both give the same columns to one validation, whose
     errors are renumbered from observation to file line."""
     text = read_text(path)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as data_mod, luce, model as model_mod, param
 from .base import ChoiceModel, probabilities_many
-from .ctmc import Distribution
+from .ctmc import Distribution, _index
 from .errors import EmptyDataset, PcmcError, UnseenSet
 from .model import FitConfig
 
@@ -24,7 +24,7 @@ _KINDS = ("pcmc", "mnl", "mmnl", "bladechest")
 
 def empirical_distribution(test: data_mod.ChoiceDataset, subset) -> Distribution:
     """Observed choice frequencies for one set in the test data."""
-    s = tuple(sorted(int(i) for i in subset))
+    s = tuple(sorted(map(_index, subset)))
     for idx, w in data_mod._set_terms(test):
         if idx.shape[1] == len(s):
             for row in np.flatnonzero((idx == s).all(axis=1)):

@@ -71,7 +71,7 @@ def _weights(gamma) -> np.ndarray:
 
 def _check_pair(i, j, n) -> tuple:
     """i and j as ints, once checked to be two distinct ids in [0, n)."""
-    i, j = int(i), int(j)
+    i, j = ctmc._index(i), ctmc._index(j)
     if i == j:
         raise SameItem("cannot compare alternative %d with itself" % i)
     for k in (i, j):

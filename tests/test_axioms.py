@@ -57,6 +57,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(n=2, blocks=((0, 1), ()))
 
+    def test_float_id_rejected_not_truncated(self):
+        # once read as ((0,), (1,))
+        with pytest.raises(ValueError, match="alternative 0.9 is not an integer id"):
+            Partition(n=2, blocks=((0.9,), (1.2,)))
+        part = Partition(n=2, blocks=((np.int64(1),), (np.uint8(0),)))
+        assert part.blocks == ((1,), (0,)) and type(part.blocks[0][0]) is int
+
 
 class TestCheckContractible:
     def test_singletons_always_contract(self):
@@ -389,6 +396,15 @@ class TestTournament:
         t = tournament_from_pairwise(p)
         assert t.beats == frozenset({(1, 0)})
         assert t.ties == frozenset({(0, 1)})
+
+    def test_float_id_rejected_not_truncated(self):
+        # once read as {(1, 0)}
+        with pytest.raises(ValueError, match="alternative 1.5 is not an integer id"):
+            Tournament(n=2, beats=[(1.5, 0.2)], ties=[])
+        with pytest.raises(ValueError, match="alternative 0.0 is not an integer id"):
+            Tournament(n=2, beats=[(1, 0)], ties=[(0.0, 1)])
+        t = Tournament(n=2, beats=[(np.int64(1), np.uint8(0))], ties=[(np.int32(0), 1)])
+        assert t.beats == frozenset({(1, 0)}) and t.ties == frozenset({(0, 1)})
 
     def test_work_fixture_has_two_cycles(self):
         t = tournament_from_pairwise(pairwise_from_rates(QHAT_WORK))

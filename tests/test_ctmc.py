@@ -120,6 +120,13 @@ class TestRestrict:
             RestrictedGenerator(subset=(0, 1), matrix=np.array([[-1.0, 0.5],
                                                                 [0.5, -0.5]]))
 
+    def test_generator_float_subset_rejected_not_truncated(self):
+        matrix = np.array([[-0.5, 0.5], [0.5, -0.5]])
+        with pytest.raises(ValueError, match="alternative 1.5 is not an integer id"):
+            RestrictedGenerator(subset=(0, 1.5), matrix=matrix)
+        g = RestrictedGenerator(subset=np.array([2, 0]), matrix=matrix)
+        assert g.subset == (2, 0) and all(type(i) is int for i in g.subset)
+
 
 class TestClosedClasses:
     def test_cycle_is_one_class(self):
@@ -464,3 +471,13 @@ class TestDistribution:
         assert d.prob(5) == 0.75
         assert d.as_dict() == {3: 0.25, 5: 0.75}
         assert d.prob(4) == 0.0
+
+    def test_float_ids_rejected_not_truncated(self):
+        # support (3.7, 5) was once read as (3, 5), and prob(5.2) as prob(5)
+        with pytest.raises(ValueError, match="alternative 3.7 is not an integer id"):
+            Distribution(support=(3.7, 5), mass=np.array([0.25, 0.75]))
+        d = Distribution(support=np.array([3, 5]), mass=np.array([0.25, 0.75]))
+        assert d.support == (3, 5) and all(type(i) is int for i in d.support)
+        assert d.prob(np.int64(5)) == 0.75
+        with pytest.raises(ValueError, match="alternative 5.2 is not an integer id"):
+            d.prob(5.2)

@@ -759,3 +759,68 @@ class TestParserEquivalence:
             assert columns(text) is not None
             got, want = _load_both(text, fmt)
             assert got == want and got[1] == tuple(rows)
+
+    @given(st.sampled_from([2, 3]), _file(_chosen_set_record))
+    def test_chosen_set_across_blocks(self, rows, text):
+        # blocks of 2 or 3 lines, so these short files cross block edges
+        with mock.patch.object(data, "_CHUNK_ROWS", rows):
+            got, want = _load_both(text, "chosen-set-v1")
+        assert got == want
+
+    @given(st.sampled_from([2, 3]), _sf_matrix_file())
+    def test_sf_matrix_across_blocks(self, rows, text):
+        with mock.patch.object(data, "_CHUNK_ROWS", rows):
+            got, want = _load_both(text, "sf-matrix")
+        assert got == want
+
+
+def _plain_rows(n, count, seed):
+    """count (chosen, menu) rows over n alternatives, menus of 2 to 6."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        menu = np.sort(rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)),
+                                  replace=False))
+        rows.append((int(rng.choice(menu)), tuple(menu.tolist())))
+    return rows
+
+
+def _record_lines(rows, n, fmt, sep=" "):
+    if fmt == "sf-matrix":
+        return [sep.join([str(c)] + ["1" if i in s else "0" for i in range(n)])
+                for c, s in rows]
+    return ["%d,%s" % (c, sep.join(map(str, s))) for c, s in rows]
+
+
+class TestArrayPathFiles:
+    """Plain files the array parser reads itself, without declining
+    them to the line loop, with the line loop's result."""
+
+    @staticmethod
+    def _check(lines, fmt, rows):
+        text = "\n".join(lines) + "\n"
+        assert data._FORMATS[fmt][0](text) is not None
+        got, want = _load_both(text, fmt)
+        assert got == want and got[1] == tuple(rows)
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 70])
+    def test_wide_sf_matrix(self, n):
+        # a mask of up to 64 bits is one 8-byte integer key; 65 and 70
+        # need more bytes
+        rows = _plain_rows(n, 300, seed=n)
+        self._check(_record_lines(rows, n, "sf-matrix"), "sf-matrix", rows)
+
+    @pytest.mark.parametrize("fmt", ["chosen-set-v1", "sf-matrix"])
+    @pytest.mark.parametrize("style", ["tabs", "padded", "blank lines", "comments"])
+    def test_longer_than_a_block(self, fmt, style):
+        edge = data._CHUNK_ROWS
+        rows = _plain_rows(6, edge + 10, seed=7)
+        lines = _record_lines(rows, 6, fmt, "\t" if style == "tabs" else " ")
+        if style == "padded":
+            lines = [" " * (k % 3) + s + " \t"[:k % 3] for k, s in enumerate(lines)]
+        elif style == "blank lines":
+            # the last line of the first block and the first of the second
+            lines[edge - 1:edge - 1] = ["", " \t"]
+        elif style == "comments":
+            lines[edge - 1:edge - 1] = ["# note", "", "#", "# n=6"]
+        self._check(lines, fmt, rows)

@@ -43,6 +43,13 @@ class TestEmpiricalDistribution:
         with pytest.raises(UnseenSet):
             empirical_distribution(pair_dataset(1, 1), (0, 2))
 
+    def test_float_id_rejected_not_truncated(self):
+        # (0, 1.9) was once read as the observed set (0, 1)
+        with pytest.raises(ValueError, match="alternative 1.9 is not an integer id"):
+            empirical_distribution(pair_dataset(3, 1), (0, 1.9))
+        d = empirical_distribution(pair_dataset(3, 1), np.array([1, 0]))
+        assert d.support == (0, 1) and np.allclose(d.mass, [0.75, 0.25])
+
     def test_reads_the_tally_not_count_tables(self, monkeypatch):
         ds = data.sample(MnlModel(gamma=np.array([0.4, 0.3, 0.2, 0.1])),
                          [(0, 1), (1, 2, 3), (0, 1, 2, 3)], count=200, seed=5)

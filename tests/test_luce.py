@@ -41,6 +41,13 @@ class TestMnlModel:
         m = MnlModel(gamma=np.array([0.6, 0.3, 0.1]))
         assert luce.btl_pair(m, 0, 2) == pytest.approx(6.0 / 7.0, abs=1e-15)
 
+    def test_btl_pair_float_id_rejected_not_truncated(self):
+        # (0, 1.5) was once read as (0, 1)
+        m = MnlModel(gamma=np.array([0.6, 0.3, 0.1]))
+        with pytest.raises(ValueError, match="alternative 1.5 is not an integer id"):
+            luce.btl_pair(m, 0, 1.5)
+        assert luce.btl_pair(m, np.int64(0), np.uint8(2)) == pytest.approx(6.0 / 7.0)
+
     def test_btl_pair_same_item(self):
         with pytest.raises(SameItem):
             luce.btl_pair(MnlModel(gamma=np.array([1.0, 1.0])), 1, 1)
