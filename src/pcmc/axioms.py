@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ctmc
-from .base import ChoiceModel, probabilities_many
+from .base import ChoiceModel, probabilities_many, probabilities_rows
 from .ctmc import Distribution, RateMatrix
 from .errors import (
     BadNesting,
@@ -198,10 +198,10 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
     """Regularity violations among the given (subset, superset) pairs.
 
     Each pair must nest strictly, A a proper subset of B, and name its
-    alternatives by integer ids (a float id raises BadNesting). Returns one
-    violation record per (pair, item) where the item's probability rose
-    when the menu grew by more than tol. Each distinct menu is solved
-    once, in one batched call.
+    alternatives by distinct integer ids (a float or a repeated id raises
+    BadNesting). Returns one violation record per (pair, item) where the
+    item's probability rose when the menu grew by more than tol. Each
+    distinct menu is solved once, in one batched call per menu size.
     """
     pairs = []
     for a, b in nestings:
@@ -210,7 +210,10 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
             sb = tuple(sorted(map(operator.index, b)))
         except TypeError:
             raise BadNesting("%r or %r holds a non-integer id" % (a, b)) from None
-        if not set(sa) < set(sb):
+        ua, ub = set(sa), set(sb)
+        if len(ua) < len(sa) or len(ub) < len(sb):
+            raise BadNesting("%s or %s repeats an alternative" % (sa, sb))
+        if not ua < ub:
             raise BadNesting("%s is not a strict subset of %s" % (sa, sb))
         pairs.append((sa, sb))
     menus = list(dict.fromkeys(s for pair in pairs for s in pair))
@@ -286,10 +289,9 @@ def tournament_from_pairwise(p) -> Tournament:
 def tournament_from_model(model: ChoiceModel) -> Tournament:
     """Tournament induced by a model's pairwise choice probabilities."""
     n = model.n
-    pairs = list(itertools.combinations(range(n), 2))
+    i, j = np.triu_indices(n, k=1)
     a = np.zeros((n, n))
-    for (i, j), m in zip(pairs, probabilities_many(model, pairs)):
-        a[i, j], a[j, i] = m
+    a[i, j], a[j, i] = probabilities_rows(model, np.column_stack([i, j])).T
     return tournament_from_pairwise(a)
 
 

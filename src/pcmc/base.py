@@ -12,7 +12,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .ctmc import Distribution
+from .ctmc import Distribution, _check_rows, _check_subset
 from .errors import ParseError
 
 # Probabilities are floored at this value inside logs.
@@ -21,7 +21,9 @@ LOG_FLOOR = 1e-12
 
 @runtime_checkable
 class ChoiceModel(Protocol):
-    """Anything that maps choice sets to choice distributions."""
+    """Anything that maps choice sets to choice distributions. It may also
+    define probabilities_many(idx), which maps an (m, s) int array of m
+    sets of checked ids to the (m, s) array of their masses, row by row."""
 
     @property
     def n(self) -> int:
@@ -33,14 +35,46 @@ class ChoiceModel(Protocol):
         ...
 
 
-def probabilities_many(model: ChoiceModel, sets: Sequence) -> list:
-    """Choice masses of the model on each set, in input order: from the
-    model's own probabilities_many when it has one, else one
-    probabilities call per set, read item by item from its support."""
+class BatchedModel:
+    """Base of the package's families, which define n and
+    probabilities_many: probabilities is that method on a stack of one."""
+
+    def probabilities(self, subset: Sequence[int]) -> Distribution:
+        """Choice distribution over one set: probabilities_many on a stack of one."""
+        members = _check_subset(subset, self.n)
+        mass = self.probabilities_many(np.array([members]))[0]
+        return Distribution(support=members, mass=mass)
+
+
+def probabilities_rows(model: ChoiceModel, idx) -> np.ndarray:
+    """Choice masses of the model on each row of an (m, s) int array of
+    equal-size sets, aligned with idx, once ctmc._check_rows has checked
+    the batch: from the model's own probabilities_many, else one
+    probabilities call per set."""
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or idx.dtype.kind not in "iu":
+        raise ValueError("need an (m, s) integer array, got %s %s" % (idx.dtype, idx.shape))
+    _check_rows(idx, model.n)
     if hasattr(model, "probabilities_many"):
-        return model.probabilities_many(sets)
-    dists = [model.probabilities(s) for s in sets]
-    return [np.array([d.prob(i) for i in s]) for s, d in zip(sets, dists)]
+        return model.probabilities_many(idx)
+    dists = [(s, model.probabilities(s).as_dict()) for s in idx.tolist()]
+    return np.array([[d.get(i, 0.0) for i in s] for s, d in dists]).reshape(idx.shape)
+
+
+def probabilities_many(model: ChoiceModel, sets: Sequence) -> list:
+    """Choice masses of the model on each set, in input order, each
+    aligned with its set's members: one probabilities_rows call per set
+    size."""
+    sizes = {}
+    for k, s in enumerate(sets):
+        sizes.setdefault(len(s), []).append(k)
+    out = {}
+    for ks in sizes.values():
+        idx = np.array([sets[k] for k in ks])
+        if idx.dtype.kind not in "iu":  # _check_subset names the id at fault
+            idx = np.array([_check_subset(sets[k], model.n) for k in ks])
+        out.update(zip(ks, probabilities_rows(model, idx)))
+    return [out[k] for k in range(len(sets))]
 
 
 def read_text(path: str) -> str:

@@ -8,13 +8,13 @@ reduction, which needs no certificate; states outside the single closed
 class receive zero mass. One batched kernel serves every caller: it
 finds each chain's closed class from the reachability matrix of its
 stack, reorders a chain that is not irreducible so that its class comes
-first, and reduces the whole stack at once. stationary_many calls it
-once per set size, and stationary on a stack of one.
+first, and reduces the whole stack at once. The chain models call it
+on each batch of equal-size sets, and stationary on a stack of one.
 """
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -101,17 +101,24 @@ def _index(i) -> int:
         raise ValueError("alternative %r is not an integer id" % (i,)) from None
 
 
-def _check_subset(subset, n) -> tuple:
-    members = tuple(map(_index, subset))
-    if len(members) == 0:
+def _check_rows(idx, n) -> None:
+    """Raise unless every row of an (m, s) array of integer ids is a
+    nonempty set of distinct ids in [0, n), as one check of the batch."""
+    if len(idx) and not idx.shape[1]:
         raise EmptySubset("choice set must be nonempty")
-    seen = set()
-    for i in members:
-        if i < 0 or i >= n:
-            raise IndexOutOfRange("alternative %d outside [0, %d)" % (i, n))
-        if i in seen:
-            raise ValueError("duplicate alternative %d in subset" % i)
-        seen.add(i)
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise IndexOutOfRange("alternative %d outside [0, %d)" % (idx[outside][0], n))
+    ordered = np.sort(idx, axis=1)
+    twice = ordered[:, 1:] == ordered[:, :-1]
+    if twice.any():
+        raise ValueError("duplicate alternative %d in subset" % ordered[:, 1:][twice][0])
+
+
+def _check_subset(subset, n) -> tuple:
+    """A set's ids as Python ints, checked as _check_rows checks a row."""
+    members = tuple(map(_index, subset))
+    _check_rows(np.array([members], dtype=object), n)
     return members
 
 
@@ -176,11 +183,7 @@ class Distribution:
 
     def prob(self, item: int) -> float:
         """Mass assigned to one alternative (zero if outside the support)."""
-        item = _index(item)
-        for i, s in enumerate(self.support):
-            if s == item:
-                return float(self.mass[i])
-        return 0.0
+        return self.as_dict().get(_index(item), 0.0)
 
     def as_dict(self) -> dict:
         return {s: float(p) for s, p in zip(self.support, self.mass)}
@@ -312,23 +315,3 @@ def _stationary_rows(rates, idx):
             raise MultipleClosedClasses(classes)
         raise SingularSystem("stationary masses are not finite in double precision")
     return pi, sub
-
-
-def _size_groups(sets):
-    """Positions and (m, s) index array of each set size present."""
-    groups = {}
-    for k, s in enumerate(sets):
-        groups.setdefault(len(s), []).append(k)
-    return [(ks, np.array([sets[k] for k in ks])) for ks in groups.values()]
-
-
-def stationary_many(q: RateMatrix, sets: Sequence) -> list:
-    """Stationary masses of the chain restricted to each set, in input
-    order, each aligned with its set's members. The sets of one size
-    share one _stationary_rows call."""
-    members = [_check_subset(s, q.n) for s in sets]
-    out = [None] * len(members)
-    for ks, idx in _size_groups(members):
-        for k, row in zip(ks, _stationary_rows(q.rates, idx)[0]):
-            out[k] = row
-    return out

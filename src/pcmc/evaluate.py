@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import data as data_mod, luce, model as model_mod, param
-from .base import ChoiceModel, probabilities_many
+from .base import ChoiceModel, probabilities_rows
 from .ctmc import Distribution, _index
 from .errors import EmptyDataset, PcmcError, UnseenSet
 from .model import FitConfig
@@ -59,8 +59,8 @@ def prediction_error(model: ChoiceModel, test: data_mod.ChoiceDataset) -> ErrorR
         raise EmptyDataset("cannot evaluate on an empty dataset")
     per_set, weights = {}, {}
     for idx, w in data_mod._set_terms(test):
+        pred = probabilities_rows(model, idx)
         sets = list(map(tuple, idx.tolist()))
-        pred = np.array(probabilities_many(model, sets))
         l1 = np.abs(pred - w / w.sum(axis=1, keepdims=True)).sum(axis=1)
         per_set.update(zip(sets, l1.tolist()))
         weights.update(zip(sets, w.sum(axis=1).tolist()))

@@ -16,16 +16,13 @@ softmax, component utilities via per-set softmax), with random restarts.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import ctmc, data as data_mod
-from .base import LOG_FLOOR, minimize
-from .ctmc import Distribution
+from .base import LOG_FLOOR, BatchedModel, minimize
 from .errors import (
     EmptyDataset,
-    IndexOutOfRange,
     InvalidK,
     NoConvergence,
     NonpositiveGamma,
@@ -36,7 +33,7 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class MnlModel:
+class MnlModel(BatchedModel):
     """Multinomial logit model with strictly positive weights.
 
     Weights are normalized to sum to one on construction; the model is
@@ -55,8 +52,13 @@ class MnlModel:
     def n(self) -> int:
         return len(self.gamma)
 
-    def probabilities(self, subset: Sequence[int]) -> Distribution:
-        return mnl_probabilities(self, subset)
+    def probabilities_many(self, idx: np.ndarray) -> np.ndarray:
+        """Weight over total weight on each row of checked (m, s) ids."""
+        g = self.gamma[idx]
+        return g / g.sum(axis=1, keepdims=True)
+
+
+mnl_probabilities = MnlModel.probabilities
 
 
 def _weights(gamma) -> np.ndarray:
@@ -74,17 +76,7 @@ def _check_pair(i, j, n) -> tuple:
     i, j = ctmc._index(i), ctmc._index(j)
     if i == j:
         raise SameItem("cannot compare alternative %d with itself" % i)
-    for k in (i, j):
-        if k < 0 or k >= n:
-            raise IndexOutOfRange("alternative %d outside [0, %d)" % (k, n))
-    return i, j
-
-
-def mnl_probabilities(model: MnlModel, subset: Sequence[int]) -> Distribution:
-    """Luce choice distribution over a set: weight over total weight."""
-    members = ctmc._check_subset(subset, model.n)
-    g = model.gamma[np.array(members, dtype=int)]
-    return Distribution(support=members, mass=g / g.sum())
+    return ctmc._check_subset((i, j), n)
 
 
 def btl_pair(model: MnlModel, i: int, j: int) -> float:
@@ -140,7 +132,7 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
 
 
 @dataclass(frozen=True)
-class MmnlModel:
+class MmnlModel(BatchedModel):
     """Finite mixture of Luce models with simplex mixing weights."""
 
     weights: np.ndarray
@@ -170,17 +162,13 @@ class MmnlModel:
     def k(self) -> int:
         return len(self.components)
 
-    def probabilities(self, subset: Sequence[int]) -> Distribution:
-        return mmnl_probabilities(self, subset)
+    def probabilities_many(self, idx: np.ndarray) -> np.ndarray:
+        """Weighted average of the component masses, row by row."""
+        mass = sum(w * c.probabilities_many(idx) for w, c in zip(self.weights, self.components))
+        return mass / mass.sum(axis=1, keepdims=True)
 
 
-def mmnl_probabilities(model: MmnlModel, subset: Sequence[int]) -> Distribution:
-    """Weighted average of the component choice distributions."""
-    members = ctmc._check_subset(subset, model.n)
-    mass = np.zeros(len(members))
-    for w, comp in zip(model.weights, model.components):
-        mass += w * mnl_probabilities(comp, members).mass
-    return Distribution(support=members, mass=mass / mass.sum())
+mmnl_probabilities = MmnlModel.probabilities
 
 
 def default_mixture_size(n: int) -> int:

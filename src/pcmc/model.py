@@ -20,13 +20,13 @@ their smallest pair sum when it is below one.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import ctmc, data as data_mod
-from .base import LOG_FLOOR, minimize, probabilities_many
-from .ctmc import Distribution, RateMatrix, TOL_CONSTRAINT
+from .base import LOG_FLOOR, BatchedModel, minimize, probabilities_rows
+from .ctmc import RateMatrix, TOL_CONSTRAINT
 from .errors import (
     EmptyDataset,
     InfeasibleStart,
@@ -41,7 +41,7 @@ _PENALTY = 1e12
 
 
 @dataclass(frozen=True)
-class PcmcModel:
+class PcmcModel(BatchedModel):
     """Choice model parameterized by a rate matrix.
 
     The matrix must be canonical (every pair sum at least 1 within
@@ -63,16 +63,12 @@ class PcmcModel:
     def n(self) -> int:
         return self.q.n
 
-    def probabilities(self, subset: Sequence[int]) -> Distribution:
-        return choice_probabilities(self, subset)
-
-    def probabilities_many(self, sets: Sequence) -> list:
-        return ctmc.stationary_many(self.q, sets)
+    def probabilities_many(self, idx: np.ndarray) -> np.ndarray:
+        """Stationary masses of the chain restricted to each row."""
+        return ctmc._stationary_rows(self.q.rates, idx)[0]
 
 
-def choice_probabilities(model: PcmcModel, subset: Sequence[int]) -> Distribution:
-    """Stationary distribution of the chain restricted to the set."""
-    return ctmc.stationary(ctmc.restrict(model.q, subset))
+choice_probabilities = PcmcModel.probabilities
 
 
 def log_likelihood(model, dataset) -> float:
@@ -82,7 +78,7 @@ def log_likelihood(model, dataset) -> float:
         raise EmptyDataset("log-likelihood of an empty dataset")
     total = 0.0
     for idx, w in data_mod._set_terms(dataset):
-        p = np.array(probabilities_many(model, idx.tolist()))
+        p = probabilities_rows(model, idx)
         total += float((w * np.log(np.clip(p, LOG_FLOOR, None))).sum())
     return total
 

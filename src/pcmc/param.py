@@ -19,13 +19,12 @@ extend it from pairs to larger sets.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from . import data as data_mod, luce, model as model_mod
-from .base import expit, minimize
-from .ctmc import Distribution, RateMatrix
+from .base import BatchedModel, expit, minimize
+from .ctmc import RateMatrix
 from .errors import EmptyDataset, InvalidK, InvalidPairwise, OptimizerFailure
 from .luce import MnlModel
 from .model import FitConfig, PcmcModel
@@ -88,7 +87,7 @@ def q_from_pairwise(p: PairwiseMatrix) -> RateMatrix:
 
 
 @dataclass(frozen=True)
-class BladeChest:
+class BladeChest(BatchedModel):
     """Pairwise comparison model with two embeddings per alternative.
 
     The matchup score of i over j is either the inner-product form
@@ -140,11 +139,8 @@ class BladeChest:
     def to_pcmc(self) -> PcmcModel:
         return self._chain
 
-    def probabilities(self, subset: Sequence[int]) -> Distribution:
-        return self._chain.probabilities(subset)
-
-    def probabilities_many(self, sets: Sequence) -> list:
-        return self._chain.probabilities_many(sets)
+    def probabilities_many(self, idx: np.ndarray) -> np.ndarray:
+        return self._chain.probabilities_many(idx)
 
 
 def bladechest_pair(model: BladeChest, i: int, j: int) -> float:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from pcmc import ctmc
 from pcmc.base import LOG_FLOOR
 from pcmc.ctmc import TOL_EDGE, RateMatrix
 
@@ -30,6 +31,20 @@ def cyclic_rates(alpha):
 
 def cyclic_matrix(alpha):
     return RateMatrix(n=3, rates=cyclic_rates(alpha))
+
+
+class BatchedChain:
+    """A chain over any rate matrix, canonical or not, as a model with n
+    and a batched probabilities_many only: the stationary kernel on each
+    (m, s) batch. PcmcModel refuses a matrix that is not canonical, so
+    this stands in for it where base.probabilities_many must reach the
+    kernel with such a matrix."""
+
+    def __init__(self, q):
+        self.n, self._rates = q.n, q.rates
+
+    def probabilities_many(self, idx):
+        return ctmc._stationary_rows(self._rates, idx)[0]
 
 
 # Hand-solved 3-state fixture. Rates: q01=0.3, q10=0.8, q02=1.0,

@@ -287,6 +287,15 @@ class TestRegularity:
         with pytest.raises(BadNesting, match="non-integer"):
             regularity_violations(m, [((0, 1), (0, 1, np.float64(2)))], -1.0)
 
+    def test_repeated_id_rejected_before_any_solve(self, monkeypatch):
+        # {0} < {0, 1} as sets, so (0, 0) once passed the nesting test and
+        # failed later in the solver with a plain ValueError
+        m = PcmcModel(q=cyclic_matrix(0.5))
+        monkeypatch.setattr(axioms, "probabilities_many", None)
+        for nesting in (((0, 0), (0, 0, 1)), ((0, 0), (0, 1)), ((0,), (0, 1, 1))):
+            with pytest.raises(BadNesting, match="repeats an alternative"):
+                regularity_violations(m, [((0, 1), (0, 1, 2)), nesting])
+
     def test_numpy_integer_ids_accepted(self):
         m = PcmcModel(q=cyclic_matrix(0.9))
         nesting = (np.array([0, 1]), (np.int64(0), np.int32(1), np.uint8(2)))

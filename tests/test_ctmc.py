@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcmc import ctmc
+from pcmc.base import probabilities_many
 from pcmc.ctmc import Distribution, RateMatrix, RestrictedGenerator
 from pcmc.errors import (
     EmptySubset,
@@ -23,6 +24,7 @@ from _support import (
     SINGULAR_RATES,
     SPAN_320_RATES,
     WRONG_RETRY_RATES,
+    BatchedChain,
     cyclic_matrix,
     cyclic_rates,
     exact_closed_classes,
@@ -105,7 +107,7 @@ class TestRestrict:
     def test_non_integer_id_rejected_not_truncated(self, bad):
         # 1.7 once read as 1, so the restriction was to (0, 1)
         for solve in (lambda s: ctmc.restrict(cyclic_matrix(0.5), s),
-                      lambda s: ctmc.stationary_many(cyclic_matrix(0.5), [s])):
+                      lambda s: probabilities_many(BatchedChain(cyclic_matrix(0.5)), [s])):
             with pytest.raises(ValueError, match=re.escape(
                     "alternative %r is not an integer id" % (bad,))):
                 solve((0, bad))
@@ -180,7 +182,7 @@ class TestClosedClasses:
                     ctmc.stationary(ctmc.restrict(q, members))
                 assert err.value.classes == want
                 with pytest.raises(MultipleClosedClasses) as err:
-                    ctmc.stationary_many(q, [members])
+                    probabilities_many(BatchedChain(q), [members])
                 assert err.value.classes == want
 
 
@@ -262,8 +264,8 @@ def _assert_exact(rates, members, mass):
 
 
 class TestCarefulSolve:
-    """stationary and stationary_many, one kernel on a stack of one and
-    on a batch, on chains whose rates span many decades: both give the
+    """stationary and the kernel's batches through base.probabilities_many,
+    one kernel on a stack of one and on a batch, on chains whose rates span many decades: both give the
     exact masses, bit for bit alike, with no least-squares second
     opinion, and SingularSystem only where double precision cannot hold
     the chain."""
@@ -281,7 +283,7 @@ class TestCarefulSolve:
         q = RateMatrix(n=n, rates=rates)
         pi = ctmc.stationary(ctmc.restrict(q, range(n)))
         _assert_exact(rates, range(n), pi.mass)
-        many = ctmc.stationary_many(q, [range(n)])
+        many = probabilities_many(BatchedChain(q), [range(n)])
         assert np.array_equal(many[0], pi.mass)
 
     def test_retry_is_accepted(self, lstsq_calls):
@@ -324,7 +326,7 @@ class TestCarefulSolve:
         with pytest.raises(SingularSystem) as err:
             ctmc.stationary(ctmc.restrict(q, range(4)))
         with pytest.raises(SingularSystem, match=str(err.value)):
-            ctmc.stationary_many(q, [(0, 1), range(4)])
+            probabilities_many(BatchedChain(q), [(0, 1), range(4)])
 
 
 def _sets_of(rng, n, count):
@@ -339,8 +341,9 @@ def _per_set(q, sets):
 
 
 class TestStationaryMany:
-    """stationary_many against stationary, the same kernel on a stack of
-    one, and against exact_stationary."""
+    """The kernel's batches, reached through base.probabilities_many,
+    against stationary, the same kernel on a stack of one, and against
+    exact_stationary."""
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_matches_per_set_on_canonical(self, seed):
@@ -349,7 +352,7 @@ class TestStationaryMany:
         n = int(rng.integers(2, 9))
         q = RateMatrix(n=n, rates=random_canonical(rng, n))
         sets = _sets_of(rng, n, 12)
-        many = ctmc.stationary_many(q, sets)
+        many = probabilities_many(BatchedChain(q), sets)
         assert len(many) == len(sets)
         for got, want in zip(many, _per_set(q, sets)):
             assert np.array_equal(got, want)
@@ -362,7 +365,7 @@ class TestStationaryMany:
         n = int(rng.integers(2, 8))
         q = RateMatrix(n=n, rates=random_canonical(rng, n))
         sets = [tuple(rng.permutation(s).tolist()) for s in _sets_of(rng, n, 6)]
-        for got, want in zip(ctmc.stationary_many(q, sets), _per_set(q, sets)):
+        for got, want in zip(probabilities_many(BatchedChain(q), sets), _per_set(q, sets)):
             assert np.abs(got - want).max() <= 1e-12
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -372,13 +375,13 @@ class TestStationaryMany:
         rates = random_canonical(rng, n)
         sets = _sets_of(rng, n, 8)
         big = RateMatrix(n=n, rates=1e8 * rng.uniform(0.5, 2.0) * rates)
-        many = ctmc.stationary_many(big, sets)
+        many = probabilities_many(BatchedChain(big), sets)
         for got, want in zip(many, _per_set(big, sets)):
             assert np.array_equal(got, want)
         # both paths share one solve, so check it against the exact masses too
         for s, got in zip(sets, many):
             _assert_exact(big.rates, s, got)
-        unit = ctmc.stationary_many(RateMatrix(n=n, rates=rates), sets)
+        unit = probabilities_many(BatchedChain(RateMatrix(n=n, rates=rates)), sets)
         for got, want in zip(many, unit):
             assert np.abs(got - want).max() <= 1e-9
 
@@ -399,7 +402,7 @@ class TestStationaryMany:
         q = RateMatrix(n=n, rates=rates)
         assert q.is_canonical
         sets = _sets_of(rng, n, 10)
-        many = ctmc.stationary_many(q, sets)
+        many = probabilities_many(BatchedChain(q), sets)
         for got, want in zip(many, _per_set(q, sets)):
             assert abs(got.sum() - 1.0) <= 1e-12 and got.min() >= 0.0
             assert np.abs(got - want).max() <= 20 * n * ctmc.TOL_EDGE
@@ -424,7 +427,7 @@ class TestStationaryMany:
         q = RateMatrix(n=n, rates=rates)
         sets = [tuple(rng.permutation(s).tolist()) for s in _sets_of(rng, n, 10)
                 if inside[list(s)].any()]
-        many = ctmc.stationary_many(q, sets)
+        many = probabilities_many(BatchedChain(q), sets)
         for s, got, want in zip(sets, many, _per_set(q, sets)):
             assert np.array_equal(got, want)
             _assert_exact(rates, s, got)
@@ -448,15 +451,15 @@ class TestStationaryMany:
         with pytest.raises(MultipleClosedClasses):
             ctmc.stationary(ctmc.restrict(q, menu))
         with pytest.raises(MultipleClosedClasses):
-            ctmc.stationary_many(q, [(0, 1), menu])
+            probabilities_many(BatchedChain(q), [(0, 1), menu])
 
     def test_validates_every_set(self):
         q = cyclic_matrix(0.7)
         with pytest.raises(EmptySubset):
-            ctmc.stationary_many(q, [(0, 1), ()])
+            probabilities_many(BatchedChain(q), [(0, 1), ()])
         with pytest.raises(IndexOutOfRange):
-            ctmc.stationary_many(q, [(0, 3)])
-        assert ctmc.stationary_many(q, []) == []
+            probabilities_many(BatchedChain(q), [(0, 3)])
+        assert probabilities_many(BatchedChain(q), []) == []
 
 
 class TestDistribution:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcmc import cli, ctmc, data, evaluate, luce, model, param
-from pcmc.base import LOG_FLOOR
+from pcmc.base import LOG_FLOOR, probabilities_many
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import (
@@ -27,6 +27,7 @@ from pcmc.model import (
 
 from _support import (
     SPAN_320_RATES,
+    BatchedChain,
     central_gradient,
     cyclic_matrix,
     exact_adjoint_gradient,
@@ -358,8 +359,8 @@ class TestScaleInvariance:
     def test_stationary_many(self, seed, c):
         q, sets = self._problem(seed)
         scaled = RateMatrix(n=q.n, rates=c * q.rates)
-        for p, p_scaled in zip(ctmc.stationary_many(q, sets),
-                               ctmc.stationary_many(scaled, sets)):
+        for p, p_scaled in zip(probabilities_many(BatchedChain(q), sets),
+                               probabilities_many(BatchedChain(scaled), sets)):
             assert np.abs(p - p_scaled).max() <= 1e-9
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(1e-3, 1e3))
@@ -633,8 +634,9 @@ class TestPermutationEquivariance:
         sigma, (q, ds), (q2, ds2) = self._problem(seed)
         sets = ds.distinct_sets
         moved_sets = [tuple(sorted(int(sigma[i]) for i in s)) for s in sets]
-        for s, t, p, p2 in zip(sets, moved_sets, ctmc.stationary_many(q, sets),
-                               ctmc.stationary_many(q2, moved_sets)):
+        for s, t, p, p2 in zip(sets, moved_sets,
+                               probabilities_many(BatchedChain(q), sets),
+                               probabilities_many(BatchedChain(q2), moved_sets)):
             by_item = dict(zip(t, p2))
             assert np.allclose([by_item[sigma[i]] for i in s], p,
                                rtol=0, atol=1e-12)
