@@ -25,10 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from . import ctmc
-from .base import ChoiceModel, probabilities_many, probabilities_rows
+from .base import ChoiceModel, probabilities_rows
 from .ctmc import Distribution, RateMatrix
 from .errors import (
     BadNesting,
+    IndexOutOfRange,
     InvalidK,
     InvalidPairwise,
     LambdaMismatch,
@@ -181,16 +182,28 @@ def verify_uniform_expansion(q: RateMatrix, k: int, tol: float = 1e-8) -> bool:
     return _expansion_deviation(q, k) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegularityViolation:
     """A witness that enlarging a menu raised an alternative's
-    probability: p(item | subset) < p(item | superset) minus tolerance."""
+    probability: p(item | subset) < p(item | superset) minus tolerance.
+    Slotted, so each of the thousands a sweep builds is one object."""
 
     item: int
     subset: tuple
     superset: tuple
     p_subset: float
     p_superset: float
+
+
+def _unique_rows(rows):
+    """The distinct rows of an (m, s) int array and the index of each row
+    among them: np.unique(axis=0) without its slow sort of void keys."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    new = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+    back = np.empty(len(rows), np.int64)
+    back[order] = np.cumsum(new) - 1
+    return ordered[new], back
 
 
 def regularity_violations(model: ChoiceModel, nestings: Sequence,
@@ -200,35 +213,58 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
     Each pair must nest strictly, A a proper subset of B, and name its
     alternatives by distinct integer ids (a float or a repeated id raises
     BadNesting). Returns one violation record per (pair, item) where the
-    item's probability rose when the menu grew by more than tol. Each
-    distinct menu is solved once, in one batched call per menu size.
+    item's probability rose when the menu grew by more than tol, in
+    input pair order, then in the order of the sorted subset.
+
+    The ids are read into one int64 array, and the pairs are checked and
+    compared per (|A|, |B|) group as (m, |A|) arrays. Each distinct menu
+    is solved once, in one probabilities_rows call per menu size, and a
+    record is built only for a (pair, item) that fails.
     """
-    pairs = []
-    for a, b in nestings:
-        try:
-            sa = tuple(sorted(map(operator.index, a)))
-            sb = tuple(sorted(map(operator.index, b)))
-        except TypeError:
-            raise BadNesting("%r or %r holds a non-integer id" % (a, b)) from None
-        ua, ub = set(sa), set(sb)
-        if len(ua) < len(sa) or len(ub) < len(sb):
-            raise BadNesting("%s or %s repeats an alternative" % (sa, sb))
-        if not ua < ub:
-            raise BadNesting("%s is not a strict subset of %s" % (sa, sb))
-        pairs.append((sa, sb))
-    menus = list(dict.fromkeys(s for pair in pairs for s in pair))
-    prob = {s: dict(zip(s, m.tolist()))
-            for s, m in zip(menus, probabilities_many(model, menus))}
-    out = []
-    for sa, sb in pairs:
-        for item in sa:
-            lo, hi = prob[sa][item], prob[sb][item]
-            if lo < hi - tol:
-                out.append(RegularityViolation(
-                    item=item, subset=sa, superset=sb,
-                    p_subset=lo, p_superset=hi,
-                ))
-    return out
+    menus = [s for a, b in nestings for s in (a, b)]
+    size = np.fromiter(map(len, menus), np.int64, len(menus))
+    try:
+        ids = np.fromiter(map(operator.index, itertools.chain.from_iterable(menus)),
+                          np.int64, int(size.sum()))
+    except TypeError as exc:
+        raise BadNesting("a nesting holds a non-integer id: %s" % exc) from None
+    except OverflowError:
+        raise IndexOutOfRange("an alternative id is outside [0, %d)" % model.n) from None
+    start, groups, blocks = np.cumsum(size) - size, [], {}
+    for k, l in dict.fromkeys(zip(size[0::2].tolist(), size[1::2].tolist())):
+        p = np.flatnonzero((size[0::2] == k) & (size[1::2] == l))
+        a = np.sort(ids[start[2 * p, None] + np.arange(k)], axis=1)
+        b = np.sort(ids[start[2 * p + 1, None] + np.arange(l)], axis=1)
+        # Column in B of each item of A, and whether the item is there.
+        pos = (b[:, None, :] < a[:, :, None]).sum(axis=2)
+        found = (b[:, None, :] == a[:, :, None]).any(axis=2)
+        repeat = (a[:, 1:] == a[:, :-1]).any(1) | (b[:, 1:] == b[:, :-1]).any(1)
+        for bad, fault in ((repeat, "%s or %s repeats an alternative"),
+                           (~found.all(1) | (k >= l), "%s is not a strict subset of %s")):
+            if bad.any():
+                r = int(bad.argmax())
+                raise BadNesting(fault % (tuple(a[r].tolist()), tuple(b[r].tolist())))
+        for rows in (a, b):
+            blocks.setdefault(rows.shape[1], []).append(rows)
+        groups.append((p, a, b, pos, len(blocks[k]) - 1, len(blocks[l]) - 1))
+    mass = {}
+    for s, rows in blocks.items():
+        menu, back = _unique_rows(np.concatenate(rows))
+        mass[s] = np.split(probabilities_rows(model, menu)[back],
+                           np.cumsum([len(r) for r in rows[:-1]]))
+    keys, out = [np.zeros(0, np.int64)], []
+    for p, a, b, pos, ja, jb in groups:
+        lo = mass[a.shape[1]][ja]
+        hi = np.take_along_axis(mass[b.shape[1]][jb], pos, axis=1)
+        r, c = np.nonzero(lo < hi - tol)
+        keys.append(p[r])
+        # One subset and one superset tuple per failing pair, shared by its records.
+        failing, at = np.unique(r, return_inverse=True)
+        subset, superset = (list(map(tuple, x[failing].tolist())) for x in (a, b))
+        out += map(RegularityViolation, a[r, c].tolist(), map(subset.__getitem__, at.tolist()),
+                   map(superset.__getitem__, at.tolist()), lo[r, c].tolist(), hi[r, c].tolist())
+    # Each pair's records come from one group, already in item order.
+    return [out[i] for i in np.argsort(np.concatenate(keys), kind="stable").tolist()]
 
 
 @dataclass(frozen=True)
@@ -348,12 +384,12 @@ def _all_nestings(n, max_universe=12):
         items = range(n)
         for size in range(3, n + 1):
             for b in itertools.combinations(items, size):
-                for drop in b:
-                    nestings.append((tuple(x for x in b if x != drop), b))
+                for i in range(size):
+                    nestings.append((b[:i] + b[i + 1:], b))
     else:
         full = tuple(range(n))
-        for drop in full:
-            nestings.append((tuple(x for x in full if x != drop), full))
+        for i in range(n):
+            nestings.append((full[:i] + full[i + 1:], full))
     return nestings
 
 
@@ -379,16 +415,8 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
         "status": "fail" if violations else "pass",
         "pairs_checked": len(nestings),
         "margin": margin,
-        "violations": [
-            {
-                "item": v.item,
-                "subset": list(v.subset),
-                "superset": list(v.superset),
-                "p_subset": v.p_subset,
-                "p_superset": v.p_superset,
-            }
-            for v in violations
-        ],
+        "violations": [{"item": v.item, "subset": v.subset, "superset": v.superset,
+                        "p_subset": v.p_subset, "p_superset": v.p_superset} for v in violations],
     })
 
     q = _induced_rates(model)

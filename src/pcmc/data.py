@@ -19,6 +19,7 @@ membership indicators for the choice set.
 import itertools
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, field
@@ -40,8 +41,11 @@ from .errors import (
 
 
 def _canonical_set(members, n, number) -> tuple:
-    """The members sorted, once checked to be >= 2 distinct ids in [0, n)."""
-    out = tuple(sorted(map(int, members)))
+    """The members sorted, once checked to be >= 2 distinct integer ids in [0, n)."""
+    try:
+        out = tuple(sorted(map(operator.index, members)))
+    except TypeError:
+        raise ParseError(number, "set %r holds a non-integer id" % (tuple(members),)) from None
     if len(out) < 2 or len(set(out)) < len(out):
         raise ParseError(number, "set %s needs at least 2 distinct members" % (out,))
     if out[0] < 0 or out[-1] >= n:

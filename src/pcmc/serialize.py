@@ -4,15 +4,17 @@ All floats are rendered with the '%.17g' format, which round-trips
 doubles exactly, so identical inputs produce byte-identical files on
 any platform. Model JSON carries a "model" tag naming the family.
 
-dumps appends to one flat buffer. In a list whose first item is a dict
-keyed by strings, each item with the same keys in the same order and
-only exact ints, exact floats and lists of exact ints as values is
-written through one '%' template built from those keys; everything else
-takes the general path. The bytes are those of the general path alone.
+dumps appends to one flat buffer. A list of records, dicts that share
+one order of str keys, is written a column at a time: each column's
+types are checked once, a float column is checked finite and has -0.0
+made 0.0 as an array, and one '%' writes all records through the keys'
+template. Any other list takes the general path, the byte reference.
 """
 
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,20 +53,11 @@ def _emit(obj, add) -> None:
             _emit(v, add)
         add("}")
     elif isinstance(obj, (list, tuple)):
-        keys = list(obj[0]) if obj and isinstance(obj[0], dict) else None
-        if keys and all(type(k) is str for k in keys):
-            row = "{%s}" % ", ".join(
-                "%s: %%s" % json.dumps(k).replace("%", "%%") for k in keys)
-        else:
-            row = None
         add("[")
-        for i, v in enumerate(obj):
-            if i:
-                add(", ")
-            cells = row and isinstance(v, dict) and list(v) == keys and _cells(v)
-            if cells:
-                add(row % cells)
-            else:
+        if not _records(obj, add):
+            for i, v in enumerate(obj):
+                if i:
+                    add(", ")
                 _emit(v, add)
         add("]")
     elif isinstance(obj, bool) or obj is None:
@@ -81,19 +74,34 @@ def _emit(obj, add) -> None:
         raise TypeError("cannot serialize %r" % type(obj))
 
 
-def _cells(record):
-    """A record's value texts for its template, or None unless every
-    value is an exact int, an exact float or a list of exact ints."""
-    out = []
-    for v in record.values():
-        t = type(v)
-        if t is float:
-            out.append(_fmt_float(v))
-        elif t is int or t is list and all(type(i) is int for i in v):
-            out.append(repr(v))
+def _records(rows, add) -> bool:
+    """Write a list of dicts that share one order of str keys, each
+    column all exact ints, all finite exact floats or all lists and
+    tuples of exact ints, through one '%' over the repeated record
+    template, and return True; any other list: False, nothing written."""
+    if (not rows or set(map(type, rows)) != {dict} or len(set(map(tuple, rows))) != 1
+            or set(map(type, rows[0])) != {str}):
+        return False
+    width, cells = len(rows[0]), []
+    flat = [None] * (len(rows) * width)  # every record's values, in order
+    for j, key in enumerate(rows[0]):
+        col = list(map(itemgetter(key), rows))
+        kinds = set(map(type, col))
+        if kinds == {float} and np.isfinite(x := np.array(col)).all():
+            col, mark = (x + 0.0).tolist(), "%.17g"  # -0.0 + 0.0 is 0.0
+        elif kinds == {int}:
+            mark = "%s"
+        elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(col))) <= {int}:
+            col = list(map(tuple, col))  # records often repeat an id list: write each once
+            text = {t: str(list(t)) for t in set(col)}
+            col, mark = list(map(text.__getitem__, col)), "%s"
         else:
-            return None
-    return tuple(out)
+            return False
+        flat[j::width] = col
+        cells.append("%s: %s" % (json.dumps(key).replace("%", "%%"), mark))
+    row = "{%s}" % ", ".join(cells)
+    add(", ".join([row] * len(rows)) % tuple(flat))
+    return True
 
 
 def rate_matrix_to_dict(q: RateMatrix) -> dict:

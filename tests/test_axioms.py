@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcmc import axioms, ctmc, serialize
 from pcmc.axioms import (
@@ -22,7 +22,13 @@ from pcmc.axioms import (
 )
 from pcmc.ctmc import RateMatrix
 from pcmc.data import gen_bladechest_circle
-from pcmc.errors import BadNesting, InvalidK, LambdaMismatch, NotContractible
+from pcmc.errors import (
+    BadNesting,
+    IndexOutOfRange,
+    InvalidK,
+    LambdaMismatch,
+    NotContractible,
+)
 from pcmc.luce import MmnlModel, MnlModel
 from pcmc.model import PcmcModel
 from pcmc.param import q_from_btl
@@ -291,7 +297,7 @@ class TestRegularity:
         # {0} < {0, 1} as sets, so (0, 0) once passed the nesting test and
         # failed later in the solver with a plain ValueError
         m = PcmcModel(q=cyclic_matrix(0.5))
-        monkeypatch.setattr(axioms, "probabilities_many", None)
+        monkeypatch.setattr(axioms, "probabilities_rows", None)
         for nesting in (((0, 0), (0, 0, 1)), ((0, 0), (0, 1)), ((0,), (0, 1, 1))):
             with pytest.raises(BadNesting, match="repeats an alternative"):
                 regularity_violations(m, [((0, 1), (0, 1, 2)), nesting])
@@ -343,6 +349,13 @@ def _family(kind, rng, n):
     return gen_bladechest_circle(n, int(rng.integers(2 ** 31)))
 
 
+def _nesting(n):
+    """A strict nesting over range(n), each side listed in a random order."""
+    return st.permutations(range(n)).flatmap(lambda b: st.integers(2, n).flatmap(
+        lambda l: st.integers(1, l - 1).flatmap(
+            lambda k: st.permutations(b[:l]).map(lambda a: (tuple(a[:k]), tuple(b[:l]))))))
+
+
 class TestBatchedRegularity:
     @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
     @settings(max_examples=25)
@@ -364,6 +377,82 @@ class TestBatchedRegularity:
         for reverse in (False, True):
             third_party = _PerSetOnly(model, reverse)
             assert regularity_violations(third_party, nestings, -1.0) == want
+
+    @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
+    def test_shuffled_enumeration_matches_brute_force(self, kind):
+        # the records follow the input pairs, whatever order they come in
+        rng = np.random.default_rng(17)
+        model = _family(kind, rng, 5)
+        nestings = axioms._all_nestings(5)
+        nestings = [nestings[i] for i in rng.permutation(len(nestings))]
+        for tol in (1e-9, -1.0):
+            assert (regularity_violations(model, nestings, tol)
+                    == _brute_force_regularity(model, nestings, tol))
+
+    def test_interleaved_size_groups_keep_input_order(self):
+        # (2, 3), (3, 4) and (2, 4) pairs in turn, each group split across
+        # the whole input; tol = -1 lists every (pair, item)
+        rng = np.random.default_rng(5)
+        model = _family("pcmc", rng, 6)
+        nestings = []
+        for _ in range(8):
+            for k, l in ((2, 3), (3, 4), (2, 4)):
+                b = rng.permutation(6)[:l].tolist()
+                nestings.append((tuple(rng.permutation(b)[:k].tolist()), tuple(b)))
+        got = regularity_violations(model, nestings, -1.0)
+        assert got == _brute_force_regularity(model, nestings, -1.0)
+        assert len(got) == 8 * (2 + 3 + 2)
+
+    # A sort key of pair * |A| + position misorders groups of different
+    # |A|: pair 2 (|A| = 1) gets key 2, below pair 1's keys 3, 4 and 5.
+    @settings(max_examples=40)
+    @given(nestings=st.lists(_nesting(5), max_size=10))
+    @example(nestings=[((0, 1), (0, 1, 2)), ((0, 1, 2), (0, 1, 2, 3)), ((0,), (0, 1))])
+    @example(nestings=[((3, 1), (4, 3, 1)), ((4, 0, 2), (2, 0, 1, 4)), ((1, 2), (2, 1, 3))])
+    def test_mixed_sizes_match_brute_force(self, nestings):
+        model = _family("pcmc", np.random.default_rng(3), 5)
+        for tol in (1e-9, -1.0):
+            assert (regularity_violations(model, nestings, tol)
+                    == _brute_force_regularity(model, nestings, tol))
+
+    @pytest.mark.parametrize("subset, superset, error", [
+        ((True, 0), (0, 1, 2), None),
+        ((np.int64(0), 1), (0, 1, np.int64(2)), None),
+        ((0, 1.7), (0, 1, 2), BadNesting),
+        ((0, 1), (0, 1, np.float64(2)), BadNesting),
+        ((0, 0), (0, 1, 2), BadNesting),
+        ((0, 1), (0, 1, 1, 2), BadNesting),
+        ((0, 1), (0, 1), BadNesting),
+        ((0, 3), (0, 1, 2), BadNesting),
+        ((0, -1), (0, 1, -1), IndexOutOfRange),
+        ((0, 7), (0, 1, 7), IndexOutOfRange),
+        ((0, 2 ** 70), (0, 1, 2 ** 70), IndexOutOfRange),
+    ])
+    def test_edge_ids(self, subset, superset, error):
+        m = MnlModel(gamma=np.array([0.4, 0.3, 0.2, 0.1]))
+        nestings = [((0, 1), (0, 1, 2)), (subset, superset)]
+        if error is None:
+            got = regularity_violations(m, nestings, -1.0)
+            assert got == regularity_violations(m, [((0, 1), (0, 1, 2))] * 2, -1.0)
+            assert all(type(i) is int for v in got for i in (v.item,) + v.subset + v.superset)
+        else:
+            with pytest.raises(error):
+                regularity_violations(m, nestings, -1.0)
+
+    @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
+    def test_audit_batches_each_menu_size_once(self, kind, monkeypatch):
+        # the sweep's solves all go through the probabilities_rows that axioms
+        # imports from base; a per-set loop shows up as extra calls
+        n = 8
+        model = _family(kind, np.random.default_rng(8), n)
+        calls = []
+        rows = axioms.probabilities_rows
+        monkeypatch.setattr(axioms, "probabilities_rows",
+                            lambda m, idx: calls.append(np.shape(idx)) or rows(m, idx))
+        run_audit(model)
+        # one batch of the distinct menus per size, then the tournament's pairs
+        want = [(math.comb(n, s), s) for s in range(2, n + 1)] + [(math.comb(n, 2), 2)]
+        assert sorted(calls) == sorted(want)
 
     def test_audit_solves_each_menu_in_batches(self, monkeypatch):
         # a per-set loop coming back shows up as thousands of solves

@@ -93,6 +93,17 @@ class TestChoiceDataset:
             make_dataset([(3, (2, 3)), (2, (0, 1))], n=4)
         assert err.value.line_number == 2
 
+    def test_float_member_rejected_not_truncated(self):
+        # (0, 1.7) once read as (0, 1); the faulty set is numbered by the
+        # first observation that holds it, as the other set faults are
+        with pytest.raises(ParseError) as err:
+            ChoiceDataset(n=3, observations=[(0, (0, 1.7))])
+        assert err.value.line_number == 1
+        assert "non-integer" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            ChoiceDataset(n=3, observations=[(0, (0, 1)), (1, (1, 2)), (2, (np.float64(2), 1))])
+        assert err.value.line_number == 3
+
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([None, 2 ** 63 - 1]))
     def test_slots_match_a_plain_search(self, seed, n):
         # ids up to int64's top and universes as wide: the first row whose
@@ -366,6 +377,14 @@ class TestSample:
             emp = np.array([per_item[i] for i in s], dtype=float)
             emp /= emp.sum()
             assert np.abs(emp - m.probabilities(s).mass).sum() <= 0.02
+
+    def test_float_member_rejected_not_truncated(self):
+        # (0, 1.7) once sampled as (0, 1); the set is numbered by its position
+        m = MnlModel(gamma=np.ones(3))
+        for sets, number in (([(0, 1.7)], 1), ([(0, 1), (1, 2, 0.5)], 2)):
+            with pytest.raises(ParseError, match="non-integer") as err:
+                data.sample(m, sets, 5, 0)
+            assert err.value.line_number == number
 
     def test_count_validation(self):
         m = MnlModel(gamma=np.array([1.0, 1.0]))

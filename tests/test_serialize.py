@@ -126,6 +126,42 @@ class TestDumpsOracle:
             with pytest.raises(TypeError):
                 serialize.dumps(obj)
 
+    @pytest.mark.parametrize("rows", [
+        [{"a": 1, "p": 0.5}, {"a": True, "p": 0.25}],
+        [{"a": 1, "p": 0.5}, {"a": 2, "p": np.float64(0.25)}],
+        [{"a": 1, "s": [0, 1]}, {"a": 2, "s": [1, True]}],
+        [{"a": 1, "p": 0.5}, {"p": 0.25, "a": 2}],
+        [{"a": 1, "p": 0.5}, {"a": 2}],
+        [{"a": 1, "p": 0.5}, [1, 2]],
+        [{"a": 1, "s": (0, 1)}, {"a": 2, "s": (1, 2.0)}],
+        [{"a": 1, "t": "x"}],
+        [{}, {}],
+        [],
+    ])
+    def test_column_pass_declines(self, rows):
+        # any column the pass cannot write takes the whole list down the
+        # general path, which writes the reference bytes
+        assert serialize._records(rows, None) is False
+        assert serialize.dumps({"rows": rows}) == reference_dumps({"rows": rows})
+
+    @pytest.mark.parametrize("rows", [
+        [{"a": 3, "s": [0, 1], "p": -0.0}],
+        [{"a": 1, "s": (0, 1)}, {"a": 2, "s": [0, 1]}, {"a": 3, "s": ()}, {"a": 4, "s": (0, 1)}],
+        [{"a": 1, "s": [], "p": 0.0}, {"a": -2 ** 70, "s": [2 ** 64, -1], "p": -0.0}],
+        [{'"%s"': 1, "\u00e9": 2.5}, {'"%s"': 2, "\u00e9": 1e-300}],
+    ])
+    def test_column_pass_writes_reference_bytes(self, rows):
+        parts = []
+        assert serialize._records(rows, parts.append) is True
+        assert serialize.dumps(rows) == reference_dumps(rows)
+        assert "-0" not in serialize.dumps(rows)
+
+    def test_nan_in_second_record_names_it(self):
+        rows = [{"a": 1, "p": 0.5}, {"a": 2, "p": float("nan")}]
+        with pytest.raises(ValueError) as err:
+            serialize.dumps(rows)
+        assert str(err.value) == "cannot serialize non-finite value nan"
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_audit_reports_at_workload_scale(self, seed):
         # the benchmark's audit workload: thousands of violation records
