@@ -19,8 +19,9 @@ Covers three families of checks:
 import itertools
 import math
 import operator
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -195,6 +196,38 @@ class RegularityViolation:
     p_superset: float
 
 
+# The failing entries of one (|A|, |B|) group: the numbers of its failing
+# pairs with their sorted subsets and supersets, then per failing
+# (pair, item) the pair's row among them, the item and its probabilities.
+_Failures = namedtuple("_Failures", "pairs subset superset row item p_subset p_superset")
+
+
+class ViolationColumns(Sequence):
+    """Regularity violation records kept as columns, one block per
+    (|A|, |B|) group, in nesting order. A read-only sequence: its length,
+    indexing and iteration give each record as the dict {"item",
+    "subset", "superset", "p_subset", "p_superset"}, sets as sorted
+    tuples. serialize.dumps writes it from the columns."""
+
+    __slots__ = ("blocks", "_starts")
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+        self._starts = np.cumsum([0] + [len(f.item) for f in self.blocks])
+
+    def __len__(self):
+        return int(self._starts[-1])
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]
+        g = int(np.searchsorted(self._starts, i, side="right")) - 1
+        f, j = self.blocks[g], i - int(self._starts[g])
+        r = f.row[j]
+        return {"item": int(f.item[j]), "subset": tuple(f.subset[r].tolist()),
+                "superset": tuple(f.superset[r].tolist()),
+                "p_subset": float(f.p_subset[j]), "p_superset": float(f.p_superset[j])}
+
+
 def _unique_rows(rows):
     """The distinct rows of an (m, s) int array and the index of each row
     among them: np.unique(axis=0) without its slow sort of void keys."""
@@ -204,6 +237,57 @@ def _unique_rows(rows):
     back = np.empty(len(rows), np.int64)
     back[order] = np.cumsum(new) - 1
     return ordered[new], back
+
+
+def _sweep(model, groups, tol):
+    """Regularity violations among blocks of nestings, as columns.
+
+    groups yields (pairs, a, b) per (|A|, |B|) group, in ascending
+    (|A|, |B|) order: the pair numbers, and the subsets and supersets as
+    sorted (m, |A|) and (m, |B|) int arrays. Each group is checked as it
+    is read (a repeated id, or a subset that is not strict, raises
+    BadNesting). Each distinct menu is solved once, in one
+    probabilities_rows call per menu size, as soon as no later group can
+    hold that size, and each group is compared as soon as both its sizes
+    are solved, keeping only its failing rows. Returns the number of
+    pairs read and one _Failures block per group.
+    """
+    menus, blocks, count = {}, [], 0
+
+    def solve(sizes):
+        for s in sorted(sizes):
+            slots = menus.pop(s)  # (group, 1) for its subsets, (group, 2) for its supersets
+            rows = [g[side] for g, side in slots]
+            menu, back = _unique_rows(np.concatenate(rows))
+            mass = probabilities_rows(model, menu)[back]
+            for (g, side), part in zip(slots, np.split(mass, np.cumsum(list(map(len, rows[:-1]))))):
+                g[side + 3] = part
+                if g[4] is not None and g[5] is not None:
+                    pairs, a, b, pos, lo, hi = g
+                    hi = np.take_along_axis(hi, pos, axis=1)
+                    r, c = np.nonzero(lo < hi - tol)
+                    failing, row = np.unique(r, return_inverse=True)
+                    blocks.append(_Failures(pairs[failing], a[failing], b[failing], row,
+                                            a[r, c], lo[r, c], hi[r, c]))
+
+    for pairs, a, b in groups:
+        k, l = a.shape[1], b.shape[1]
+        # Column in B of each item of A, and whether the item is there.
+        pos = (b[:, None, :] < a[:, :, None]).sum(axis=2)
+        found = (b[:, None, :] == a[:, :, None]).any(axis=2)
+        repeat = (a[:, 1:] == a[:, :-1]).any(1) | (b[:, 1:] == b[:, :-1]).any(1)
+        for bad, fault in ((repeat, "%s or %s repeats an alternative"),
+                           (~found.all(1) | (k >= l), "%s is not a strict subset of %s")):
+            if bad.any():
+                r = int(bad.argmax())
+                raise BadNesting(fault % (tuple(a[r].tolist()), tuple(b[r].tolist())))
+        solve([s for s in menus if s < k])
+        group = [pairs, a, b, pos, None, None]
+        menus.setdefault(k, []).append((group, 1))
+        menus.setdefault(l, []).append((group, 2))
+        count += len(pairs)
+    solve(list(menus))
+    return count, blocks
 
 
 def regularity_violations(model: ChoiceModel, nestings: Sequence,
@@ -216,10 +300,10 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
     item's probability rose when the menu grew by more than tol, in
     input pair order, then in the order of the sorted subset.
 
-    The ids are read into one int64 array, and the pairs are checked and
-    compared per (|A|, |B|) group as (m, |A|) arrays. Each distinct menu
-    is solved once, in one probabilities_rows call per menu size, and a
-    record is built only for a (pair, item) that fails.
+    The ids are read into one int64 array and the pairs grouped by
+    (|A|, |B|) for the sweep core (_sweep), which checks, solves and
+    compares each group as arrays; a record is built only for a
+    (pair, item) that fails.
     """
     menus = [s for a, b in nestings for s in (a, b)]
     size = np.fromiter(map(len, menus), np.int64, len(menus))
@@ -230,39 +314,22 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
         raise BadNesting("a nesting holds a non-integer id: %s" % exc) from None
     except OverflowError:
         raise IndexOutOfRange("an alternative id is outside [0, %d)" % model.n) from None
-    start, groups, blocks = np.cumsum(size) - size, [], {}
-    for k, l in dict.fromkeys(zip(size[0::2].tolist(), size[1::2].tolist())):
-        p = np.flatnonzero((size[0::2] == k) & (size[1::2] == l))
-        a = np.sort(ids[start[2 * p, None] + np.arange(k)], axis=1)
-        b = np.sort(ids[start[2 * p + 1, None] + np.arange(l)], axis=1)
-        # Column in B of each item of A, and whether the item is there.
-        pos = (b[:, None, :] < a[:, :, None]).sum(axis=2)
-        found = (b[:, None, :] == a[:, :, None]).any(axis=2)
-        repeat = (a[:, 1:] == a[:, :-1]).any(1) | (b[:, 1:] == b[:, :-1]).any(1)
-        for bad, fault in ((repeat, "%s or %s repeats an alternative"),
-                           (~found.all(1) | (k >= l), "%s is not a strict subset of %s")):
-            if bad.any():
-                r = int(bad.argmax())
-                raise BadNesting(fault % (tuple(a[r].tolist()), tuple(b[r].tolist())))
-        for rows in (a, b):
-            blocks.setdefault(rows.shape[1], []).append(rows)
-        groups.append((p, a, b, pos, len(blocks[k]) - 1, len(blocks[l]) - 1))
-    mass = {}
-    for s, rows in blocks.items():
-        menu, back = _unique_rows(np.concatenate(rows))
-        mass[s] = np.split(probabilities_rows(model, menu)[back],
-                           np.cumsum([len(r) for r in rows[:-1]]))
+    start = np.cumsum(size) - size
+
+    def groups():
+        for k, l in sorted(set(zip(size[0::2].tolist(), size[1::2].tolist()))):
+            p = np.flatnonzero((size[0::2] == k) & (size[1::2] == l))
+            yield (p, np.sort(ids[start[2 * p, None] + np.arange(k)], axis=1),
+                   np.sort(ids[start[2 * p + 1, None] + np.arange(l)], axis=1))
+
     keys, out = [np.zeros(0, np.int64)], []
-    for p, a, b, pos, ja, jb in groups:
-        lo = mass[a.shape[1]][ja]
-        hi = np.take_along_axis(mass[b.shape[1]][jb], pos, axis=1)
-        r, c = np.nonzero(lo < hi - tol)
-        keys.append(p[r])
+    for f in _sweep(model, groups(), tol)[1]:
+        keys.append(f.pairs[f.row])
         # One subset and one superset tuple per failing pair, shared by its records.
-        failing, at = np.unique(r, return_inverse=True)
-        subset, superset = (list(map(tuple, x[failing].tolist())) for x in (a, b))
-        out += map(RegularityViolation, a[r, c].tolist(), map(subset.__getitem__, at.tolist()),
-                   map(superset.__getitem__, at.tolist()), lo[r, c].tolist(), hi[r, c].tolist())
+        subset, superset = (list(map(tuple, x.tolist())) for x in (f.subset, f.superset))
+        out += map(RegularityViolation, f.item.tolist(), map(subset.__getitem__, f.row.tolist()),
+                   map(superset.__getitem__, f.row.tolist()), f.p_subset.tolist(),
+                   f.p_superset.tolist())
     # Each pair's records come from one group, already in item order.
     return [out[i] for i in np.argsort(np.concatenate(keys), kind="stable").tolist()]
 
@@ -374,31 +441,35 @@ def _induced_rates(model):
 
 
 def _all_nestings(n, max_universe=12):
-    """(B minus one item, B) for every set B of size >= 3.
+    """(B minus one item, B) for every set B of size >= 3, as one
+    (pairs, subsets, supersets) block per size of B: pair numbers and
+    sorted int arrays, in the order of sizes, then of B, then of the
+    item dropped.
 
     Full enumeration is exponential, so universes above max_universe
     only check menus against the full universe.
     """
-    nestings = []
-    if n <= max_universe:
-        items = range(n)
-        for size in range(3, n + 1):
-            for b in itertools.combinations(items, size):
-                for i in range(size):
-                    nestings.append((b[:i] + b[i + 1:], b))
+    if n > max_universe:
+        supersets = [np.arange(n)[None, :]]
     else:
-        full = tuple(range(n))
-        for i in range(n):
-            nestings.append((full[:i] + full[i + 1:], full))
-    return nestings
+        supersets = (np.array(list(itertools.combinations(range(n), size)), np.int64)
+                     for size in range(3, n + 1))
+    start = 0
+    for sets in supersets:
+        m, size = sets.shape
+        b = np.repeat(sets, size, axis=0)
+        a = b[np.tile(~np.eye(size, dtype=bool), (m, 1))].reshape(-1, size - 1)
+        yield np.arange(start, start + len(b)), a, b
+        start += len(b)
 
 
 def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
-    """Battery of axiom checks on a fitted model, as a plain dict.
+    """Battery of axiom checks on a fitted model, as a dict.
 
     Checks regularity over all one-item-removed nestings for at most 12
     alternatives, and above that only the n nestings that drop one item
-    from the full universe (see _all_nestings). Also checks uniform
+    from the full universe (see _all_nestings); its violation records
+    are a read-only ViolationColumns sequence of dicts. Also checks uniform
     expansion of the induced rate matrix (skipped when the model has
     none or when the expansion's row sums overflow), and counts cyclic
     triples in the pairwise predictions against the tournament maximum.
@@ -407,16 +478,15 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
 
     # One-item-removed nestings suffice: if no single addition ever
     # raises an item's probability, no nesting does.
-    nestings = _all_nestings(model.n)
-    violations = regularity_violations(model, nestings, tol)
-    margin = max((v.p_superset - v.p_subset for v in violations), default=0.0)
+    count, blocks = _sweep(model, _all_nestings(model.n), tol)
+    violations = ViolationColumns(blocks)
+    gaps = np.concatenate([np.zeros(0)] + [f.p_superset - f.p_subset for f in blocks])
     checks.append({
         "name": "regularity",
         "status": "fail" if violations else "pass",
-        "pairs_checked": len(nestings),
-        "margin": margin,
-        "violations": [{"item": v.item, "subset": v.subset, "superset": v.superset,
-                        "p_subset": v.p_subset, "p_superset": v.p_superset} for v in violations],
+        "pairs_checked": count,
+        "margin": float(gaps.max()) if len(gaps) else 0.0,
+        "violations": violations,
     })
 
     q = _induced_rates(model)

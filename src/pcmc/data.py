@@ -113,11 +113,17 @@ class ChoiceDataset:
 
 def _raw_columns(observations):
     """Each observation's chosen id, the index of its members among the
-    distinct member tuples, and those tuples in first-seen order."""
+    distinct member tuples, and those tuples in first-seen order. Every
+    id is read with operator.index before its set is keyed, so (0, 1.0)
+    never merges with (0, 1); a non-integer id raises ParseError
+    numbered by its observation."""
     raw, raw_id, chosen = {}, [], []
-    for c, members in observations:
-        raw_id.append(raw.setdefault(tuple(members), len(raw)))
-        chosen.append(int(c))
+    for number, (c, members) in enumerate(observations, start=1):
+        try:
+            raw_id.append(raw.setdefault(tuple(map(operator.index, members)), len(raw)))
+            chosen.append(operator.index(c))
+        except TypeError:
+            raise ParseError(number, "observation %d holds a non-integer id" % number) from None
     return chosen, raw_id, list(raw)
 
 

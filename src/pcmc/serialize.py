@@ -4,20 +4,18 @@ All floats are rendered with the '%.17g' format, which round-trips
 doubles exactly, so identical inputs produce byte-identical files on
 any platform. Model JSON carries a "model" tag naming the family.
 
-dumps appends to one flat buffer. A list of records, dicts that share
-one order of str keys, is written a column at a time: each column's
-types are checked once, a float column is checked finite and has -0.0
-made 0.0 as an array, and one '%' writes all records through the keys'
-template. Any other list takes the general path, the byte reference.
+dumps appends to one flat buffer. The regularity violation records of
+an audit (axioms.ViolationColumns) are written from their columns: each
+float column is checked finite and has -0.0 made 0.0 as an array, and
+one '%' writes all records through the record template.
 """
 
 import json
 import math
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
+from .axioms import ViolationColumns
 from .base import read_text, write_text
 from .ctmc import RateMatrix
 from .errors import ParseError, PcmcError
@@ -54,11 +52,10 @@ def _emit(obj, add) -> None:
         add("}")
     elif isinstance(obj, (list, tuple)):
         add("[")
-        if not _records(obj, add):
-            for i, v in enumerate(obj):
-                if i:
-                    add(", ")
-                _emit(v, add)
+        for i, v in enumerate(obj):
+            if i:
+                add(", ")
+            _emit(v, add)
         add("]")
     elif isinstance(obj, bool) or obj is None:
         add(json.dumps(obj))
@@ -70,38 +67,42 @@ def _emit(obj, add) -> None:
         add(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), add)
+    elif isinstance(obj, ViolationColumns):
+        add("[")
+        _violations(obj, add)
+        add("]")
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 
 
-def _records(rows, add) -> bool:
-    """Write a list of dicts that share one order of str keys, each
-    column all exact ints, all finite exact floats or all lists and
-    tuples of exact ints, through one '%' over the repeated record
-    template, and return True; any other list: False, nothing written."""
-    if (not rows or set(map(type, rows)) != {dict} or len(set(map(tuple, rows))) != 1
-            or set(map(type, rows[0])) != {str}):
-        return False
-    width, cells = len(rows[0]), []
-    flat = [None] * (len(rows) * width)  # every record's values, in order
-    for j, key in enumerate(rows[0]):
-        col = list(map(itemgetter(key), rows))
-        kinds = set(map(type, col))
-        if kinds == {float} and np.isfinite(x := np.array(col)).all():
-            col, mark = (x + 0.0).tolist(), "%.17g"  # -0.0 + 0.0 is 0.0
-        elif kinds == {int}:
-            mark = "%s"
-        elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(col))) <= {int}:
-            col = list(map(tuple, col))  # records often repeat an id list: write each once
-            text = {t: str(list(t)) for t in set(col)}
-            col, mark = list(map(text.__getitem__, col)), "%s"
-        else:
-            return False
-        flat[j::width] = col
-        cells.append("%s: %s" % (json.dumps(key).replace("%", "%%"), mark))
-    row = "{%s}" % ", ".join(cells)
-    add(", ".join([row] * len(rows)) % tuple(flat))
-    return True
+_VIOLATION = ('{"item": %d, "subset": %s, "superset": %s, '
+              '"p_subset": %.17g, "p_superset": %.17g}')
+
+
+def _violations(records, add) -> None:
+    """Write violation records through one '%' over the repeated record
+    template: each failing pair's id lists written once, and each float
+    column checked finite, with -0.0 made 0.0, as an array."""
+    cols = [[] for _ in range(5)]
+    for f in records.blocks:
+        cols[0] += f.item.tolist()
+        for j, rows in ((1, f.subset), (2, f.superset)):
+            cols[j] += map(_id_lists(rows).__getitem__, f.row.tolist())
+    for j, name in ((3, "p_subset"), (4, "p_superset")):
+        x = np.concatenate([np.zeros(0)] + [getattr(f, name) for f in records.blocks])
+        if not np.isfinite(x).all():
+            _fmt_float(x[np.argmin(np.isfinite(x))])  # raises, naming the value
+        cols[j] = (x + 0.0).tolist()  # -0.0 + 0.0 is 0.0
+    flat = [None] * (5 * len(records))  # every record's values, in order
+    for j, col in enumerate(cols):
+        flat[j::5] = col
+    add(", ".join([_VIOLATION] * len(records)) % tuple(flat))
+
+
+def _id_lists(rows) -> list:
+    """The JSON text of each row of an (m, s) int array, by one '%'."""
+    one = "[%s]" % ", ".join(["%d"] * rows.shape[1])
+    return ("\0".join([one] * len(rows)) % tuple(rows.ravel().tolist())).split("\0")
 
 
 def rate_matrix_to_dict(q: RateMatrix) -> dict:

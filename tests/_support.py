@@ -7,6 +7,7 @@ none of the library's machinery.
 """
 
 import bisect
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -400,6 +401,24 @@ def central_gradient(f, x, step):
         lo[k] -= step[k]
         grad[k] = (f(hi) - f(lo)) / (2.0 * step[k])
     return grad
+
+
+def all_nestings(n, max_universe=12):
+    """(B minus one item, B) as tuples for every set B of size >= 3, in
+    size, then lexicographic, then dropped-position order; above
+    max_universe only each item dropped from the full universe. The
+    plain loop the audit's nesting blocks must reproduce."""
+    nestings = []
+    if n <= max_universe:
+        for size in range(3, n + 1):
+            for b in itertools.combinations(range(n), size):
+                for i in range(size):
+                    nestings.append((b[:i] + b[i + 1:], b))
+    else:
+        full = tuple(range(n))
+        for i in range(n):
+            nestings.append((full[:i] + full[i + 1:], full))
+    return nestings
 
 
 def reference_dumps(obj) -> str:

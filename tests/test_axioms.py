@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,11 +39,13 @@ from _support import (
     QHAT_SHOP_CYCLES,
     QHAT_WORK,
     QHAT_WORK_CYCLES,
+    all_nestings,
     brute_force_cycles,
     cyclic_matrix,
     pairwise_from_rates,
     random_canonical,
     random_contractible,
+    reference_dumps,
 )
 
 
@@ -275,7 +278,7 @@ class TestRegularity:
     def test_mnl_always_regular(self):
         rng = np.random.default_rng(10)
         m = MnlModel(gamma=rng.uniform(0.1, 2.0, size=4))
-        nestings = axioms._all_nestings(4)
+        nestings = all_nestings(4)
         assert regularity_violations(m, nestings) == []
 
     def test_bad_nesting(self):
@@ -364,7 +367,7 @@ class TestBatchedRegularity:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 6))
         model = _family(kind, rng, n)
-        nestings = axioms._all_nestings(n)
+        nestings = all_nestings(n)
         for _ in range(5):
             b = tuple(rng.choice(n, size=int(rng.integers(3, n + 1)),
                                  replace=False).tolist())
@@ -383,7 +386,7 @@ class TestBatchedRegularity:
         # the records follow the input pairs, whatever order they come in
         rng = np.random.default_rng(17)
         model = _family(kind, rng, 5)
-        nestings = axioms._all_nestings(5)
+        nestings = all_nestings(5)
         nestings = [nestings[i] for i in rng.permutation(len(nestings))]
         for tol in (1e-9, -1.0):
             assert (regularity_violations(model, nestings, tol)
@@ -461,14 +464,14 @@ class TestBatchedRegularity:
             n=n, rates=random_canonical(np.random.default_rng(8), n)))
         solves, swept = [], []
         stationary = ctmc.stationary
-        sweep = axioms.regularity_violations
+        sweep = axioms._sweep
         monkeypatch.setattr(ctmc, "stationary",
                             lambda g: solves.append(g.size) or stationary(g))
-        monkeypatch.setattr(axioms, "regularity_violations",
-                            lambda m, nest, tol: swept.append(len(nest))
-                            or sweep(m, nest, tol))
+        monkeypatch.setattr(axioms, "_sweep", lambda m, groups, tol: sweep(
+            m, (swept.append(len(g[0])) or g for g in groups), tol))
         run_audit(model)
-        assert swept == [sum(math.comb(n, k) * k for k in range(3, n + 1))]
+        # every nesting goes through the core, one block per superset size
+        assert swept == [math.comb(n, k) * k for k in range(3, n + 1)]
         # only the two full-universe expansion solves go through
         # stationary(); every menu of the sweep is solved in batches
         assert sorted(solves) == [n, 2 * n]
@@ -580,6 +583,29 @@ class TestRunAudit:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["regularity"]["status"] == "pass"
         assert by_name["cyclic_triplets"]["count"] == 0
+
+    @pytest.mark.parametrize("kind", ["pcmc", "mnl", "mmnl", "bladechest"])
+    @pytest.mark.parametrize("n", [3, 8, 13])
+    def test_violations_match_the_public_sweep(self, kind, n):
+        # the audit's own nesting blocks and record columns against the
+        # public sweep over the plain tuple enumeration, and its JSON
+        # against the reference serializer; tol = -1 lists every entry
+        model = _family(kind, np.random.default_rng(n), n)
+        nestings = all_nestings(n)
+        for tol in (1e-9, -1.0):
+            report = run_audit(model, tol=tol)
+            reg = report["checks"][0]
+            got = list(reg["violations"])
+            want = regularity_violations(model, nestings, tol)
+            assert got == [dataclasses.asdict(v) for v in want]
+            assert [reg["violations"][i] for i in range(-len(got), 0)] == got
+            with pytest.raises(IndexError):
+                reg["violations"][len(got)]
+            assert reg["pairs_checked"] == len(nestings)
+            assert reg["status"] == ("fail" if want else "pass")
+            assert reg["margin"] == max((v.p_superset - v.p_subset for v in want), default=0.0)
+            plain = {**report, "checks": [{**reg, "violations": got}, *report["checks"][1:]]}
+            assert serialize.dumps(report) == reference_dumps(plain)
 
     def test_above_twelve_checks_only_the_full_universe(self):
         # _all_nestings enumerates every nesting up to n=12; above that,

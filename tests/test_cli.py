@@ -241,18 +241,18 @@ class TestAudit:
 
     def test_audit_looks_up_module_dumps_and_sweep(self, synth_files, tmp_path,
                                                    monkeypatch):
-        # the benchmark's tracer times the serialize.* and axioms.regularity.*
-        # layers by swapping these module attributes; an audit that imported
-        # either by name would slip past the swap and empty those metrics
+        # the benchmark's tracer times layers by swapping module attributes:
+        # serialize.dumps, and the regularity sweep core a tracer can wrap;
+        # an audit that imported either by name would slip past the swap
         _, model_path = synth_files
         calls = []
-        for mod, name in ((serialize, "dumps"), (axioms, "regularity_violations")):
+        for mod, name in ((serialize, "dumps"), (axioms, "_sweep")):
             real = getattr(mod, name)
             monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **kw:
                                 calls.append(name) or real(*a, **kw))
         assert main(["audit", "--model-file", model_path,
                      "--out", str(tmp_path / "audit.json")]) == 0
-        assert calls == ["regularity_violations", "dumps"]
+        assert calls == ["_sweep", "dumps"]
 
     @pytest.mark.parametrize("text, expansion", [
         # one alternative

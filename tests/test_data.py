@@ -104,6 +104,20 @@ class TestChoiceDataset:
             ChoiceDataset(n=3, observations=[(0, (0, 1)), (1, (1, 2)), (2, (np.float64(2), 1))])
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("observations, number", [
+        # the chosen id 1.7 once read as 1
+        ([(1.7, (0, 1))], 1),
+        ([(0, (0, 1)), (np.float64(1.0), (0, 1))], 2),
+        # (0, 1.0) once keyed with (0, 1) before any check, and read as it
+        ([(0, (0, 1)), (1, (0, 1.0))], 2),
+    ])
+    def test_float_id_rejected_before_sets_merge(self, observations, number):
+        with pytest.raises(ParseError, match="non-integer") as err:
+            ChoiceDataset(n=3, observations=observations)
+        assert err.value.line_number == number
+        ds = ChoiceDataset(n=3, observations=[(np.int64(1), (np.int32(0), 1))])
+        assert ds.observations == ((1, (0, 1)),)
+
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([None, 2 ** 63 - 1]))
     def test_slots_match_a_plain_search(self, seed, n):
         # ids up to int64's top and universes as wide: the first row whose

@@ -139,28 +139,40 @@ class TestDumpsOracle:
         [],
     ])
     def test_column_pass_declines(self, rows):
-        # any column the pass cannot write takes the whole list down the
-        # general path, which writes the reference bytes
-        assert serialize._records(rows, None) is False
+        # lists of records, however irregular, take the general path,
+        # which writes the reference bytes
         assert serialize.dumps({"rows": rows}) == reference_dumps({"rows": rows})
 
     @pytest.mark.parametrize("rows", [
-        [{"a": 3, "s": [0, 1], "p": -0.0}],
-        [{"a": 1, "s": (0, 1)}, {"a": 2, "s": [0, 1]}, {"a": 3, "s": ()}, {"a": 4, "s": (0, 1)}],
-        [{"a": 1, "s": [], "p": 0.0}, {"a": -2 ** 70, "s": [2 ** 64, -1], "p": -0.0}],
-        [{'"%s"': 1, "\u00e9": 2.5}, {'"%s"': 2, "\u00e9": 1e-300}],
+        # one record, -0.0 in both probabilities
+        [([7], [[0, 1]], [[0, 1, 2]], [0], [1], [-0.0], [-0.0])],
+        # two failing pairs sharing their sets across records, then a
+        # wider group
+        [([0, 2], [[0, 1], [1, 2]], [[0, 1, 2], [1, 2, 3]], [0, 0, 1], [0, 1, 2],
+          [0.25, 0.0, 1e-300], [0.5, 1.0 / 3.0, 0.75]),
+         ([5], [[0, 1, 2]], [[0, 1, 2, 3]], [0, 0], [0, 2], [0.1, 0.2], [0.3, -0.0])],
+        # a group without failures between two with one
+        [([0], [[0, 1]], [[0, 1, 2]], [0], [0], [0.25], [0.5]),
+         ([], np.zeros((0, 2)), np.zeros((0, 4)), [], [], [], []),
+         ([9], [[2, 2 ** 62]], [[0, 2, 2 ** 62]], [0], [2 ** 62], [0.5], [0.75])],
+        # no records at all
+        [],
     ])
     def test_column_pass_writes_reference_bytes(self, rows):
-        parts = []
-        assert serialize._records(rows, parts.append) is True
-        assert serialize.dumps(rows) == reference_dumps(rows)
-        assert "-0" not in serialize.dumps(rows)
+        # the audit's violation columns against the reference bytes of
+        # the same records as a list of dicts
+        records = _violation_columns(rows)
+        assert serialize.dumps(records) == reference_dumps(list(records))
+        assert "-0" not in serialize.dumps(records)
 
     def test_nan_in_second_record_names_it(self):
         rows = [{"a": 1, "p": 0.5}, {"a": 2, "p": float("nan")}]
-        with pytest.raises(ValueError) as err:
-            serialize.dumps(rows)
-        assert str(err.value) == "cannot serialize non-finite value nan"
+        records = _violation_columns([([0], [[0, 1]], [[0, 1, 2]], [0, 0], [0, 1],
+                                       [0.25, 0.5], [0.5, float("nan")])])
+        for obj in (rows, records):
+            with pytest.raises(ValueError) as err:
+                serialize.dumps(obj)
+            assert str(err.value) == "cannot serialize non-finite value nan"
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_audit_reports_at_workload_scale(self, seed):
@@ -168,8 +180,21 @@ class TestDumpsOracle:
         for m in (PcmcModel(q=data.gen_random_q(10, seed)),
                   data.gen_bladechest_circle(10, seed)):
             report = axioms.run_audit(m)
-            assert len(report["checks"][0]["violations"]) > 1000
-            assert serialize.dumps(report) == reference_dumps(report)
+            regularity, *rest = report["checks"]
+            violations = list(regularity["violations"])
+            assert len(violations) > 1000
+            plain = {**report, "checks": [{**regularity, "violations": violations}, *rest]}
+            assert serialize.dumps(report) == reference_dumps(plain)
+
+
+def _violation_columns(blocks):
+    """axioms.ViolationColumns from blocks given as lists: failing pair
+    numbers, their subsets and supersets, then per record the pair's row,
+    the item and the two probabilities."""
+    return axioms.ViolationColumns([axioms._Failures(
+        np.array(pairs, np.int64), np.array(a, np.int64), np.array(b, np.int64),
+        np.array(row, np.int64), np.array(item, np.int64), np.array(lo, float),
+        np.array(hi, float)) for pairs, a, b, row, item, lo, hi in blocks])
 
 
 class TestModelRoundTrip:
