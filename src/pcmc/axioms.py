@@ -28,6 +28,7 @@ import numpy as np
 from . import ctmc
 from .base import ChoiceModel, probabilities_rows
 from .ctmc import Distribution, RateMatrix
+from .data import _distinct_rows
 from .errors import (
     BadNesting,
     IndexOutOfRange,
@@ -228,17 +229,6 @@ class ViolationColumns(Sequence):
                 "p_subset": float(f.p_subset[j]), "p_superset": float(f.p_superset[j])}
 
 
-def _unique_rows(rows):
-    """The distinct rows of an (m, s) int array and the index of each row
-    among them: np.unique(axis=0) without its slow sort of void keys."""
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    ordered = rows[order]
-    new = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
-    back = np.empty(len(rows), np.int64)
-    back[order] = np.cumsum(new) - 1
-    return ordered[new], back
-
-
 def _sweep(model, groups, tol):
     """Regularity violations among blocks of nestings, as columns.
 
@@ -258,7 +248,7 @@ def _sweep(model, groups, tol):
         for s in sorted(sizes):
             slots = menus.pop(s)  # (group, 1) for its subsets, (group, 2) for its supersets
             rows = [g[side] for g, side in slots]
-            menu, back = _unique_rows(np.concatenate(rows))
+            menu, back = _distinct_rows(np.concatenate(rows))
             mass = probabilities_rows(model, menu)[back]
             for (g, side), part in zip(slots, np.split(mass, np.cumsum(list(map(len, rows[:-1]))))):
                 g[side + 3] = part

@@ -173,10 +173,12 @@ class Distribution:
             raise ValueError("mass length must match support length")
         if len(sup) != len(set(sup)):
             raise ValueError("support must not repeat alternatives")
-        if m.min() < 0:
-            raise ValueError("mass must be nonnegative")
-        if abs(m.sum() - 1.0) > MASS_TOL:
-            raise ValueError("mass sums to %r, not 1" % float(m.sum()))
+        if not m.min() >= 0:  # NaN fails too
+            raise ValueError("mass must be finite and nonnegative")
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
+            total = float(m.sum())
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValueError("mass sums to %r, not 1" % total)
         m.flags.writeable = False
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "support", sup)

@@ -499,21 +499,24 @@ def _integers(b, starts):
     return None if (b[at] >= ord("0")).any() else value
 
 
-def _distinct_rows(block):
-    """The distinct rows of a 2-d array and each row's index among them,
-    keyed by each row's bytes (np.unique(axis=0) is far slower). A row
-    of at most 8 bytes is keyed as a big-endian integer, which sorts in
-    the same order as its bytes and far faster than a void key."""
-    block = np.ascontiguousarray(block)
-    width = block.strides[0]
+def _distinct_rows(rows):
+    """The distinct rows of a 2-d array, in no promised order, and each
+    row's index among them, so that distinct[inverse] is rows. A row of at
+    most 8 bytes is keyed as one big-endian integer of its bytes, a wider
+    one sorted by its columns (np.lexsort): both far faster than np.unique(axis=0)."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
     if width <= 8:
-        keys = np.zeros((len(block), 8), np.uint8)
-        keys[:, :width] = block.view(np.uint8).reshape(len(block), width)
-        keys = keys.view(">u8")
-    else:
-        keys = block.view(np.dtype((np.void, width)))
-    rows, inverse = np.unique(keys.ravel(), return_inverse=True)
-    return rows.view(np.uint8).reshape(len(rows), -1)[:, :width].view(block.dtype), inverse
+        keys = np.zeros((len(rows), 8), np.uint8)
+        keys[:, :width] = rows.view(np.uint8).reshape(len(rows), width)
+        distinct, inverse = np.unique(keys.view(">u8").ravel(), return_inverse=True)
+        return distinct.view(np.uint8).reshape(-1, 8)[:, :width].view(rows.dtype), inverse
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    inverse = np.empty(len(rows), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def _chosen_set_columns(text: str):
@@ -667,9 +670,9 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     parser declines goes to the line loop, which raises any format error at
     its file line. Both give the same columns to one validation, whose
     errors are renumbered from observation to file line."""
-    text = read_text(path)
     if format not in _FORMATS:
         raise ValueError("unknown dataset format %r" % format)
+    text = read_text(path)
     columns, line_loop = _FORMATS[format]
     n, chosen, raw_id, raw_sets = columns(text) or line_loop(text)
     if len(chosen) == 0:
@@ -687,13 +690,15 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
 
 
 def save(dataset: ChoiceDataset, path: str) -> None:
-    """Write a dataset in the native chosen-set-v1 format (with labels
-    sidecar when the dataset has labels), each file written atomically."""
+    """Write a dataset in the native chosen-set-v1 format and, when it has
+    labels, their sidecar (else remove any old one), each file atomically."""
     members = [" ".join(map(str, s)) for s in dataset.sets]
     lines = ["# n=%d" % dataset.n] + [
         "%d,%s" % (c, members[k])
         for c, k in zip(dataset.chosen.tolist(), dataset.set_id.tolist())]
     write_text(path, "\n".join(lines) + "\n")
+    sidecar = path + ".labels.json"
     if dataset.labels is not None:
-        write_text(path + ".labels.json",
-                   json.dumps({"labels": list(dataset.labels)}) + "\n")
+        write_text(sidecar, json.dumps({"labels": list(dataset.labels)}) + "\n")
+    elif os.path.exists(sidecar):  # an older dataset's labels would be read back
+        os.remove(sidecar)

@@ -62,12 +62,13 @@ mnl_probabilities = MnlModel.probabilities
 
 
 def _weights(gamma) -> np.ndarray:
-    """Luce weights as a float vector, checked nonempty, finite and > 0."""
+    """Luce weights as a float vector, checked nonempty and > 0 with a finite sum."""
     g = np.array(gamma, dtype=float)
     if g.ndim != 1 or len(g) < 1:
         raise ValueError("gamma must be a nonempty vector")
-    if not np.all(np.isfinite(g)) or g.min() <= 0:
-        raise NonpositiveGamma("weights must be finite and > 0")
+    with np.errstate(over="ignore"):  # NaN, inf or an overflowing sum fails the test
+        if not (g.min() > 0 and np.isfinite(g.sum())):
+            raise NonpositiveGamma("weights must be finite and > 0, with a finite sum")
     return g
 
 
@@ -145,8 +146,9 @@ class MmnlModel(BatchedModel):
             raise InvalidK("a mixture needs at least one component")
         if w.ndim != 1 or len(w) != len(comps):
             raise ValueError("need one weight per component")
-        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        with np.errstate(over="ignore"):  # NaN or an overflowing sum fails the test
+            if not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-10):
+                raise ValueError("weights must be finite, nonnegative and sum to 1")
         sizes = {c.n for c in comps}
         if len(sizes) != 1:
             raise ValueError("components disagree on universe size: %s" % sizes)

@@ -352,7 +352,11 @@ class TestFailureCodes:
 
     @pytest.mark.parametrize("text", ['{"model": "mnl"}',
                                       '{"model": "pcmc", "n": 3, "rates": [0, 1]}',
-                                      '{"model": "pcmc", "n": 2, "rates": [0, 0.2, 0.3, 0]}'])
+                                      '{"model": "pcmc", "n": 2, "rates": [0, 0.2, 0.3, 0]}',
+                                      # weights NaN; weights whose sum overflows
+                                      '{"model": "mmnl", "weights": [NaN], '
+                                      '"components": [[1, 1, 1, 1]]}',
+                                      '{"model": "mnl", "gamma": [1e308, 1e308, 1e308, 1e308]}'])
     def test_malformed_model_file(self, synth_files, tmp_path, text, capsys):
         model_path = tmp_path / "m.json"
         model_path.write_text(text)

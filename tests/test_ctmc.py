@@ -468,6 +468,9 @@ class TestDistribution:
             Distribution(support=(0, 1), mass=np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             Distribution(support=(0, 1), mass=np.array([-0.1, 1.1]))
+        for mass in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1e308, 1e308]):
+            with pytest.raises(ValueError):
+                Distribution(support=(0, 1), mass=np.array(mass))
 
     def test_prob_and_as_dict(self):
         d = Distribution(support=(3, 5), mass=np.array([0.25, 0.75]))

@@ -460,6 +460,14 @@ class TestLoadSave:
         path = tmp_path / "out.txt"
         data.save(ds, str(path))
         assert data.load(str(path)).labels == ("car", "bus")
+        # an unlabelled save over it removes the old sidecar, whether n is
+        # kept (which read the old labels back) or changed (which raised)
+        for n in (2, 3):
+            data.save(ds, str(path))
+            plain = ChoiceDataset(n=n, observations=((1, (0, 1)),))
+            data.save(plain, str(path))
+            assert data.load(str(path)) == plain
+            assert not (tmp_path / "out.txt.labels.json").exists()
 
     @pytest.mark.parametrize("text", ["{not json", "[\"car\", \"bus\"]",
                                       '{"labels": "car"}', '{"labels": ["car"]}'])
@@ -571,6 +579,9 @@ class TestLoadSave:
         path.write_text("0,0 1\n")
         with pytest.raises(ValueError):
             data.load(str(path), format="nope")
+        # the format is checked before the file is read
+        with pytest.raises(ValueError, match="unknown dataset format"):
+            data.load(str(tmp_path / "missing.txt"), format="csv")
 
 
 # (file text, error type, line number) for files with one fault each
@@ -857,3 +868,41 @@ class TestArrayPathFiles:
         elif style == "comments":
             lines[edge - 1:edge - 1] = ["# note", "", "#", "# n=6"]
         self._check(lines, fmt, rows)
+
+
+class TestDistinctRows:
+    """The one distinct-rows kernel of the readers and the audit sweep,
+    against np.unique(axis=0): the same distinct rows, in any order, and
+    an inverse that rebuilds the input."""
+
+    @staticmethod
+    def _check(rows):
+        distinct, inverse = data._distinct_rows(rows)
+        assert distinct.dtype == rows.dtype and len(inverse) == len(rows)
+        assert np.array_equal(distinct[inverse], rows)
+        want = np.unique(rows, axis=0)
+        assert len(distinct) == len(want)
+        assert np.array_equal(distinct[np.lexsort(distinct.T[::-1])], want)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_uint8_rows(self, width):
+        # up to 8 bytes a row is keyed as one integer, from 9 bytes sorted
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, 3, size=(200, width)).astype(np.uint8)
+        self._check(rows)
+        self._check(np.concatenate([rows, rows[::7]]))
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_int64_rows(self, width):
+        rng = np.random.default_rng(width)
+        rows = rng.integers(-2, 3, size=(300, width)) * np.int64(2) ** 40
+        rows[::5] += 1
+        self._check(rows)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_one_row_and_repeats(self, dtype, width):
+        row = np.arange(width, dtype=dtype)[None]
+        self._check(row)
+        distinct, inverse = data._distinct_rows(np.repeat(row, 4, axis=0))
+        assert np.array_equal(distinct, row) and inverse.tolist() == [0, 0, 0, 0]

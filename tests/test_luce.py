@@ -12,7 +12,7 @@ import pcmc
 from pcmc import data, luce
 from pcmc.ctmc import RateMatrix, RestrictedGenerator, stationary
 from pcmc.data import ChoiceDataset
-from pcmc.errors import NegativeAlpha, NoConvergence, NotConnected, SameItem
+from pcmc.errors import NegativeAlpha, NonpositiveGamma, NoConvergence, NotConnected, SameItem
 from pcmc.luce import MmnlModel, MnlModel
 from pcmc.model import log_likelihood
 
@@ -32,6 +32,10 @@ class TestMnlModel:
     def test_positive_required(self):
         with pytest.raises(Exception):
             MnlModel(gamma=np.array([1.0, 0.0]))
+        # NaN, inf, and weights whose sum overflows (they were normalised to all zeros)
+        for gamma in ([np.nan, 1.0], [np.inf, 1.0], [1e308] * 4):
+            with pytest.raises(NonpositiveGamma):
+                MnlModel(gamma=np.array(gamma))
 
     def test_btl_pair(self):
         assert luce.btl_pair(MnlModel(gamma=np.array([2.0, 1.0])), 0, 1) \
@@ -257,6 +261,10 @@ class TestMmnl:
         comp = MnlModel(gamma=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             MmnlModel(weights=np.array([0.4, 0.4]), components=(comp, comp))
+        # NaN passed both the sign test and the sum test
+        for w in ([np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="finite"):
+                MmnlModel(weights=np.array(w), components=(comp, comp))
 
     def test_default_mixture_size(self):
         # smallest k with k*(n+1) - 1 >= n*(n-1)
