@@ -111,14 +111,6 @@ def minimize(fun, x0, *args, **kwargs):
     that does not fit never needs it. The fitting modules import this
     name, so each holds it as a module attribute that a caller can swap,
     as the benchmark's tracer does; an import inside a fitter would
-    bypass the swap."""
+    bypass the swap. It is the package's only scipy import."""
     from scipy.optimize import minimize
     return minimize(fun, x0, *args, **kwargs)
-
-
-def expit(x):
-    """scipy.special.expit, imported on the first call so that loading
-    the package needs only numpy; a module attribute of its importers
-    for the same reason as minimize."""
-    from scipy.special import expit
-    return expit(x)

@@ -12,8 +12,8 @@ Two constructions map existing model families onto the chain model:
 
 The embedding model ("blade-chest") scores ordered pairs with two
 d-dimensional vectors per alternative and squashes the score through a
-logistic; its pairwise matrix is plugged into the chain construction to
-extend it from pairs to larger sets.
+numpy logistic; its pairwise matrix is plugged into the chain
+construction to extend it from pairs to larger sets.
 """
 
 import math
@@ -23,13 +23,21 @@ from functools import cached_property
 import numpy as np
 
 from . import data as data_mod, luce, model as model_mod
-from .base import BatchedModel, expit, minimize
+from .base import BatchedModel, minimize
 from .ctmc import RateMatrix
 from .errors import EmptyDataset, InvalidK, InvalidPairwise, OptimizerFailure
 from .luce import MnlModel
 from .model import FitConfig, PcmcModel
 
 _PAIR_TOL = 1e-10
+
+
+def expit(x):
+    """The logistic 1 / (1 + exp(-x)), scipy.special.expit's formula in
+    numpy: within 2 ulp of it, exactly 0.0 or 1.0 in the far tails. A
+    module attribute that callers look up when called, like minimize."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)

@@ -106,12 +106,32 @@ def _id_lists(rows) -> list:
 
 
 def rate_matrix_to_dict(q: RateMatrix) -> dict:
-    return {"n": q.n, "rates": [float(v) for v in q.rates.ravel()]}
+    return {"n": int(q.n), "rates": [float(v) for v in q.rates.ravel()]}
+
+
+def _int(d: dict, key: str) -> int:
+    """d[key] if it is a JSON integer: int() would take 2.9, true or "2"."""
+    if type(d[key]) is not int:
+        raise ParseError(0, "%r must be an integer, got %r" % (key, d[key]))
+    return d[key]
+
+
+def _numbers(v) -> bool:
+    """Whether v is a JSON number or a list of such values, nested."""
+    return all(map(_numbers, v)) if type(v) is list else type(v) in (int, float)
+
+
+def _floats(v, key: str) -> np.ndarray:
+    """A JSON list of numbers, or of such lists, as a float array: a cast
+    would also take strings, true and null (as nan)."""
+    if type(v) is not list or not _numbers(v):
+        raise ParseError(0, "%r must be a list of numbers" % key)
+    return np.array(v, dtype=float)
 
 
 def rate_matrix_from_dict(d: dict) -> RateMatrix:
-    n = int(d["n"])
-    rates = np.array(d["rates"], dtype=float).reshape(n, n)
+    n = _int(d, "n")
+    rates = _floats(d["rates"], "rates").reshape(n, n)
     return RateMatrix(n=n, rates=rates)
 
 
@@ -131,7 +151,7 @@ def model_to_dict(model) -> dict:
         return {
             "model": "bladechest",
             "variant": model.variant,
-            "d": model.d,
+            "d": int(model.d),
             "blades": [[float(v) for v in row] for row in model.blades],
             "chests": [[float(v) for v in row] for row in model.chests],
         }
@@ -143,16 +163,16 @@ def model_from_dict(d: dict):
     if kind == "pcmc":
         return PcmcModel(q=rate_matrix_from_dict(d))
     if kind == "mnl":
-        return MnlModel(gamma=np.array(d["gamma"], dtype=float))
+        return MnlModel(gamma=_floats(d["gamma"], "gamma"))
     if kind == "mmnl":
-        comps = tuple(MnlModel(gamma=np.array(g, dtype=float))
+        comps = tuple(MnlModel(gamma=_floats(g, "components"))
                       for g in d["components"])
-        return MmnlModel(weights=np.array(d["weights"], dtype=float),
+        return MmnlModel(weights=_floats(d["weights"], "weights"),
                          components=comps)
     if kind == "bladechest":
-        blades = np.array(d["blades"], dtype=float)
-        chests = np.array(d["chests"], dtype=float)
-        return BladeChest(n=blades.shape[0], d=int(d["d"]),
+        blades = _floats(d["blades"], "blades")
+        chests = _floats(d["chests"], "chests")
+        return BladeChest(n=blades.shape[0], d=_int(d, "d"),
                           blades=blades, chests=chests,
                           variant=d.get("variant", "distance"))
     raise ParseError(0, "unknown model tag %r" % kind)

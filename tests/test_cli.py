@@ -356,7 +356,15 @@ class TestFailureCodes:
                                       # weights NaN; weights whose sum overflows
                                       '{"model": "mmnl", "weights": [NaN], '
                                       '"components": [[1, 1, 1, 1]]}',
-                                      '{"model": "mnl", "gamma": [1e308, 1e308, 1e308, 1e308]}'])
+                                      '{"model": "mnl", "gamma": [1e308, 1e308, 1e308, 1e308]}',
+                                      # sizes and numbers a cast would coerce
+                                      '{"model": "pcmc", "n": 4.5, "rates": [%s]}'
+                                      % ", ".join(["0.5"] * 16),
+                                      '{"model": "mnl", "gamma": ["1", "1", "1", "1"]}',
+                                      '{"model": "mnl", "gamma": [true, true, true, true]}',
+                                      '{"model": "bladechest", "d": 1.5, '
+                                      '"blades": [[0], [1], [2], [3]], '
+                                      '"chests": [[1], [2], [3], [0]]}'])
     def test_malformed_model_file(self, synth_files, tmp_path, text, capsys):
         model_path = tmp_path / "m.json"
         model_path.write_text(text)

@@ -1,4 +1,5 @@
 import ast
+import glob
 import itertools
 import os
 import subprocess
@@ -184,26 +185,60 @@ def test_import_loads_no_graph_library():
 
 
 def test_import_loads_no_scipy():
-    # scipy's optimizer and logistic load at the first fit or embedding
-    # evaluation, so the package and its CLI need only numpy to load
+    # scipy's optimizer loads at the first fit, so the package and its
+    # CLI need only numpy to load
     loaded = _fresh_modules("import pcmc, pcmc.cli")
     assert "pcmc.cli" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
 def test_scoring_a_chain_model_loads_no_optimizer(tmp_path):
-    chain = pcmc.PcmcModel(q=pcmc.gen_random_q(3, 0))
-    model_path, data_path = str(tmp_path / "m.json"), str(tmp_path / "d.txt")
-    pcmc.save_model(chain, model_path)
-    pcmc.save(pcmc.sample(chain, [(0, 1), (0, 1, 2)], 50, 0), data_path)
-    loaded = _fresh_modules(
-        "import pcmc.cli\n"
-        "assert pcmc.cli.main(['eval', '--model-file', %r, '--data', %r, '--out', %r]) == 0\n"
-        "assert pcmc.cli.main(['audit', '--model-file', %r, '--out', %r]) == 0"
-        % (model_path, data_path, data_path + ".eval", model_path, model_path + ".audit"))
-    assert os.path.exists(data_path + ".eval") and os.path.exists(model_path + ".audit")
+    # scoring, auditing and sampling a chain or an embedding model load no
+    # scipy module at all: only the fitters' minimize imports scipy
+    data_path, code = str(tmp_path / "d.txt"), "import pcmc.cli\n"
+    for name, gen in (("chain", pcmc.PcmcModel(q=pcmc.gen_random_q(3, 0))),
+                      ("embedding", data.gen_bladechest_circle(3, 0))):
+        model_path = str(tmp_path / (name + ".json"))
+        pcmc.save_model(gen, model_path)
+        pcmc.save(pcmc.sample(gen, [(0, 1), (0, 1, 2)], 50, 0), data_path)
+        code += ("assert pcmc.cli.main(['eval', '--model-file', %r, '--data', %r, '--out', %r]) == 0\n"
+                 "assert pcmc.cli.main(['audit', '--model-file', %r, '--out', %r]) == 0\n"
+                 % (model_path, data_path, model_path + ".eval", model_path, model_path + ".audit"))
+    synth_path = str(tmp_path / "synth.txt")
+    code += ("assert pcmc.cli.main(['synth', '--regime', 'bladechest', '--n', '4', "
+             "'--samples', '50', '--out', %r]) == 0" % synth_path)
+    loaded = _fresh_modules(code)
+    for name in ("chain", "embedding"):
+        for out in (".eval", ".audit"):
+            assert os.path.exists(str(tmp_path / (name + ".json" + out)))
+    assert os.path.exists(synth_path)
     assert "pcmc.axioms" in loaded
-    assert not loaded & {"scipy.optimize", "scipy.special"}
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def _scipy_imports(node, where, found):
+    """Append where, a (file, qualified enclosing name) pair, once for
+    each import statement under node that names a scipy module."""
+    if isinstance(node, ast.Import):
+        mods = [a.name for a in node.names]
+    else:
+        mods = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+    if any(m.split(".")[0] == "scipy" for m in mods):
+        found.append(where)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = (where[0], (where[1] + "." if where[1] else "") + node.name)
+    for child in ast.iter_child_nodes(node):
+        _scipy_imports(child, where, found)
+
+
+def test_only_base_minimize_imports_scipy():
+    # one lazy import in one helper keeps every command but a fit free of
+    # scipy's import cost; a second import site would slip back in unseen
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(pcmc.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            _scipy_imports(ast.parse(fh.read()), (os.path.basename(path), ""), found)
+    assert found == [("base.py", "minimize")]
 
 
 def _spy(log, name, fn):

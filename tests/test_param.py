@@ -1,6 +1,8 @@
 import dataclasses
+import decimal
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +239,41 @@ class TestBladeChestChainCache:
         assert [_outcome(c) for c in checks] == before
         assert [f.name for f in dataclasses.fields(bc)] \
             == ["n", "d", "blades", "chests", "variant"]
+
+
+# scores at zero, in the body, where 1 + exp(40) rounds, and at both
+# ends of exp's range
+_LOGISTIC_GRID = [s * v for v in (1e-300, 1.0, 20.0, 40.0, 700.0, 709.0) for s in (1.0, -1.0)]
+
+
+def _relative_error(got, x):
+    """|got - logistic(x)| / logistic(x), against a 50-digit logistic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = 1 / (1 + (-decimal.Decimal(x)).exp())
+        return float(abs(decimal.Decimal(got) - exact) / exact)
+
+
+class TestLogistic:
+    def test_within_two_ulp_of_scipy_error_on_the_grid(self):
+        from scipy.special import expit as reference
+        x = np.array(_LOGISTIC_GRID)
+        eps = np.finfo(float).eps
+        for xi, got, ref in zip(x.tolist(), param.expit(x).tolist(), reference(x).tolist()):
+            assert _relative_error(got, xi) <= _relative_error(ref, xi) + 2 * eps, xi
+            assert param.expit(xi) == got  # a scalar score gets the array's value
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert param.expit(np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+            assert param.expit(-1000.0) == 0.0 and param.expit(1000.0) == 1.0
+
+    def test_within_two_ulp_of_scipy_on_a_sample(self):
+        from scipy.special import expit as reference
+        x = np.random.default_rng(23).standard_normal(100_000) * 10.0
+        ref = reference(x)
+        assert (np.abs(param.expit(x) - ref) <= 2 * np.spacing(ref)).all()
 
 
 class TestEmbeddingGradient:

@@ -242,6 +242,16 @@ class TestModelRoundTrip:
         assert np.array_equal(back.blades, m.blades)
         assert np.array_equal(back.chests, m.chests)
 
+    def test_numpy_int_sizes_round_trip(self):
+        # the reader takes only JSON integers for n and d, so the dict
+        # form writes a size given as a numpy int as an int
+        for m in (PcmcModel(q=RateMatrix(n=np.int64(2), rates=[[0.0, 1.0], [1.0, 0.0]])),
+                  BladeChest(n=np.int64(2), d=np.int64(1), blades=[[0.0], [1.0]],
+                             chests=[[1.0], [0.0]])):
+            back = serialize.model_from_dict(serialize.model_to_dict(m))
+            assert back.probabilities((0, 1)).mass.tolist() \
+                == m.probabilities((0, 1)).mass.tolist()
+
     def test_unknown_tag(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": "mystery"}\n')
@@ -268,9 +278,23 @@ class TestModelRoundTrip:
         {"model": "pcmc", "n": [2], "rates": [0.0]},
         {"model": "mmnl", "weights": [1.0], "components": 5},
         {"model": "bladechest", "d": 2, "blades": 1.0, "chests": 1.0},
+        {"model": "pcmc", "n": 2.9, "rates": [0, 1, 1, 0]},
+        {"model": "pcmc", "n": True, "rates": [0]},
+        {"model": "pcmc", "n": "2", "rates": [0, 1, 1, 0]},
+        {"model": "pcmc", "n": 2, "rates": [0, "1", "1", 0]},
+        {"model": "mnl", "gamma": ["0.5", "0.5"]},
+        {"model": "mnl", "gamma": [True, True]},
+        {"model": "mnl", "gamma": [0.5, None]},
+        {"model": "mmnl", "weights": ["1"], "components": [[0.5, 0.5]]},
+        {"model": "mmnl", "weights": [1], "components": [["0.5", "0.5"]]},
+        {"model": "bladechest", "d": 1.7, "blades": [[0], [1]], "chests": [[1], [0]]},
+        {"model": "bladechest", "d": "1", "blades": [[0], [1]], "chests": [[1], [0]]},
+        {"model": "bladechest", "d": 1, "blades": [["0"], ["1"]], "chests": [[1], [0]]},
     ])
     def test_malformed_model(self, tmp_path, payload):
-        # a missing key, a wrong length or shape, a non-canonical matrix
+        # a missing key, a wrong length or shape, a non-canonical matrix;
+        # a size that is not a JSON integer or a number that is not a JSON
+        # number, which a cast would have coerced
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
