@@ -32,7 +32,6 @@ from .data import _distinct_rows
 from .errors import (
     BadNesting,
     IndexOutOfRange,
-    InvalidK,
     InvalidPairwise,
     LambdaMismatch,
     NotContractible,
@@ -152,9 +151,7 @@ def expand_copies(q: RateMatrix, k: int, within_rate: float = 0.5):
     the partition grouping the copies, copies of alternative m occupying
     indices m*k .. m*k + k - 1.
     """
-    k = int(k)
-    if k < 1:
-        raise InvalidK("copy count must be >= 1, got %d" % k)
+    k = ctmc._size(k, "copy count")
     if within_rate < 0.5:
         raise ValueError("within_rate below one half breaks the pair-sum condition")
     n = q.n
@@ -162,7 +159,6 @@ def expand_copies(q: RateMatrix, k: int, within_rate: float = 0.5):
     for m in range(n):
         block = slice(m * k, (m + 1) * k)
         big[block, block] = within_rate
-    np.fill_diagonal(big, 0.0)
     partition = Partition(
         n=n * k,
         blocks=tuple(tuple(range(m * k, (m + 1) * k)) for m in range(n)),
@@ -366,6 +362,8 @@ def tournament_from_pairwise(p) -> Tournament:
     n = a.shape[0]
     if a.shape != (n, n):
         raise InvalidPairwise("need a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise InvalidPairwise("entries must be finite")
     beats, ties = set(), set()
     for i in range(n):
         for j in range(i + 1, n):
@@ -464,6 +462,7 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
     none or when the expansion's row sums overflow), and counts cyclic
     triples in the pairwise predictions against the tournament maximum.
     """
+    expand_k = ctmc._size(expand_k, "copy count")
     checks = []
 
     # One-item-removed nestings suffice: if no single addition ever
@@ -494,7 +493,7 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
         deviation = _expansion_deviation(q, expand_k)
         checks.append({"name": "uniform_expansion",
                        "status": "pass" if deviation <= 1e-8 else "fail",
-                       "copies": int(expand_k),
+                       "copies": expand_k,
                        "margin": deviation})
 
     t = tournament_from_model(model)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import axioms, data as data_mod, evaluate, model as model_mod, serialize
+from . import axioms, data as data_mod, evaluate, model as model_mod, param, serialize
 from .errors import (
     MultipleClosedClasses,
     NoConvergence,
@@ -71,16 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     formats = dict(default="chosen-set-v1", choices=tuple(data_mod._FORMATS))
     # the fit options that fit and curve share
     fitting = _Parser(add_help=False)
-    fitting.add_argument("--alpha", type=float, default=0.1,
-                         help="smoothing pseudocount (default 0.1)")
+    defaults = model_mod.FitConfig
+    fitting.add_argument("--alpha", type=float, default=defaults.smoothing_alpha,
+                         help="smoothing pseudocount (default %(default)s)")
     fitting.add_argument("--seed", type=int, default=0)
     fitting.add_argument("--k", type=_positive_int, default=None,
                          help="mixture size for mmnl")
     fitting.add_argument("--d", type=_positive_int, default=2,
                          help="embedding dimension for bladechest")
-    fitting.add_argument("--max-iters", type=_positive_int, default=200,
+    fitting.add_argument("--max-iters", type=_positive_int, default=defaults.max_iters,
                          help="L-BFGS-B iteration cap of the pcmc and bladechest "
-                              "fits (default 200); mnl keeps its cap of 10,000 "
+                              "fits (default %(default)s); mnl keeps its cap of 10,000 "
                               "fixed-point iterations, mmnl 500 per restart")
     fitting.add_argument("--format", **formats)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--model", required=True, choices=evaluate._KINDS)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--variant", choices=("distance", "inner"),
-                       default="distance")
+                       default=param.BladeChest.variant)
     p_fit.add_argument("--report", default=None,
                        help="also write a fit report JSON here")
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     EmptySubset,
     IndexOutOfRange,
+    InvalidK,
     MultipleClosedClasses,
     SingularSystem,
 )
@@ -99,6 +100,18 @@ def _index(i) -> int:
         return operator.index(i)
     except TypeError:
         raise ValueError("alternative %r is not an integer id" % (i,)) from None
+
+
+def _size(k, what) -> int:
+    """A size, such as a copy count, as an int once checked to be an
+    integer >= 1; a float, a string or a smaller integer raises InvalidK."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidK("%s must be an integer, got %r" % (what, k)) from None
+    if k < 1:
+        raise InvalidK("%s must be >= 1, got %d" % (what, k))
+    return k
 
 
 def _check_rows(idx, n) -> None:

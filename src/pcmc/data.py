@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -249,19 +249,11 @@ def smooth(tables: CountTables, alpha: float) -> CountTables:
     absent. Set totals grow by alpha * |S| accordingly.
     """
     alpha = _pseudocount(alpha)
-    choice_counts = {
-        s: {i: c + alpha for i, c in per_item.items()}
-        for s, per_item in tables.choice_counts.items()
-    }
-    set_counts = {
-        s: tables.set_counts[s] + alpha * len(s) for s in tables.set_counts
-    }
-    return CountTables(
-        n=tables.n,
-        choice_counts=choice_counts,
-        set_counts=set_counts,
-        cooccurrence=tables.cooccurrence,
-        set_size_histogram=tables.set_size_histogram,
+    return replace(
+        tables,
+        choice_counts={s: {i: c + alpha for i, c in per_item.items()}
+                       for s, per_item in tables.choice_counts.items()},
+        set_counts={s: c + alpha * len(s) for s, c in tables.set_counts.items()},
     )
 
 
@@ -336,7 +328,6 @@ def gen_random_q(n: int, seed: int):
         raise ValueError("need at least 2 alternatives, got %d" % n)
     rng = np.random.default_rng(seed)
     q = rng.random((n, n))
-    np.fill_diagonal(q, 0.0)
     sums = q + q.T
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     short = upper & (sums < 1.0)
@@ -344,9 +335,8 @@ def gen_random_q(n: int, seed: int):
     with np.errstate(divide="ignore"):
         factor = np.where(sums < 1.0, 1.0 / sums, 1.0)
     np.fill_diagonal(factor, 1.0)
-    q = q * factor
-    np.fill_diagonal(q, 0.0)
-    return RateMatrix(n=n, rates=q, meta={"generator": "uniform", "pairs_rescaled": repaired})
+    return RateMatrix(n=n, rates=q * factor,
+                      meta={"generator": "uniform", "pairs_rescaled": repaired})
 
 
 def gen_mnl_simplex(n: int, seed: int):

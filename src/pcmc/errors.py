@@ -120,5 +120,5 @@ class BadNesting(PcmcError, ValueError):
 
 
 class InvalidK(PcmcError, ValueError):
-    """A mixture size or expansion factor was not a positive integer
-    in the allowed range."""
+    """A size (a mixture size, restart count, copy count or embedding
+    dimension) was not a positive integer in the allowed range."""

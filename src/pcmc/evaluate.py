@@ -86,11 +86,11 @@ class FitSpec:
     """
 
     kind: str
-    alpha: float = 0.1
+    alpha: float = FitConfig.smoothing_alpha
     k: int = None
     d: int = 2
-    variant: str = "distance"
-    max_iters: int = 200
+    variant: str = param.BladeChest.variant
+    max_iters: int = FitConfig.max_iters
 
     def __post_init__(self):
         if self.kind not in _KINDS:

@@ -179,15 +179,19 @@ def default_mixture_size(n: int) -> int:
     return max(1, math.ceil((n * (n - 1) + 1) / (n + 1)))
 
 
+def _mixture_split(x, k, n):
+    """The (k, n) component utilities theta and the mixing weights,
+    a softmax of the logits beta, from x = (theta, beta)."""
+    beta = x[k * n:]
+    wexp = np.exp(beta - beta.max())
+    return x[: k * n].reshape(k, n), wexp / wexp.sum()
+
+
 def _mixture_objective(x, k, n, groups):
     """Negative smoothed log-likelihood and gradient in the
     unconstrained (theta, beta) parameterization, over the size-grouped
     (idx, smoothed counts) layout."""
-    theta = x[: k * n].reshape(k, n)
-    beta = x[k * n:]
-    bshift = beta - beta.max()
-    wexp = np.exp(bshift)
-    w = wexp / wexp.sum()
+    theta, w = _mixture_split(x, k, n)
 
     value = 0.0
     grad_theta = np.zeros((k, n))
@@ -222,11 +226,8 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     n = dataset.n
     if k is None:
         k = default_mixture_size(n)
-    k = int(k)
-    if k < 1:
-        raise InvalidK("mixture size must be >= 1, got %d" % k)
-    if restarts < 1:
-        raise InvalidK("need at least one restart")
+    k = ctmc._size(k, "mixture size")
+    restarts = ctmc._size(restarts, "restart count")
     groups = data_mod._smoothed(data_mod._set_terms(dataset), alpha)
 
     try:
@@ -255,10 +256,7 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     if best_x is None:
         raise OptimizerFailure("all %d mixture fits diverged" % restarts)
 
-    theta = best_x[: k * n].reshape(k, n)
-    beta = best_x[k * n:]
-    wexp = np.exp(beta - beta.max())
-    weights = wexp / wexp.sum()
+    theta, weights = _mixture_split(best_x, k, n)
     comps = []
     for c in range(k):
         g = np.exp(theta[c] - theta[c].max())

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ctmc, data as data_mod
 from .base import LOG_FLOOR, BatchedModel, minimize, probabilities_rows
-from .ctmc import RateMatrix, TOL_CONSTRAINT
+from .ctmc import RateMatrix
 from .errors import (
     EmptyDataset,
     InfeasibleStart,
@@ -263,8 +263,6 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
         if start.n != n:
             raise InfeasibleStart("start is over %d alternatives, data has %d"
                                   % (start.n, n))
-        if start.q.pair_sum_violation() > TOL_CONSTRAINT:
-            raise InfeasibleStart("start violates the pair-sum condition")
         # a zero rate has no logarithm, and a set mass at LOG_FLOOR gets
         # no gradient; 1e-6 keeps the masses of such a start above it
         x0 = np.log(np.maximum(start.q.rates[free], 1e-6))
@@ -276,7 +274,6 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
         raise ValueError("unknown init %r" % cfg.init)
 
     fixed = np.full((n, n), 0.5)
-    np.fill_diagonal(fixed, 0.0)
 
     def parameterize(theta):
         rates = fixed.copy()

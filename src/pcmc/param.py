@@ -24,7 +24,7 @@ import numpy as np
 
 from . import data as data_mod, luce, model as model_mod
 from .base import BatchedModel, minimize
-from .ctmc import RateMatrix
+from .ctmc import RateMatrix, _size
 from .errors import EmptyDataset, InvalidK, InvalidPairwise, OptimizerFailure
 from .luce import MnlModel
 from .model import FitConfig, PcmcModel
@@ -82,16 +82,13 @@ def q_from_btl(gamma) -> RateMatrix:
     # to one without rounding residue
     iu = np.triu_indices(len(g), k=1)
     rates[iu] = 1.0 - rates[(iu[1], iu[0])]
-    np.fill_diagonal(rates, 0.0)
     return RateMatrix(n=len(g), rates=rates)
 
 
 def q_from_pairwise(p: PairwiseMatrix) -> RateMatrix:
     """Rate matrix whose pair restrictions reproduce the given win
     probabilities: the rate from j to i is p[i, j]."""
-    rates = p.p.T.copy()
-    np.fill_diagonal(rates, 0.0)
-    return RateMatrix(n=p.n, rates=rates)
+    return RateMatrix(n=p.n, rates=p.p.T)
 
 
 @dataclass(frozen=True)
@@ -136,9 +133,7 @@ class BladeChest(BatchedModel):
         return sq - sq.T
 
     def pairwise(self) -> PairwiseMatrix:
-        p = expit(self.matchups())
-        np.fill_diagonal(p, 0.0)
-        return PairwiseMatrix(n=self.n, p=p)
+        return PairwiseMatrix(n=self.n, p=expit(self.matchups()))
 
     @cached_property
     def _chain(self) -> PcmcModel:
@@ -183,7 +178,7 @@ def _embedding_rates(bc: BladeChest):
     return s.T, pullback
 
 
-def fit_bladechest(dataset, d: int, variant: str = "distance",
+def fit_bladechest(dataset, d: int, variant: str = BladeChest.variant,
                    cfg: FitConfig = None) -> BladeChest:
     """Fit embeddings by maximizing the smoothed chain log-likelihood.
 
@@ -198,9 +193,7 @@ def fit_bladechest(dataset, d: int, variant: str = "distance",
     cfg = cfg or FitConfig()
     if len(dataset) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
-    d = int(d)
-    if d < 1:
-        raise InvalidK("embedding dimension must be >= 1, got %d" % d)
+    d = _size(d, "embedding dimension")
     n = dataset.n
 
     def build(x):

@@ -27,6 +27,7 @@ from pcmc.errors import (
     BadNesting,
     IndexOutOfRange,
     InvalidK,
+    InvalidPairwise,
     LambdaMismatch,
     NotContractible,
 )
@@ -93,6 +94,12 @@ class TestCheckContractible:
         assert summary is not None
         original = ctmc.stationary(ctmc.restrict(q, (0, 1)))
         assert np.abs(summary.contracted_pi.mass - original.mass).max() <= 1e-9
+
+    @pytest.mark.parametrize("lam", [np.zeros((2, 3)), np.zeros(4), np.zeros((3, 3))])
+    def test_summary_lam_shape_rejected(self, lam):
+        pi = ctmc.Distribution(support=(0, 1), mass=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="lam must be k x k"):
+            axioms.ContractionSummary(lam=lam, block_sizes=(1, 2), contracted_pi=pi)
 
     def test_cyclic_split_not_contractible(self):
         part = Partition(n=3, blocks=((0,), (1, 2)))
@@ -225,6 +232,23 @@ class TestExpandCopies:
     def test_invalid_k(self):
         with pytest.raises(InvalidK):
             expand_copies(cyclic_matrix(0.5), k=0)
+
+    @pytest.mark.parametrize("k", [2.9, 2.0, "2"])
+    def test_size_rejected_not_truncated(self, k):
+        # k=2.9 once built 2 copies, and k="2" was accepted
+        with pytest.raises(InvalidK, match="copy count must be an integer, got %r" % (k,)):
+            expand_copies(cyclic_matrix(0.5), k=k)
+
+    def test_numpy_integer_size_accepted(self):
+        big, part = expand_copies(cyclic_matrix(0.5), k=np.int64(2))
+        assert big.n == 6 and part.k == 3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("within", [np.nan, np.inf])
+    def test_non_finite_within_rate_rejected(self, k, within):
+        # at k=1 the rate lands only on the diagonal; it was once zeroed there
+        with pytest.raises(ValueError, match="must be finite"):
+            expand_copies(cyclic_matrix(0.5), k=k, within_rate=within)
 
     def test_low_within_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -498,6 +522,17 @@ class TestTournament:
         assert t.beats == frozenset({(1, 0)})
         assert t.ties == frozenset({(0, 1)})
 
+    @pytest.mark.parametrize("p", [
+        [[0.0, np.nan], [np.nan, 0.0]],
+        [[0.0, np.inf], [np.inf, 0.0]],
+        [[0.0, 0.5, np.nan], [0.5, 0.0, 0.5], [0.2, 0.5, 0.0]],
+        [[np.nan, 0.5], [0.5, 0.0]],
+    ])
+    def test_non_finite_raw_matrix_rejected(self, p):
+        # nan against nan, or inf against inf, was once read as a tie
+        with pytest.raises(InvalidPairwise, match="entries must be finite"):
+            tournament_from_pairwise(p)
+
     def test_float_id_rejected_not_truncated(self):
         # once read as {(1, 0)}
         with pytest.raises(ValueError, match="alternative 1.5 is not an integer id"):
@@ -620,6 +655,20 @@ class TestRunAudit:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["uniform_expansion"]["status"] == "pass"
         assert by_name["uniform_expansion"]["copies"] == 2
+
+    @pytest.mark.parametrize("expand_k", [2.5, 2.0, "2"])
+    def test_expand_k_rejected_not_truncated(self, expand_k):
+        # expand_k=2.5 was once reported as "copies": 2
+        mix = MmnlModel(weights=np.array([1.0]),
+                        components=(MnlModel(gamma=np.array([0.8, 0.1, 0.1])),))
+        for model in (PcmcModel(q=cyclic_matrix(0.9)), mix):
+            with pytest.raises(InvalidK, match="copy count must be an integer"):
+                run_audit(model, expand_k=expand_k)
+
+    def test_numpy_integer_expand_k_accepted(self):
+        report = run_audit(PcmcModel(q=cyclic_matrix(0.9)), expand_k=np.int64(3))
+        check = {c["name"]: c for c in report["checks"]}["uniform_expansion"]
+        assert check["copies"] == 3 and type(check["copies"]) is int
 
     def test_mixture_skips_expansion(self):
         mix = MmnlModel(

@@ -408,6 +408,18 @@ class TestFailureCodes:
             assert err.startswith("data error: ") and "row sums" in err
             assert not out.exists()
 
+    def test_fit_defaults_are_the_fitters(self, capsys):
+        cfg = model.FitConfig()
+        args = cli.build_parser().parse_args(
+            ["fit", "--data", "d", "--model", "pcmc", "--out", "o"])
+        assert (args.alpha, args.max_iters) == (cfg.smoothing_alpha, cfg.max_iters)
+        assert args.variant == evaluate.FitSpec(kind="bladechest").variant
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["fit", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "smoothing pseudocount (default %s)" % cfg.smoothing_alpha in text
+        assert "fits (default %d); mnl keeps" % cfg.max_iters in text
+
     def test_missing_required_flag(self, tmp_path):
         assert main(["fit", "--model", "mnl",
                      "--out", str(tmp_path / "m.json")]) == 1

@@ -69,6 +69,15 @@ class TestRateMatrix:
         with pytest.raises(ValueError):
             q.rates[0, 1] = 2.0
 
+    @pytest.mark.parametrize("n, rates, match", [
+        (2, np.ones((2, 3)), "must be a square matrix"),
+        (2, np.ones(4), "must be a square matrix"),
+        (3, np.ones((2, 2)), "rates are 2x2 but n=3"),
+    ])
+    def test_shape_rejected(self, n, rates, match):
+        with pytest.raises(ValueError, match=match):
+            RateMatrix(n=n, rates=rates)
+
 
 class TestRestrict:
     def test_cyclic_pair(self):
@@ -121,6 +130,16 @@ class TestRestrict:
         with pytest.raises(ValueError):
             RestrictedGenerator(subset=(0, 1), matrix=np.array([[-1.0, 0.5],
                                                                 [0.5, -0.5]]))
+
+    @pytest.mark.parametrize("matrix, match", [
+        (np.zeros((3, 3)), "does not match subset size 2"),
+        (np.array([[-np.inf, np.inf], [0.5, -0.5]]), "entries must be finite"),
+        (np.array([[-0.5, 0.5], [np.nan, 0.0]]), "entries must be finite"),
+        (np.array([[1.0, -1.0], [-1.0, 1.0]]), "entries must be nonnegative"),
+    ])
+    def test_generator_rejections(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            RestrictedGenerator(subset=(0, 1), matrix=matrix)
 
     def test_generator_float_subset_rejected_not_truncated(self):
         matrix = np.array([[-0.5, 0.5], [0.5, -0.5]])
@@ -471,6 +490,15 @@ class TestDistribution:
         for mass in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1e308, 1e308]):
             with pytest.raises(ValueError):
                 Distribution(support=(0, 1), mass=np.array(mass))
+
+    @pytest.mark.parametrize("support, mass, match", [
+        ((0, 1, 2), [0.5, 0.5], "length must match support length"),
+        ((0, 1), [[0.5, 0.5]], "length must match support length"),
+        ((1, 1), [0.5, 0.5], "must not repeat"),
+    ])
+    def test_shape_and_support_rejected(self, support, mass, match):
+        with pytest.raises(ValueError, match=match):
+            Distribution(support=support, mass=np.array(mass))
 
     def test_prob_and_as_dict(self):
         d = Distribution(support=(3, 5), mass=np.array([0.25, 0.75]))

@@ -52,6 +52,13 @@ class TestChoiceDataset:
             make_dataset([(0, (0, 5))], n=3)
 
 
+    def test_hash_and_repr(self):
+        ds = make_dataset([(0, (0, 1)), (2, (2, 0))], n=3)
+        same = make_dataset([(0, (1, 0)), (2, (0, 2))], n=3)
+        assert hash(ds) == hash(same) and len({ds, same}) == 1
+        assert repr(ds) == ("ChoiceDataset(n=3, observations=((0, (0, 1)), (2, (0, 2))), "
+                            "labels=None)")
+
     def test_invalid_choice_numbers_the_observation(self):
         with pytest.raises(InvalidChoice) as err:
             make_dataset([(0, (0, 1)), (2, (1, 0))], n=3)
@@ -177,6 +184,18 @@ class TestCounts:
         assert t.cooccurrence[0, 2] == 1
         assert np.all(t.cooccurrence == t.cooccurrence.T)
         assert np.all(np.diag(t.cooccurrence) == 0)
+
+    @pytest.mark.parametrize("cooc, choice, total, match", [
+        (np.zeros((3, 3)), {}, {}, "must be n x n"),
+        ([[0.0, 1.0], [2.0, 0.0]], {}, {}, "symmetric with zero diagonal"),
+        ([[1.0, 0.0], [0.0, 0.0]], {}, {}, "symmetric with zero diagonal"),
+        ([[0.0, 2.0], [2.0, 0.0]], {(0, 1): {0: 1, 1: 1}}, {(0, 1): 3},
+         r"choice counts for \(0, 1\) sum to 2, set count is 3"),
+    ])
+    def test_table_rejections(self, cooc, choice, total, match):
+        with pytest.raises(ValueError, match=match):
+            data.CountTables(n=2, choice_counts=choice, set_counts=total,
+                             cooccurrence=cooc, set_size_histogram={})
 
     def test_single_observation(self):
         t = data.counts(make_dataset([(1, (0, 1))], n=2))

@@ -6,7 +6,7 @@ import pytest
 from pcmc import data, evaluate
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
-from pcmc.errors import EmptyDataset, UnseenSet
+from pcmc.errors import EmptyDataset, InvalidK, UnseenSet
 from pcmc.evaluate import (
     FitSpec,
     LearningCurve,
@@ -15,8 +15,8 @@ from pcmc.evaluate import (
     prediction_error,
 )
 from pcmc.luce import MnlModel
-from pcmc.model import PcmcModel
-from pcmc.param import PairwiseMatrix, q_from_pairwise
+from pcmc.model import FitConfig, PcmcModel
+from pcmc.param import BladeChest, PairwiseMatrix, q_from_pairwise
 
 from _support import cyclic_rates
 
@@ -145,6 +145,18 @@ class TestFitSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             FitSpec(kind="nope")
+
+    def test_defaults_are_the_fitters(self):
+        spec, cfg = FitSpec(kind="pcmc"), FitConfig()
+        assert (spec.alpha, spec.max_iters) == (cfg.smoothing_alpha, cfg.max_iters)
+        assert spec.variant == BladeChest(n=2, d=1, blades=[[0.0], [1.0]],
+                                          chests=[[1.0], [0.0]]).variant
+
+    @pytest.mark.parametrize("k", [2.5, 2.0])
+    def test_mixture_size_rejected_not_truncated(self, k):
+        # k=2.5 once fitted two components
+        with pytest.raises(InvalidK, match="mixture size must be an integer"):
+            FitSpec(kind="mmnl", k=k).fit(pair_dataset(3, 1))
 
     def test_fit_each_kind(self):
         gen = MnlModel(gamma=np.array([0.5, 0.3, 0.2]))

@@ -13,7 +13,14 @@ import pcmc
 from pcmc import data, luce
 from pcmc.ctmc import RateMatrix, RestrictedGenerator, stationary
 from pcmc.data import ChoiceDataset
-from pcmc.errors import NegativeAlpha, NonpositiveGamma, NoConvergence, NotConnected, SameItem
+from pcmc.errors import (
+    InvalidK,
+    NegativeAlpha,
+    NonpositiveGamma,
+    NoConvergence,
+    NotConnected,
+    SameItem,
+)
 from pcmc.luce import MmnlModel, MnlModel
 from pcmc.model import log_likelihood
 
@@ -301,6 +308,17 @@ class TestMmnl:
             with pytest.raises(ValueError, match="finite"):
                 MmnlModel(weights=np.array(w), components=(comp, comp))
 
+    @pytest.mark.parametrize("weights, sizes, error, match", [
+        ([], (), InvalidK, "at least one component"),
+        ([1.0], (2, 2), ValueError, "one weight per component"),
+        ([[0.5, 0.5]], (2, 2), ValueError, "one weight per component"),
+        ([0.5, 0.5], (2, 3), ValueError, "disagree on universe size"),
+    ])
+    def test_construction_rejections(self, weights, sizes, error, match):
+        comps = tuple(MnlModel(gamma=np.ones(n)) for n in sizes)
+        with pytest.raises(error, match=match):
+            MmnlModel(weights=np.array(weights), components=comps)
+
     def test_default_mixture_size(self):
         # smallest k with k*(n+1) - 1 >= n*(n-1)
         for n in range(2, 12):
@@ -383,6 +401,20 @@ class TestFitMmnl:
     def test_negative_alpha(self):
         with pytest.raises(NegativeAlpha):
             luce.fit_mmnl(pair_dataset(3, 1), k=1, alpha=-0.5)
+
+    def test_no_restarts_rejected(self):
+        with pytest.raises(InvalidK, match="restart count must be >= 1, got 0"):
+            luce.fit_mmnl(pair_dataset(3, 1), k=1, restarts=0)
+
+    @pytest.mark.parametrize("k", [1.9, 2.0, "2"])
+    def test_size_rejected_not_truncated(self, k):
+        # k=1.9 once fitted one component
+        with pytest.raises(InvalidK, match="mixture size must be an integer, got %r" % (k,)):
+            luce.fit_mmnl(pair_dataset(3, 1), k=k)
+
+    def test_numpy_integer_size_accepted(self):
+        mix = luce.fit_mmnl(pair_dataset(3, 1), k=np.int64(2), restarts=1, max_iters=5)
+        assert mix.k == 2
 
 
 class TestMixtureObjective:

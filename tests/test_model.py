@@ -439,6 +439,10 @@ class TestFit:
         with pytest.raises(EmptyDataset):
             fit(ChoiceDataset(n=2, observations=()))
 
+    def test_unknown_init_rejected(self):
+        with pytest.raises(ValueError, match="unknown init 'bogus'"):
+            fit(pair_dataset(2, 2), cfg=FitConfig(init="bogus"))
+
     def test_unseen_alternatives_warned_and_padded(self):
         rows = [(0, (0, 1))] * 6 + [(1, (0, 1))] * 2
         ds = ChoiceDataset(n=4, observations=tuple(rows))

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from pcmc import ctmc, data, luce, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
-from pcmc.errors import InvalidPairwise, NonpositiveGamma, SameItem
+from pcmc.errors import InvalidK, InvalidPairwise, NonpositiveGamma, SameItem
 from pcmc.luce import MnlModel
 from pcmc.model import PcmcModel
 from pcmc.param import (
@@ -84,6 +84,17 @@ class TestPairwiseMatrix:
             PairwiseMatrix(n=2, p=np.array([[0.0, 0.7], [0.4, 0.0]]))
         with pytest.raises(InvalidPairwise):
             PairwiseMatrix(n=2, p=np.array([[0.0, 1.2], [-0.2, 0.0]]))
+
+    @pytest.mark.parametrize("p, match", [
+        (np.zeros((3, 3)), "must be 2 x 2"),
+        (np.zeros(4), "must be 2 x 2"),
+        ([[0.0, np.nan], [np.nan, 0.0]], "entries must be finite"),
+        ([[0.0, np.inf], [-np.inf, 0.0]], "entries must be finite"),
+        ([[np.nan, 0.7], [0.3, 0.0]], "entries must be finite"),
+    ])
+    def test_shape_and_finite_rejected(self, p, match):
+        with pytest.raises(InvalidPairwise, match=match):
+            PairwiseMatrix(n=2, p=p)
 
     def test_certain_outcomes_allowed(self):
         PairwiseMatrix(n=2, p=np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -190,6 +201,18 @@ class TestBladeChest:
         ds = ChoiceDataset(n=2, observations=((0, (0, 1)), (1, (0, 1))))
         with pytest.raises(ValueError, match="variant"):
             fit_bladechest(ds, d=1, variant="cosine")
+
+    @pytest.mark.parametrize("n, d, blades, chests, error, match", [
+        (1, 1, [[0.0]], [[1.0]], InvalidK, "need n >= 2"),
+        (2, 0, np.zeros((2, 0)), np.zeros((2, 0)), InvalidK, "d >= 1"),
+        (2, 1, [[0.0], [1.0], [2.0]], [[1.0], [0.0]], ValueError, "both be n x d"),
+        (2, 1, [[0.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]], ValueError, "both be n x d"),
+        (2, 1, [[np.nan], [1.0]], [[1.0], [0.0]], ValueError, "must be finite"),
+        (2, 1, [[0.0], [1.0]], [[np.inf], [0.0]], ValueError, "must be finite"),
+    ])
+    def test_construction_rejections(self, n, d, blades, chests, error, match):
+        with pytest.raises(error, match=match):
+            BladeChest(n=n, d=d, blades=blades, chests=chests)
 
     def test_to_pcmc_pair_consistency(self):
         bc = data.gen_bladechest_circle(4, seed=5)
@@ -343,3 +366,16 @@ class TestFitBladeChest:
         ds = ChoiceDataset(n=2, observations=((0, (0, 1)), (1, (0, 1))))
         with pytest.raises(Exception):
             fit_bladechest(ds, d=0)
+
+    @pytest.mark.parametrize("d", [1.7, 2.0, "2"])
+    def test_dimension_rejected_not_truncated(self, d):
+        # d=1.7 once fitted d=1, and d="2" was accepted
+        ds = ChoiceDataset(n=2, observations=((0, (0, 1)), (1, (0, 1))))
+        with pytest.raises(InvalidK, match="embedding dimension must be an integer, got %r"
+                           % (d,)):
+            fit_bladechest(ds, d=d)
+
+    def test_numpy_integer_dimension_accepted(self):
+        ds = ChoiceDataset(n=2, observations=((0, (0, 1)), (1, (0, 1))))
+        bc = fit_bladechest(ds, d=np.int64(2), cfg=model.FitConfig(max_iters=5))
+        assert bc.d == 2 and type(bc.d) is int
