@@ -36,6 +36,9 @@ from .errors import (
     LambdaMismatch,
     NotContractible,
 )
+from .luce import MnlModel
+from .model import PcmcModel
+from .param import BladeChest, q_from_btl
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,8 @@ class ContractionSummary:
             raise ValueError("lam must be k x k")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
+        object.__setattr__(self, "block_sizes",
+                           tuple(ctmc._size(s, "block size") for s in self.block_sizes))
 
 
 def check_contractible(q: RateMatrix, partition: Partition, tol: float = 1e-9):
@@ -174,7 +178,11 @@ def _expansion_deviation(q: RateMatrix, k: int) -> float:
     return float(np.abs(grouped - pi.mass).max())
 
 
-def verify_uniform_expansion(q: RateMatrix, k: int, tol: float = 1e-8) -> bool:
+# Largest mass gap at which a k-copy expansion still counts as uniform.
+_EXPANSION_TOL = 1e-8
+
+
+def verify_uniform_expansion(q: RateMatrix, k: int, tol: float = _EXPANSION_TOL) -> bool:
     """Whether expanding into k copies preserves each alternative's total
     mass, comparing stationary distributions over the full universe."""
     return _expansion_deviation(q, k) <= tol
@@ -415,10 +423,6 @@ def _enumerate_cycles(t: Tournament) -> list:
 
 def _induced_rates(model):
     """Rate matrix equivalent to the model, when one exists."""
-    from .luce import MnlModel
-    from .model import PcmcModel
-    from .param import BladeChest, q_from_btl
-
     if isinstance(model, PcmcModel):
         return model.q
     if isinstance(model, MnlModel):
@@ -492,7 +496,7 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
     else:
         deviation = _expansion_deviation(q, expand_k)
         checks.append({"name": "uniform_expansion",
-                       "status": "pass" if deviation <= 1e-8 else "fail",
+                       "status": "pass" if deviation <= _EXPANSION_TOL else "fail",
                        "copies": expand_k,
                        "margin": deviation})
 

@@ -49,8 +49,6 @@ def _fraction_list(text):
         if not (0.0 < f <= 1.0):
             raise argparse.ArgumentTypeError("fractions must lie in (0, 1]")
         out.append(f)
-    if not out:
-        raise argparse.ArgumentTypeError("need at least one fraction")
     return out
 
 

@@ -72,6 +72,7 @@ class RateMatrix:
     meta: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "universe size"))
         if self.n < 1:
             raise ValueError("need at least one alternative")
         object.__setattr__(self, "rates", _as_rate_array(self.rates, self.n))
@@ -102,13 +103,18 @@ def _index(i) -> int:
         raise ValueError("alternative %r is not an integer id" % (i,)) from None
 
 
+def _integer(k, what) -> int:
+    """A size as an int; a float, a string or other non-integer raises InvalidK."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise InvalidK("%s must be an integer, got %r" % (what, k)) from None
+
+
 def _size(k, what) -> int:
     """A size, such as a copy count, as an int once checked to be an
     integer >= 1; a float, a string or a smaller integer raises InvalidK."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InvalidK("%s must be an integer, got %r" % (what, k)) from None
+    k = _integer(k, what)
     if k < 1:
         raise InvalidK("%s must be >= 1, got %d" % (what, k))
     return k

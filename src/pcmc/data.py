@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .base import ChoiceModel, probabilities_many, read_text, write_text
+from .ctmc import RateMatrix, _size
 from .errors import (
     DegenerateSplit,
     EmptyDataset,
@@ -63,7 +64,8 @@ class ChoiceDataset:
 
     Construction validates once per distinct raw set and checks every
     choice in one array comparison; its ParseError and InvalidChoice
-    carry the observation's 1-based position.
+    carry the observation's 1-based position. Every dataset holds at
+    least one observation and an integer n; no consumer checks again.
     """
 
     def __init__(self, n: int, observations, labels=None):
@@ -131,7 +133,11 @@ def _build(ds, n, chosen, raw_id, raw_sets, labels=None):
     """Fill ds with the validated columns of the rows where chosen[r]
     was picked from raw_sets[raw_id[r]]: each distinct raw set checked
     once (_canonical_set), each choice checked against its set in one
-    array comparison, and the first fault in row order raised."""
+    array comparison, and the first fault in row order raised. No rows
+    raise EmptyDataset, checked before n because an empty file gives n=0."""
+    if len(chosen) == 0:
+        raise EmptyDataset("a dataset needs at least one observation")
+    n = _size(n, "universe size")
     ids = chosen if isinstance(chosen, np.ndarray) else np.fromiter(
         (c if 0 <= c < n else -1 for c in chosen), np.int64, len(chosen))
     ids, raw_id = ids.astype(np.int64, copy=False), np.asarray(raw_id, np.intp)
@@ -166,8 +172,6 @@ def _build(ds, n, chosen, raw_id, raw_sets, labels=None):
         raise InvalidChoice(r + 1, "chosen %d not in set %s" % (chosen[r], sets[set_id[r]]))
     if faults:
         _canonical_set(raw_sets[raw_id[end]], n, end + 1)
-    if n < 2:  # after the sets: a file of malformed sets reports a set
-        raise ValueError("universe needs at least 2 alternatives")
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
@@ -272,8 +276,6 @@ def split(dataset: ChoiceDataset, train_fraction: float, seed: int):
     The train side gets floor(train_fraction * N) observations. Raises
     DegenerateSplit when either side would be empty.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot split an empty dataset")
     f = float(train_fraction)
     if not (0.0 < f < 1.0):
         raise DegenerateSplit("train fraction must be in (0, 1), got %r" % f)
@@ -322,8 +324,6 @@ def gen_random_q(n: int, seed: int):
     exactly 1; how many pairs needed that repair is recorded in the
     matrix metadata.
     """
-    from .ctmc import RateMatrix
-
     if n < 2:
         raise ValueError("need at least 2 alternatives, got %d" % n)
     rng = np.random.default_rng(seed)
@@ -665,8 +665,6 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     text = read_text(path)
     columns, line_loop = _FORMATS[format]
     n, chosen, raw_id, raw_sets = columns(text) or line_loop(text)
-    if len(chosen) == 0:
-        raise EmptyDataset("no observations in %s" % path)
     labels = _load_labels(path, n)
     try:
         return _build(ChoiceDataset.__new__(ChoiceDataset), n, chosen, raw_id, raw_sets,

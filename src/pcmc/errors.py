@@ -42,7 +42,8 @@ class SingularSystem(PcmcError):
 
 
 class EmptyDataset(PcmcError, ValueError):
-    """An operation that needs observations received none."""
+    """A dataset was built from no observations; only ChoiceDataset's
+    validation raises it, so no consumer of a dataset checks again."""
 
 
 class _Numbered(PcmcError, ValueError):
@@ -120,5 +121,6 @@ class BadNesting(PcmcError, ValueError):
 
 
 class InvalidK(PcmcError, ValueError):
-    """A size (a mixture size, restart count, copy count or embedding
-    dimension) was not a positive integer in the allowed range."""
+    """A size (a universe size, mixture size, restart count, copy count,
+    block size or embedding dimension) was not an integer in the allowed
+    range."""

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import data as data_mod, luce, model as model_mod, param
 from .base import ChoiceModel, probabilities_rows
-from .ctmc import Distribution, _index
-from .errors import EmptyDataset, PcmcError, UnseenSet
+from .ctmc import Distribution, _index, _size
+from .errors import PcmcError, UnseenSet
 from .model import FitConfig
 
 _KINDS = ("pcmc", "mnl", "mmnl", "bladechest")
@@ -55,8 +55,6 @@ def prediction_error(model: ChoiceModel, test: data_mod.ChoiceDataset) -> ErrorR
     Every distinct set in the test data is scored, whether or not the
     model ever saw it during training.
     """
-    if len(test) == 0:
-        raise EmptyDataset("cannot evaluate on an empty dataset")
     per_set, weights = {}, {}
     for idx, w in data_mod._set_terms(test):
         pred = probabilities_rows(model, idx)
@@ -96,6 +94,9 @@ class FitSpec:
         if self.kind not in _KINDS:
             raise ValueError("unknown model kind %r" % self.kind)
         data_mod._pseudocount(self.alpha)
+        if self.k is not None:
+            _size(self.k, "mixture size")
+        _size(self.d, "embedding dimension")
 
     @property
     def label(self) -> str:

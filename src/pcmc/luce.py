@@ -22,7 +22,6 @@ import numpy as np
 from . import ctmc, data as data_mod
 from .base import LOG_FLOOR, BatchedModel, minimize
 from .errors import (
-    EmptyDataset,
     InvalidK,
     NoConvergence,
     NonpositiveGamma,
@@ -103,8 +102,6 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
     and NoConvergence when max_iters passes without the estimate
     settling to within tol in L1.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot fit on an empty dataset")
     n = dataset.n
     groups = data_mod._smoothed(data_mod._set_terms(dataset), alpha)
 
@@ -221,8 +218,6 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     worse than the best single-component model up to optimizer noise;
     where that Luce fit fails, the first start's utilities are all zero.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot fit on an empty dataset")
     n = dataset.n
     if k is None:
         k = default_mixture_size(n)

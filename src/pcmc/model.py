@@ -28,7 +28,6 @@ from . import ctmc, data as data_mod
 from .base import LOG_FLOOR, BatchedModel, minimize, probabilities_rows
 from .ctmc import RateMatrix
 from .errors import (
-    EmptyDataset,
     InfeasibleStart,
     MultipleClosedClasses,
     OptimizerFailure,
@@ -74,8 +73,6 @@ choice_probabilities = PcmcModel.probabilities
 def log_likelihood(model, dataset) -> float:
     """Log-likelihood of the observations under any choice model,
     probabilities floored at 1e-12 inside the logs."""
-    if len(dataset) == 0:
-        raise EmptyDataset("log-likelihood of an empty dataset")
     total = 0.0
     for idx, w in data_mod._set_terms(dataset):
         p = probabilities_rows(model, idx)
@@ -89,8 +86,6 @@ def smoothed_log_likelihood(q: RateMatrix, dataset, alpha: float) -> float:
     A set with no unique stationary distribution raises its own
     MultipleClosedClasses or SingularSystem. It solves no adjoint, so
     an A singular in double precision (see _SetObjective) passes."""
-    if len(dataset) == 0:
-        raise EmptyDataset("log-likelihood of an empty dataset")
     obj = _SetObjective(data_mod._smoothed(data_mod._set_terms(dataset), alpha))
     return obj.loglik(q.rates)
 
@@ -200,6 +195,8 @@ class FitConfig:
     init: str = "empirical_pairs"
 
     def __post_init__(self):
+        if self.init not in ("empirical_pairs", "uniform_half"):
+            raise ValueError("unknown init %r" % self.init)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1, got %r" % self.max_iters)
         if not self.ftol > 0:
@@ -247,8 +244,6 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
     matrix.
     """
     cfg = cfg or FitConfig()
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot fit on an empty dataset")
     n = dataset.n
     layout = data_mod._set_terms(dataset)
     free = data_mod._pair_scatter(n, [(idx, 1.0) for idx, _ in layout]) > 0
@@ -268,10 +263,8 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
         x0 = np.log(np.maximum(start.q.rates[free], 1e-6))
     elif cfg.init == "uniform_half":
         x0 = np.full(int(free.sum()), math.log(0.5))
-    elif cfg.init == "empirical_pairs":
-        x0 = np.log(_empirical_pairs_start(n, layout)[free])
     else:
-        raise ValueError("unknown init %r" % cfg.init)
+        x0 = np.log(_empirical_pairs_start(n, layout)[free])
 
     fixed = np.full((n, n), 0.5)
 

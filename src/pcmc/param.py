@@ -24,8 +24,8 @@ import numpy as np
 
 from . import data as data_mod, luce, model as model_mod
 from .base import BatchedModel, minimize
-from .ctmc import RateMatrix, _size
-from .errors import EmptyDataset, InvalidK, InvalidPairwise, OptimizerFailure
+from .ctmc import RateMatrix, _integer, _size
+from .errors import InvalidK, InvalidPairwise, OptimizerFailure
 from .luce import MnlModel
 from .model import FitConfig, PcmcModel
 
@@ -50,6 +50,7 @@ class PairwiseMatrix:
     p: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "universe size"))
         a = np.array(self.p, dtype=float)
         if a.shape != (self.n, self.n):
             raise InvalidPairwise("matrix must be %d x %d" % (self.n, self.n))
@@ -113,6 +114,8 @@ class BladeChest(BatchedModel):
             raise ValueError("variant must be 'distance' or 'inner'")
         b = np.array(self.blades, dtype=float)
         c = np.array(self.chests, dtype=float)
+        object.__setattr__(self, "n", _integer(self.n, "universe size"))
+        object.__setattr__(self, "d", _integer(self.d, "embedding dimension"))
         if self.n < 2 or self.d < 1:
             raise InvalidK("need n >= 2 alternatives and d >= 1 dimensions")
         if b.shape != (self.n, self.d) or c.shape != (self.n, self.d):
@@ -191,8 +194,6 @@ def fit_bladechest(dataset, d: int, variant: str = BladeChest.variant,
     so its final point is the best it saw.
     """
     cfg = cfg or FitConfig()
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot fit on an empty dataset")
     d = _size(d, "embedding dimension")
     n = dataset.n
 

@@ -174,7 +174,7 @@ def model_from_dict(d: dict):
         chests = _floats(d["chests"], "chests")
         return BladeChest(n=blades.shape[0], d=_int(d, "d"),
                           blades=blades, chests=chests,
-                          variant=d.get("variant", "distance"))
+                          variant=d.get("variant", BladeChest.variant))
     raise ParseError(0, "unknown model tag %r" % kind)
 
 

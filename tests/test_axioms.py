@@ -101,6 +101,31 @@ class TestCheckContractible:
         with pytest.raises(ValueError, match="lam must be k x k"):
             axioms.ContractionSummary(lam=lam, block_sizes=(1, 2), contracted_pi=pi)
 
+    @pytest.mark.parametrize("sizes, match", [
+        ((1.7, 2.2), "block size must be an integer, got 1.7"),
+        ((1, 2.0), "block size must be an integer, got 2.0"),
+        ((1, "2"), "block size must be an integer"),
+        ((0, 2), "block size must be >= 1, got 0"),
+    ])
+    def test_summary_block_sizes_rejected_not_truncated(self, sizes, match):
+        # (1.7, 2.2) was once stored as (1, 2)
+        pi = ctmc.Distribution(support=(0, 1), mass=np.array([0.5, 0.5]))
+        with pytest.raises(InvalidK, match=match):
+            axioms.ContractionSummary(lam=np.zeros((2, 2)), block_sizes=sizes,
+                                      contracted_pi=pi)
+
+    def test_summary_numpy_integer_block_sizes_read_as_int(self):
+        pi = ctmc.Distribution(support=(0, 1), mass=np.array([0.5, 0.5]))
+        s = axioms.ContractionSummary(lam=np.zeros((2, 2)),
+                                      block_sizes=(np.int64(1), np.uint8(2)),
+                                      contracted_pi=pi)
+        assert s.block_sizes == (1, 2) and all(type(k) is int for k in s.block_sizes)
+
+    def test_partition_of_another_universe_rejected(self):
+        part = Partition(n=2, blocks=((0,), (1,)))
+        with pytest.raises(ValueError, match="partition is over 2 alternatives, matrix over 3"):
+            check_contractible(cyclic_matrix(0.5), part)
+
     def test_cyclic_split_not_contractible(self):
         part = Partition(n=3, blocks=((0,), (1, 2)))
         assert check_contractible(cyclic_matrix(0.9), part) is None
@@ -168,6 +193,13 @@ class TestContractionInvariance:
         part = Partition(n=3, blocks=((0,), (1, 2)))
         with pytest.raises(NotContractible):
             contraction_invariance(cyclic_matrix(0.9), cyclic_matrix(0.9),
+                                   part, tol=1e-9)
+
+    def test_second_not_contractible_raises(self):
+        # alpha = 0.5 contracts over this partition, alpha = 0.9 does not
+        part = Partition(n=3, blocks=((0,), (1, 2)))
+        with pytest.raises(NotContractible, match="second matrix"):
+            contraction_invariance(cyclic_matrix(0.5), cyclic_matrix(0.9),
                                    part, tol=1e-9)
 
     def test_lambda_mismatch_raises(self):
@@ -533,6 +565,11 @@ class TestTournament:
         with pytest.raises(InvalidPairwise, match="entries must be finite"):
             tournament_from_pairwise(p)
 
+    @pytest.mark.parametrize("p", [np.zeros((2, 3)), np.zeros(4), np.zeros((1, 2, 2))])
+    def test_non_square_raw_matrix_rejected(self, p):
+        with pytest.raises(InvalidPairwise, match="need a square matrix"):
+            tournament_from_pairwise(p)
+
     def test_float_id_rejected_not_truncated(self):
         # once read as {(1, 0)}
         with pytest.raises(ValueError, match="alternative 1.5 is not an integer id"):
@@ -560,6 +597,10 @@ class TestTournament:
         assert harary_moser_bound(6) == 8
         assert harary_moser_bound(7) == 14
         assert harary_moser_bound(8) == 20
+
+    def test_harary_moser_negative_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            harary_moser_bound(-1)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_count_matches_brute_force(self, seed):

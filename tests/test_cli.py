@@ -220,6 +220,15 @@ class TestCurve:
                      "--fractions", "0.5", "--permutations", "2",
                      "--out", str(tmp_path / "c.csv")]) == 1
 
+    @pytest.mark.parametrize("models", [",", " , ,"])
+    def test_no_model_kind(self, synth_files, tmp_path, capsys, models):
+        data_path, _ = synth_files
+        assert main(["curve", "--data", data_path, "--models", models,
+                     "--fractions", "0.5", "--permutations", "2",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        assert "need at least one model kind" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_repeated_model_kind(self, synth_files, tmp_path, capsys):
         data_path, _ = synth_files
         assert main(["curve", "--data", data_path, "--models", "mnl,mnl",
@@ -419,6 +428,14 @@ class TestFailureCodes:
         text = " ".join(capsys.readouterr().out.split())
         assert "smoothing pseudocount (default %s)" % cfg.smoothing_alpha in text
         assert "fits (default %d); mnl keeps" % cfg.max_iters in text
+
+    @pytest.mark.parametrize("flag", ["--k", "--d"])
+    def test_non_positive_size_flag(self, tmp_path, capsys, flag):
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(tmp_path / "d.txt"), "--model", "mmnl",
+                     flag, "0", "--out", str(out)]) == 1
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_flag(self, tmp_path):
         assert main(["fit", "--model", "mnl",

@@ -73,10 +73,18 @@ class TestRateMatrix:
         (2, np.ones((2, 3)), "must be a square matrix"),
         (2, np.ones(4), "must be a square matrix"),
         (3, np.ones((2, 2)), "rates are 2x2 but n=3"),
+        (0, np.zeros((0, 0)), "need at least one alternative"),
+        (2.0, np.ones((2, 2)), "universe size must be an integer, got 2.0"),
+        (2.5, np.ones((2, 2)), "universe size must be an integer, got 2.5"),
+        ("2", np.ones((2, 2)), "universe size must be an integer"),
     ])
     def test_shape_rejected(self, n, rates, match):
         with pytest.raises(ValueError, match=match):
             RateMatrix(n=n, rates=rates)
+
+    def test_numpy_integer_universe_size_read_as_int(self):
+        q = RateMatrix(n=np.int64(2), rates=np.ones((2, 2)))
+        assert type(q.n) is int and q.n == 2
 
 
 class TestRestrict:

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import tempfile
 from unittest import mock
@@ -6,14 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pcmc
 from pcmc import data, evaluate, luce, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import (
     DegenerateSplit,
     EmptyDataset,
+    EmptySubset,
     IndexOutOfRange,
     InvalidChoice,
+    InvalidK,
     NegativeAlpha,
     ParseError,
 )
@@ -63,6 +68,28 @@ class TestChoiceDataset:
         with pytest.raises(InvalidChoice) as err:
             make_dataset([(0, (0, 1)), (2, (1, 0))], n=3)
         assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("n, match", [
+        (2.5, "universe size must be an integer, got 2.5"),
+        (2.0, "universe size must be an integer, got 2.0"),
+        ("3", "universe size must be an integer"),
+        (0, "universe size must be >= 1, got 0"),
+        (-1, "universe size must be >= 1, got -1"),
+    ])
+    def test_universe_size_rejected_not_truncated(self, n, match):
+        # n=2.5 was once stored, and counts then raised a bare TypeError;
+        # n=0 raised IndexOutOfRange for the set instead
+        with pytest.raises(InvalidK, match=match):
+            make_dataset([(0, (0, 1))], n=n)
+
+    def test_numpy_integer_universe_size_read_as_int(self):
+        ds = make_dataset([(0, (0, 1))], n=np.int64(3))
+        assert type(ds.n) is int and ds.n == 3
+        assert type(ds._rows(slice(1)).n) is int
+
+    def test_labels_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="need 3 labels, got 2"):
+            ChoiceDataset(n=3, observations=[(0, (0, 1))], labels=["a", "b"])
 
     def test_columns(self):
         ds = make_dataset([(1, (2, 1)), (0, (0, 1)), (2, (1, 2))], n=3)
@@ -171,6 +198,55 @@ class TestChoiceDataset:
                 (0, (0, 1)), (2, (0, 2)), (1, (1, 2)), (0, (0, 3)))
 
 
+def _load_text(tmp_path, text, fmt):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    return data.load(str(path), format=fmt)
+
+
+class TestEmptyDataset:
+    """A dataset with no observations cannot be built, whichever public
+    path builds it; every consumer relies on that."""
+
+    @pytest.mark.parametrize("n", [3, 2, 1, 0, 2.5])
+    def test_constructor(self, n):
+        # emptiness is checked before n: an empty file gives n=0
+        for observations in ((), [], iter(())):
+            with pytest.raises(EmptyDataset):
+                ChoiceDataset(n=n, observations=observations)
+
+    @pytest.mark.parametrize("fmt", ["chosen-set-v1", "sf-matrix"])
+    @pytest.mark.parametrize("text", ["", "\n", "\n  \n", "# note\n", "# n=3\n",
+                                      "# n=3\n\n# more\n"])
+    def test_load(self, tmp_path, fmt, text):
+        with pytest.raises(EmptyDataset):
+            _load_text(tmp_path, text, fmt)
+
+    def test_malformed_sidecar_of_an_empty_file_is_reported(self, tmp_path):
+        # the sidecar is read before the dataset is built
+        (tmp_path / "data.txt.labels.json").write_text("{not json")
+        with pytest.raises(ParseError, match="labels sidecar"):
+            _load_text(tmp_path, "", "chosen-set-v1")
+
+    def test_raised_only_when_a_dataset_is_built(self):
+        # one check in the one validator; a consumer that raised it too
+        # would restate a rule that every ChoiceDataset already keeps
+        found = []
+        for path in sorted(glob.glob(os.path.join(os.path.dirname(pcmc.__file__), "*.py"))):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    exc = node.exc if isinstance(node, ast.Raise) else None
+                    exc = exc.func if isinstance(exc, ast.Call) else exc
+                    name = getattr(exc, "id", getattr(exc, "attr", None))
+                    if name == "EmptyDataset":
+                        found.append((os.path.basename(path), func.name))
+        assert found == [("data.py", "_build")]
+
+
 class TestCounts:
     def test_exact_tallies(self):
         ds = make_dataset(
@@ -200,6 +276,11 @@ class TestCounts:
     def test_single_observation(self):
         t = data.counts(make_dataset([(1, (0, 1))], n=2))
         assert t.set_counts == {(0, 1): 1}
+
+    def test_total(self):
+        t = data.counts(make_dataset([(0, (0, 1))] * 3 + [(2, (0, 1, 2))], n=3))
+        assert t.total == 4.0 and type(t.total) is float
+        assert data.smooth(t, 0.5).total == 4.0 + 0.5 * (2 + 3)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_conservation(self, seed):
@@ -424,6 +505,11 @@ class TestSample:
         with pytest.raises(ValueError):
             data.sample(m, [(0, 1)], count=0, seed=0)
 
+    def test_no_sets_rejected(self):
+        m = MnlModel(gamma=np.array([1.0, 1.0]))
+        with pytest.raises(EmptySubset, match="at least one choice set"):
+            data.sample(m, [], count=5, seed=0)
+
 
 class TestGenerators:
     def test_gen_random_q_canonical(self):
@@ -444,6 +530,13 @@ class TestGenerators:
         assert bc.variant == "distance"
         assert np.abs(np.linalg.norm(bc.blades, axis=1) - 1.0).max() <= 1e-12
         assert np.abs(np.linalg.norm(bc.chests, axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("gen", [data.gen_random_q, data.gen_mnl_simplex,
+                                     data.gen_bladechest_circle])
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_below_two_alternatives_rejected(self, gen, n):
+        with pytest.raises(ValueError, match="need at least 2 alternatives, got %d" % n):
+            gen(n, seed=0)
 
     def test_generators_deterministic(self):
         a = data.gen_random_q(4, seed=11)

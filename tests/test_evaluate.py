@@ -8,6 +8,7 @@ from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
 from pcmc.errors import EmptyDataset, InvalidK, UnseenSet
 from pcmc.evaluate import (
+    ErrorReport,
     FitSpec,
     LearningCurve,
     empirical_distribution,
@@ -140,6 +141,11 @@ class TestPredictionError:
         with pytest.raises(EmptyDataset):
             prediction_error(m, ChoiceDataset(n=2, observations=()))
 
+    @pytest.mark.parametrize("error", [3.0, -0.1, math.nan])
+    def test_report_outside_zero_two_rejected(self, error):
+        with pytest.raises(ValueError, match="must lie in \\[0, 2\\]"):
+            ErrorReport(error=error, per_set_errors={}, n_test=1)
+
 
 class TestFitSpec:
     def test_unknown_kind(self):
@@ -157,6 +163,23 @@ class TestFitSpec:
         # k=2.5 once fitted two components
         with pytest.raises(InvalidK, match="mixture size must be an integer"):
             FitSpec(kind="mmnl", k=k).fit(pair_dataset(3, 1))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(kind="mmnl", k=0), "mixture size must be >= 1, got 0"),
+        (dict(kind="mmnl", k="2"), "mixture size must be an integer"),
+        (dict(kind="bladechest", d=2.5), "embedding dimension must be an integer, got 2.5"),
+        (dict(kind="bladechest", d=0), "embedding dimension must be >= 1, got 0"),
+        (dict(kind="pcmc", d=2.0), "embedding dimension must be an integer, got 2.0"),
+    ])
+    def test_sizes_rejected_at_construction(self, kwargs, match):
+        # once accepted here, so a learning curve recorded every cell of
+        # the spec as a fit failure instead of raising
+        with pytest.raises(InvalidK, match=match):
+            FitSpec(**kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = FitSpec(kind="mmnl", k=np.int64(2), d=np.uint8(3))
+        assert spec.fit(pair_dataset(3, 1)).k == 2
 
     def test_fit_each_kind(self):
         gen = MnlModel(gamma=np.array([0.5, 0.3, 0.2]))
@@ -221,3 +244,9 @@ class TestLearningCurve:
         with pytest.raises(ValueError):
             learning_curve(ds, [FitSpec(kind="mnl"), FitSpec(kind="mnl")],
                            fractions=(0.5,), permutations=1)
+
+    def test_curve_needs_a_permutation(self):
+        with pytest.raises(ValueError, match="need at least one permutation"):
+            LearningCurve(fractions=(1.0,), models=("mnl",), mean_errors={},
+                          std_errors={}, permutations=0, cell_permutations={},
+                          failures=())

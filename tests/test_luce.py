@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pcmc.errors import (
     NonpositiveGamma,
     NoConvergence,
     NotConnected,
+    OptimizerFailure,
     SameItem,
 )
 from pcmc.luce import MmnlModel, MnlModel
@@ -44,6 +46,11 @@ class TestMnlModel:
         for gamma in ([np.nan, 1.0], [np.inf, 1.0], [1e308] * 4):
             with pytest.raises(NonpositiveGamma):
                 MnlModel(gamma=np.array(gamma))
+
+    @pytest.mark.parametrize("gamma", [[], np.ones((2, 2)), 1.0])
+    def test_non_vector_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a nonempty vector"):
+            MnlModel(gamma=gamma)
 
     def test_btl_pair(self):
         assert luce.btl_pair(MnlModel(gamma=np.array([2.0, 1.0])), 0, 1) \
@@ -415,6 +422,13 @@ class TestFitMmnl:
     def test_numpy_integer_size_accepted(self):
         mix = luce.fit_mmnl(pair_dataset(3, 1), k=np.int64(2), restarts=1, max_iters=5)
         assert mix.k == 2
+
+    def test_every_restart_diverging_raises(self, monkeypatch):
+        # swapped as the benchmark's tracer swaps it
+        monkeypatch.setattr(luce, "minimize",
+                            lambda fun, x0, **kwargs: types.SimpleNamespace(fun=np.inf, x=x0))
+        with pytest.raises(OptimizerFailure, match="all 3 mixture fits diverged"):
+            luce.fit_mmnl(pair_dataset(3, 1), k=2, restarts=3)
 
 
 class TestMixtureObjective:

@@ -30,6 +30,7 @@ from _support import (
     BatchedChain,
     central_gradient,
     cyclic_matrix,
+    cyclic_rates,
     exact_adjoint_gradient,
     exact_stationary,
     random_canonical,
@@ -63,6 +64,13 @@ class TestPcmcModel:
         m = PcmcModel(q=param.q_from_btl(np.array([2.0, 1.0])))
         assert np.allclose(m.probabilities((0, 1)).mass,
                            [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+
+    def test_raw_array_becomes_a_rate_matrix(self):
+        rates = cyclic_rates(0.9)
+        rates[0, 0] = 5.0  # the diagonal is not data
+        m = PcmcModel(q=rates)
+        assert isinstance(m.q, RateMatrix) and m.n == 3
+        assert np.array_equal(m.q.rates, cyclic_matrix(0.9).rates)
 
     def test_singleton(self):
         m = PcmcModel(q=cyclic_matrix(0.7))
@@ -154,6 +162,12 @@ class TestFitConfig:
             FitConfig(ftol=0.0)
         with pytest.raises(NegativeAlpha):
             FitConfig(smoothing_alpha=-0.1)
+
+    @pytest.mark.parametrize("init", ["bogus", "", None])
+    def test_unknown_init_rejected_at_construction(self, init):
+        # once accepted here and refused only inside fit
+        with pytest.raises(ValueError, match="unknown init %r" % (init,)):
+            FitConfig(init=init)
 
 
 class TestGradient:

@@ -96,6 +96,16 @@ class TestPairwiseMatrix:
         with pytest.raises(InvalidPairwise, match=match):
             PairwiseMatrix(n=2, p=p)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+    def test_universe_size_rejected_not_truncated(self, n):
+        # n=2.0 once raised a bare TypeError from np.eye
+        with pytest.raises(InvalidK, match="universe size must be an integer"):
+            PairwiseMatrix(n=n, p=[[0.0, 0.7], [0.3, 0.0]])
+
+    def test_numpy_integer_universe_size_read_as_int(self):
+        pm = PairwiseMatrix(n=np.int64(2), p=[[0.0, 0.7], [0.3, 0.0]])
+        assert type(pm.n) is int and pm.n == 2
+
     def test_certain_outcomes_allowed(self):
         PairwiseMatrix(n=2, p=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -209,6 +219,9 @@ class TestBladeChest:
         (2, 1, [[0.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]], ValueError, "both be n x d"),
         (2, 1, [[np.nan], [1.0]], [[1.0], [0.0]], ValueError, "must be finite"),
         (2, 1, [[0.0], [1.0]], [[np.inf], [0.0]], ValueError, "must be finite"),
+        (2, 2.0, np.zeros((2, 2)), np.zeros((2, 2)), InvalidK,
+         "embedding dimension must be an integer"),
+        (2.0, 1, [[0.0], [1.0]], [[1.0], [0.0]], InvalidK, "universe size must be an integer"),
     ])
     def test_construction_rejections(self, n, d, blades, chests, error, match):
         with pytest.raises(error, match=match):

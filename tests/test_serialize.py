@@ -252,6 +252,11 @@ class TestModelRoundTrip:
             assert back.probabilities((0, 1)).mass.tolist() \
                 == m.probabilities((0, 1)).mass.tolist()
 
+    @pytest.mark.parametrize("obj", [object(), RateMatrix(n=2, rates=np.ones((2, 2)))])
+    def test_unknown_type_not_serialized(self, obj):
+        with pytest.raises(TypeError, match="cannot serialize model of type"):
+            serialize.model_to_dict(obj)
+
     def test_unknown_tag(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": "mystery"}\n')
