@@ -37,14 +37,11 @@ from .luce import (
     btl_pair,
     fit_mmnl,
     fit_mnl,
-    mmnl_probabilities,
-    mnl_probabilities,
 )
 from .model import (
     FitConfig,
     FitReport,
     PcmcModel,
-    choice_probabilities,
     finite_difference_gradient,
     fit,
     log_likelihood,
@@ -102,8 +99,7 @@ __all__ = [
     "gen_random_q", "gen_mnl_simplex", "gen_bladechest_circle",
     "load", "save",
     "MnlModel", "MmnlModel", "btl_pair", "fit_mnl", "fit_mmnl",
-    "mnl_probabilities", "mmnl_probabilities",
-    "PcmcModel", "FitConfig", "FitReport", "choice_probabilities",
+    "PcmcModel", "FitConfig", "FitReport",
     "log_likelihood", "smoothed_log_likelihood", "fit",
     "finite_difference_gradient",
     "PairwiseMatrix", "BladeChest", "bladechest_pair", "fit_bladechest",

@@ -29,13 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .base import ChoiceModel, probabilities_many, read_text, write_text
-from .ctmc import RateMatrix, _size
+from .ctmc import RateMatrix, _integer, _size
 from .errors import (
     DegenerateSplit,
     EmptyDataset,
     EmptySubset,
     IndexOutOfRange,
     InvalidChoice,
+    InvalidK,
     NegativeAlpha,
     ParseError,
 )
@@ -296,8 +297,7 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
     then draws the chosen alternative from the model's distribution over
     that set. Sampling is vectorized but fully determined by the seed.
     """
-    if count < 1:
-        raise ValueError("need at least one observation, got %d" % count)
+    count = _size(count, "observation count")
     norm_sets = [_canonical_set(s, model.n, k) for k, s in enumerate(sets, start=1)]
     if len(norm_sets) == 0:
         raise EmptySubset("need at least one choice set to sample from")
@@ -317,6 +317,14 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
     return _build(ChoiceDataset.__new__(ChoiceDataset), model.n, chosen, set_ids, norm_sets)
 
 
+def _generated_universe(n) -> int:
+    """A generator's n as an int once checked to be an integer >= 2."""
+    n = _integer(n, "universe size")
+    if n < 2:
+        raise InvalidK("need at least 2 alternatives, got %d" % n)
+    return n
+
+
 def gen_random_q(n: int, seed: int):
     """Random rate matrix with entries uniform on [0, 1).
 
@@ -324,8 +332,7 @@ def gen_random_q(n: int, seed: int):
     exactly 1; how many pairs needed that repair is recorded in the
     matrix metadata.
     """
-    if n < 2:
-        raise ValueError("need at least 2 alternatives, got %d" % n)
+    n = _generated_universe(n)
     rng = np.random.default_rng(seed)
     q = rng.random((n, n))
     sums = q + q.T
@@ -343,8 +350,7 @@ def gen_mnl_simplex(n: int, seed: int):
     """Random Luce model with weights uniform on the simplex."""
     from .luce import MnlModel
 
-    if n < 2:
-        raise ValueError("need at least 2 alternatives, got %d" % n)
+    n = _generated_universe(n)
     rng = np.random.default_rng(seed)
     e = rng.exponential(1.0, size=n)
     return MnlModel(gamma=e / e.sum())
@@ -359,8 +365,7 @@ def gen_bladechest_circle(n: int, seed: int):
     """
     from .param import BladeChest
 
-    if n < 2:
-        raise ValueError("need at least 2 alternatives, got %d" % n)
+    n = _generated_universe(n)
     rng = np.random.default_rng(seed)
     ang_b = rng.uniform(0.0, 2.0 * math.pi, size=n)
     ang_c = rng.uniform(0.0, 2.0 * math.pi, size=n)

@@ -93,14 +93,10 @@ class FitSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError("unknown model kind %r" % self.kind)
-        data_mod._pseudocount(self.alpha)
+        FitConfig(smoothing_alpha=self.alpha, max_iters=self.max_iters)  # FitConfig's checks
         if self.k is not None:
             _size(self.k, "mixture size")
         _size(self.d, "embedding dimension")
-
-    @property
-    def label(self) -> str:
-        return self.kind
 
     def fit(self, dataset: data_mod.ChoiceDataset, seed: int = 0) -> ChoiceModel:
         return self._fit(dataset, seed)[0]
@@ -123,10 +119,10 @@ class FitSpec:
 class LearningCurve:
     """Aggregated errors by model and training fraction.
 
-    mean_errors and std_errors map model label to one value per
+    mean_errors and std_errors map model kind to one value per
     fraction; permutations is the requested repeat count;
     cell_permutations records how many repeats succeeded for each cell;
-    failures lists (label, fraction, permutation, message) for fits
+    failures lists (kind, fraction, permutation, message) for fits
     that raised.
     """
 
@@ -137,10 +133,6 @@ class LearningCurve:
     permutations: int
     cell_permutations: dict
     failures: tuple
-
-    def __post_init__(self):
-        if self.permutations < 1:
-            raise ValueError("need at least one permutation")
 
 
 def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
@@ -153,20 +145,19 @@ def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
     (at least one). Cells where a fit raises a library error are
     recorded as failures and excluded from that cell's aggregates.
     """
-    if permutations < 1:
-        raise ValueError("need at least one permutation")
+    permutations = _size(permutations, "permutation count")
     fracs = tuple(float(f) for f in fractions)
     if not fracs or any(not (0.0 < f <= 1.0) for f in fracs):
         raise ValueError("fractions must lie in (0, 1]")
-    labels = tuple(s.label for s in specs)
-    if len(labels) != len(set(labels)):
-        raise ValueError("model labels must be distinct")
+    kinds = tuple(s.kind for s in specs)
+    if len(kinds) != len(set(kinds)):
+        raise ValueError("model kinds must be distinct")
 
     rng = np.random.default_rng(seed)
     split_seeds = rng.integers(0, 2 ** 63 - 1, size=permutations)
     fit_seeds = rng.integers(0, 2 ** 63 - 1, size=(permutations, len(specs)))
 
-    errors = {lab: [[] for _ in fracs] for lab in labels}
+    errors = {kind: [[] for _ in fracs] for kind in kinds}
     failures = []
     for p in range(permutations):
         train, test = data_mod.split(dataset, train_share, int(split_seeds[p]))
@@ -176,16 +167,16 @@ def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
             for si, spec in enumerate(specs):
                 try:
                     fitted = spec.fit(part, seed=int(fit_seeds[p, si]))
-                    errors[spec.label][fi].append(
+                    errors[spec.kind][fi].append(
                         prediction_error(fitted, test).error
                     )
                 except PcmcError as exc:
-                    failures.append((spec.label, f, p, str(exc)))
+                    failures.append((spec.kind, f, p, str(exc)))
 
     mean_errors, std_errors, cells = {}, {}, {}
-    for lab in labels:
+    for kind in kinds:
         means, stds, ns = [], [], []
-        for cell in errors[lab]:
+        for cell in errors[kind]:
             ns.append(len(cell))
             if cell:
                 means.append(float(np.mean(cell)))
@@ -193,11 +184,11 @@ def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
             else:
                 means.append(float("nan"))
                 stds.append(float("nan"))
-        mean_errors[lab] = tuple(means)
-        std_errors[lab] = tuple(stds)
-        cells[lab] = tuple(ns)
+        mean_errors[kind] = tuple(means)
+        std_errors[kind] = tuple(stds)
+        cells[kind] = tuple(ns)
     return LearningCurve(
-        fractions=fracs, models=labels, mean_errors=mean_errors,
+        fractions=fracs, models=kinds, mean_errors=mean_errors,
         std_errors=std_errors, permutations=permutations,
         cell_permutations=cells, failures=tuple(failures),
     )

@@ -57,9 +57,6 @@ class MnlModel(BatchedModel):
         return g / g.sum(axis=1, keepdims=True)
 
 
-mnl_probabilities = MnlModel.probabilities
-
-
 def _weights(gamma) -> np.ndarray:
     """Luce weights as a float vector, checked nonempty and > 0 with a finite sum."""
     g = np.array(gamma, dtype=float)
@@ -165,9 +162,6 @@ class MmnlModel(BatchedModel):
         """Weighted average of the component masses, row by row."""
         mass = sum(w * c.probabilities_many(idx) for w, c in zip(self.weights, self.components))
         return mass / mass.sum(axis=1, keepdims=True)
-
-
-mmnl_probabilities = MmnlModel.probabilities
 
 
 def default_mixture_size(n: int) -> int:

@@ -67,9 +67,6 @@ class PcmcModel(BatchedModel):
         return ctmc._stationary_rows(self.q.rates, idx)[0]
 
 
-choice_probabilities = PcmcModel.probabilities
-
-
 def log_likelihood(model, dataset) -> float:
     """Log-likelihood of the observations under any choice model,
     probabilities floored at 1e-12 inside the logs."""
@@ -179,26 +176,17 @@ def finite_difference_gradient(fun: Callable, x: np.ndarray, step: float) -> np.
     return grad
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
-    """Knobs for maximum-likelihood fitting.
-
-    init chooses the starting point: "empirical_pairs" converts pairwise
-    win counts into starting rates, "uniform_half" starts every rate at
-    one half.
-    """
+    """Knobs for maximum-likelihood fitting, checked at construction."""
 
     max_iters: int = 200
     ftol: float = 1e-8
     smoothing_alpha: float = 0.1
     seed: int = 0
-    init: str = "empirical_pairs"
 
     def __post_init__(self):
-        if self.init not in ("empirical_pairs", "uniform_half"):
-            raise ValueError("unknown init %r" % self.init)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1, got %r" % self.max_iters)
+        object.__setattr__(self, "max_iters", ctmc._size(self.max_iters, "max_iters"))
         if not self.ftol > 0:
             raise ValueError("ftol must be positive, got %r" % self.ftol)
         data_mod._pseudocount(self.smoothing_alpha)
@@ -261,8 +249,6 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
         # a zero rate has no logarithm, and a set mass at LOG_FLOOR gets
         # no gradient; 1e-6 keeps the masses of such a start above it
         x0 = np.log(np.maximum(start.q.rates[free], 1e-6))
-    elif cfg.init == "uniform_half":
-        x0 = np.full(int(free.sum()), math.log(0.5))
     else:
         x0 = np.log(_empirical_pairs_start(n, layout)[free])
 

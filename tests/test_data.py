@@ -501,9 +501,11 @@ class TestSample:
             assert err.value.line_number == number
 
     def test_count_validation(self):
+        # 2.5 was once a bare numpy TypeError
         m = MnlModel(gamma=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            data.sample(m, [(0, 1)], count=0, seed=0)
+        for count in (0, -1, 2.5, "5"):
+            with pytest.raises(InvalidK, match="observation count"):
+                data.sample(m, [(0, 1)], count=count, seed=0)
 
     def test_no_sets_rejected(self):
         m = MnlModel(gamma=np.array([1.0, 1.0]))
@@ -535,7 +537,15 @@ class TestGenerators:
                                      data.gen_bladechest_circle])
     @pytest.mark.parametrize("n", [1, 0])
     def test_below_two_alternatives_rejected(self, gen, n):
-        with pytest.raises(ValueError, match="need at least 2 alternatives, got %d" % n):
+        with pytest.raises(InvalidK, match="need at least 2 alternatives, got %d" % n):
+            gen(n, seed=0)
+
+    @pytest.mark.parametrize("gen", [data.gen_random_q, data.gen_mnl_simplex,
+                                     data.gen_bladechest_circle])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_non_integer_universe_rejected(self, gen, n):
+        # once a bare numpy TypeError
+        with pytest.raises(InvalidK, match="universe size must be an integer"):
             gen(n, seed=0)
 
     def test_generators_deterministic(self):

@@ -10,7 +10,6 @@ from pcmc.errors import EmptyDataset, InvalidK, UnseenSet
 from pcmc.evaluate import (
     ErrorReport,
     FitSpec,
-    LearningCurve,
     empirical_distribution,
     learning_curve,
     prediction_error,
@@ -170,6 +169,8 @@ class TestFitSpec:
         (dict(kind="bladechest", d=2.5), "embedding dimension must be an integer, got 2.5"),
         (dict(kind="bladechest", d=0), "embedding dimension must be >= 1, got 0"),
         (dict(kind="pcmc", d=2.0), "embedding dimension must be an integer, got 2.0"),
+        (dict(kind="pcmc", max_iters=2.5), "max_iters must be an integer, got 2.5"),
+        (dict(kind="bladechest", max_iters=0), "max_iters must be >= 1, got 0"),
     ])
     def test_sizes_rejected_at_construction(self, kwargs, match):
         # once accepted here, so a learning curve recorded every cell of
@@ -238,15 +239,10 @@ class TestLearningCurve:
         with pytest.raises(ValueError):
             learning_curve(ds, [FitSpec(kind="mnl")], fractions=(),
                            permutations=1)
-        with pytest.raises(ValueError):
-            learning_curve(ds, [FitSpec(kind="mnl")], fractions=(0.5,),
-                           permutations=0)
+        for permutations in (0, -1, 2.5):
+            with pytest.raises(InvalidK, match="permutation count"):
+                learning_curve(ds, [FitSpec(kind="mnl")], fractions=(0.5,),
+                               permutations=permutations)
         with pytest.raises(ValueError):
             learning_curve(ds, [FitSpec(kind="mnl"), FitSpec(kind="mnl")],
                            fractions=(0.5,), permutations=1)
-
-    def test_curve_needs_a_permutation(self):
-        with pytest.raises(ValueError, match="need at least one permutation"):
-            LearningCurve(fractions=(1.0,), models=("mnl",), mean_errors={},
-                          std_errors={}, permutations=0, cell_permutations={},
-                          failures=())

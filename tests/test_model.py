@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pcmc
 from pcmc import cli, ctmc, data, evaluate, luce, model, param
 from pcmc.base import LOG_FLOOR, probabilities_many
 from pcmc.ctmc import RateMatrix
@@ -9,6 +12,7 @@ from pcmc.data import ChoiceDataset
 from pcmc.errors import (
     EmptyDataset,
     InfeasibleStart,
+    InvalidK,
     MultipleClosedClasses,
     NegativeAlpha,
     OptimizerFailure,
@@ -18,7 +22,6 @@ from pcmc.luce import MnlModel
 from pcmc.model import (
     FitConfig,
     PcmcModel,
-    choice_probabilities,
     finite_difference_gradient,
     fit,
     log_likelihood,
@@ -74,7 +77,7 @@ class TestPcmcModel:
 
     def test_singleton(self):
         m = PcmcModel(q=cyclic_matrix(0.7))
-        d = choice_probabilities(m, (1,))
+        d = m.probabilities((1,))
         assert d.support == (1,)
         assert d.mass[0] == 1.0
 
@@ -163,11 +166,34 @@ class TestFitConfig:
         with pytest.raises(NegativeAlpha):
             FitConfig(smoothing_alpha=-0.1)
 
-    @pytest.mark.parametrize("init", ["bogus", "", None])
-    def test_unknown_init_rejected_at_construction(self, init):
-        # once accepted here and refused only inside fit
-        with pytest.raises(ValueError, match="unknown init %r" % (init,)):
-            FitConfig(init=init)
+    @pytest.mark.parametrize("max_iters", [2.5, 2.0, "3"])
+    def test_iteration_cap_rejected_not_truncated(self, max_iters):
+        # 2.5 was once accepted, and L-BFGS-B then ran 3 iterations
+        with pytest.raises(InvalidK, match="max_iters must be an integer"):
+            FitConfig(max_iters=max_iters)
+
+    def test_numpy_integer_iteration_cap_read_as_int(self):
+        assert type(FitConfig(max_iters=np.int64(5)).max_iters) is int
+
+    @pytest.mark.parametrize("field", ["max_iters", "ftol", "smoothing_alpha", "seed"])
+    def test_fields_cannot_be_reassigned(self, field):
+        # reassigning a field once bypassed every check above
+        cfg = FitConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, 0)
+        assert cfg == FitConfig()
+
+    def test_no_init_field(self):
+        # fit's start= is the one way to choose a starting point
+        assert "init" not in {f.name for f in dataclasses.fields(FitConfig)}
+
+
+@pytest.mark.parametrize("name", ["choice_probabilities", "mnl_probabilities",
+                                  "mmnl_probabilities"])
+def test_probabilities_is_the_one_per_set_entry(name):
+    # each of these once named a model class's probabilities method
+    assert name not in pcmc.__all__
+    assert not any(hasattr(m, name) for m in (pcmc, model, luce))
 
 
 class TestGradient:
@@ -422,8 +448,7 @@ class TestFit:
         # objective at the fit must not be below the starting point's
         start = PcmcModel(q=RateMatrix(n=3, rates=np.full((3, 3), 0.5)
                                        * ~np.eye(3, dtype=bool)))
-        from_start = fit(ds, FitConfig(smoothing_alpha=0.1,
-                                       init="uniform_half"))
+        from_start = fit(ds, cfg, start=start)
         start_value = smoothed_log_likelihood(start.q, ds, 0.1)
         assert from_start.loglik >= start_value - 1e-9
         assert report.loglik >= start_value - 1e-9
@@ -452,10 +477,6 @@ class TestFit:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             fit(ChoiceDataset(n=2, observations=()))
-
-    def test_unknown_init_rejected(self):
-        with pytest.raises(ValueError, match="unknown init 'bogus'"):
-            fit(pair_dataset(2, 2), cfg=FitConfig(init="bogus"))
 
     def test_unseen_alternatives_warned_and_padded(self):
         rows = [(0, (0, 1))] * 6 + [(1, (0, 1))] * 2
