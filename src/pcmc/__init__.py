@@ -28,7 +28,6 @@ from .data import (
     load,
     sample,
     save,
-    smooth,
     split,
 )
 from .luce import (
@@ -95,7 +94,7 @@ __all__ = [
     "ChoiceModel",
     "Distribution", "RateMatrix", "RestrictedGenerator",
     "closed_classes", "restrict", "stationary",
-    "ChoiceDataset", "CountTables", "counts", "smooth", "split", "sample",
+    "ChoiceDataset", "CountTables", "counts", "split", "sample",
     "gen_random_q", "gen_mnl_simplex", "gen_bladechest_circle",
     "load", "save",
     "MnlModel", "MmnlModel", "btl_pair", "fit_mnl", "fit_mmnl",

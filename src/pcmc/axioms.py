@@ -41,6 +41,17 @@ from .model import PcmcModel
 from .param import BladeChest, q_from_btl
 
 
+def _tolerance(tol) -> float:
+    """tol as a float, once checked to be finite: a NaN passes every
+    regularity and contractibility check and fails every expansion check,
+    and an infinity decides each check one way. A negative tol is kept;
+    regularity then also lists falls smaller than -tol."""
+    tol = float(tol)
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite, got %r" % tol)
+    return tol
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty blocks covering all n alternatives."""
@@ -49,6 +60,7 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", ctmc._integer(self.n, "universe size"))
         blocks = tuple(tuple(sorted(map(ctmc._index, b))) for b in self.blocks)
         flat = [i for b in blocks for i in b]
         if any(len(b) == 0 for b in blocks):
@@ -91,6 +103,7 @@ def check_contractible(q: RateMatrix, partition: Partition, tol: float = 1e-9):
     (within tol). The contracted chain has one state per block and rate
     lam_ij times the target block's size from block i to block j.
     """
+    tol = _tolerance(tol)
     if partition.n != q.n:
         raise ValueError("partition is over %d alternatives, matrix over %d"
                          % (partition.n, q.n))
@@ -125,6 +138,7 @@ def contraction_invariance(q1: RateMatrix, q2: RateMatrix,
     disagree. The comparison uses each chain's stationary distribution
     over the full universe.
     """
+    tol = _tolerance(tol)
     s1 = check_contractible(q1, partition, tol)
     if s1 is None:
         raise NotContractible("first matrix is not contractible for this partition")
@@ -167,7 +181,7 @@ def expand_copies(q: RateMatrix, k: int, within_rate: float = 0.5):
         n=n * k,
         blocks=tuple(tuple(range(m * k, (m + 1) * k)) for m in range(n)),
     )
-    return RateMatrix(n=n * k, rates=big, meta=q.meta), partition
+    return RateMatrix(n=n * k, rates=big), partition
 
 
 def _expansion_deviation(q: RateMatrix, k: int) -> float:
@@ -185,6 +199,7 @@ _EXPANSION_TOL = 1e-8
 def verify_uniform_expansion(q: RateMatrix, k: int, tol: float = _EXPANSION_TOL) -> bool:
     """Whether expanding into k copies preserves each alternative's total
     mass, comparing stationary distributions over the full universe."""
+    tol = _tolerance(tol)
     return _expansion_deviation(q, k) <= tol
 
 
@@ -299,6 +314,7 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
     compares each group as arrays; a record is built only for a
     (pair, item) that fails.
     """
+    tol = _tolerance(tol)
     menus = [s for a, b in nestings for s in (a, b)]
     size = np.fromiter(map(len, menus), np.int64, len(menus))
     try:
@@ -342,6 +358,7 @@ class Tournament:
     ties: frozenset
 
     def __post_init__(self):
+        object.__setattr__(self, "n", ctmc._integer(self.n, "universe size"))
         beats = frozenset((ctmc._index(a), ctmc._index(b)) for a, b in self.beats)
         ties = frozenset(tuple(sorted((ctmc._index(a), ctmc._index(b))))
                          for a, b in self.ties)
@@ -404,6 +421,7 @@ def cyclic_triplets(t: Tournament) -> int:
 def harary_moser_bound(n: int) -> int:
     """Maximum number of 3-cycles any tournament on n players can hold:
     (n^3 - n)/24 for odd n, (n^3 - 4n)/24 for even n."""
+    n = ctmc._integer(n, "player count")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n % 2 == 1:
@@ -467,6 +485,7 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
     triples in the pairwise predictions against the tournament maximum.
     """
     expand_k = ctmc._size(expand_k, "copy count")
+    tol = _tolerance(tol)
     checks = []
 
     # One-item-removed nestings suffice: if no single addition ever

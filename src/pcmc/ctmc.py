@@ -13,7 +13,7 @@ on each batch of equal-size sets, and stationary on a stack of one.
 """
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -69,7 +69,6 @@ class RateMatrix:
 
     n: int
     rates: np.ndarray
-    meta: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "universe size"))

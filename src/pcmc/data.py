@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -247,21 +247,6 @@ def counts(dataset: ChoiceDataset) -> CountTables:
     )
 
 
-def smooth(tables: CountTables, alpha: float) -> CountTables:
-    """Add alpha pseudocounts to every member of every observed set.
-
-    Only sets that occur in the data are touched; unobserved sets stay
-    absent. Set totals grow by alpha * |S| accordingly.
-    """
-    alpha = _pseudocount(alpha)
-    return replace(
-        tables,
-        choice_counts={s: {i: c + alpha for i, c in per_item.items()}
-                       for s, per_item in tables.choice_counts.items()},
-        set_counts={s: c + alpha * len(s) for s, c in tables.set_counts.items()},
-    )
-
-
 def _pseudocount(alpha) -> float:
     """alpha as a float, once checked to be a finite pseudocount >= 0."""
     alpha = float(alpha)
@@ -329,21 +314,16 @@ def gen_random_q(n: int, seed: int):
     """Random rate matrix with entries uniform on [0, 1).
 
     Pairs whose two rates sum to less than 1 are scaled up so the sum is
-    exactly 1; how many pairs needed that repair is recorded in the
-    matrix metadata.
+    exactly 1.
     """
     n = _generated_universe(n)
     rng = np.random.default_rng(seed)
     q = rng.random((n, n))
     sums = q + q.T
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    short = upper & (sums < 1.0)
-    repaired = int(short.sum())
     with np.errstate(divide="ignore"):
         factor = np.where(sums < 1.0, 1.0 / sums, 1.0)
     np.fill_diagonal(factor, 1.0)
-    return RateMatrix(n=n, rates=q * factor,
-                      meta={"generator": "uniform", "pairs_rescaled": repaired})
+    return RateMatrix(n=n, rates=q * factor)
 
 
 def gen_mnl_simplex(n: int, seed: int):
@@ -400,7 +380,7 @@ def _tally(dataset):
 
 def _smoothed(layout, alpha: float):
     """The layout with alpha pseudocounts added to every member of every
-    set; the same numbers smooth() puts in the count tables."""
+    set."""
     alpha = _pseudocount(alpha)
     return [(idx, w + alpha) for idx, w in layout]
 

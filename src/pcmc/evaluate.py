@@ -21,6 +21,9 @@ from .model import FitConfig
 
 _KINDS = ("pcmc", "mnl", "mmnl", "bladechest")
 
+# Share of the observations each learning-curve permutation trains on.
+_TRAIN_SHARE = 0.75
+
 
 def empirical_distribution(test: data_mod.ChoiceDataset, subset) -> Distribution:
     """Observed choice frequencies for one set in the test data."""
@@ -120,30 +123,29 @@ class LearningCurve:
     """Aggregated errors by model and training fraction.
 
     mean_errors and std_errors map model kind to one value per
-    fraction; permutations is the requested repeat count;
-    cell_permutations records how many repeats succeeded for each cell;
-    failures lists (kind, fraction, permutation, message) for fits
-    that raised.
+    fraction; cell_permutations records how many repeats succeeded for
+    each cell; failures lists (kind, fraction, permutation, message) for
+    fits that raised.
     """
 
     fractions: tuple
     models: tuple
     mean_errors: dict
     std_errors: dict
-    permutations: int
     cell_permutations: dict
     failures: tuple
 
 
 def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
                    fractions: Sequence[float], permutations: int,
-                   seed: int = 0, train_share: float = 0.75) -> LearningCurve:
+                   seed: int = 0) -> LearningCurve:
     """Repeatedly split, fit on growing prefixes of train, score on test.
 
-    Each permutation reshuffles the data into train/test at train_share.
-    A fraction f trains on the first floor(f * train size) observations
-    (at least one). Cells where a fit raises a library error are
-    recorded as failures and excluded from that cell's aggregates.
+    Each permutation reshuffles the data into train and test at
+    _TRAIN_SHARE. A fraction f trains on the first floor(f * train size)
+    observations (at least one). Cells where a fit raises a library
+    error are recorded as failures and excluded from that cell's
+    aggregates.
     """
     permutations = _size(permutations, "permutation count")
     fracs = tuple(float(f) for f in fractions)
@@ -160,7 +162,7 @@ def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
     errors = {kind: [[] for _ in fracs] for kind in kinds}
     failures = []
     for p in range(permutations):
-        train, test = data_mod.split(dataset, train_share, int(split_seeds[p]))
+        train, test = data_mod.split(dataset, _TRAIN_SHARE, int(split_seeds[p]))
         for fi, f in enumerate(fracs):
             take = max(1, math.floor(f * len(train)))
             part = train._rows(slice(take))
@@ -189,6 +191,5 @@ def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
         cells[kind] = tuple(ns)
     return LearningCurve(
         fractions=fracs, models=kinds, mean_errors=mean_errors,
-        std_errors=std_errors, permutations=permutations,
-        cell_permutations=cells, failures=tuple(failures),
+        std_errors=std_errors, cell_permutations=cells, failures=tuple(failures),
     )

@@ -99,6 +99,7 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
     and NoConvergence when max_iters passes without the estimate
     settling to within tol in L1.
     """
+    max_iters = ctmc._size(max_iters, "max_iters")
     n = dataset.n
     groups = data_mod._smoothed(data_mod._set_terms(dataset), alpha)
 
@@ -217,6 +218,7 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
         k = default_mixture_size(n)
     k = ctmc._size(k, "mixture size")
     restarts = ctmc._size(restarts, "restart count")
+    max_iters = ctmc._size(max_iters, "max_iters")
     groups = data_mod._smoothed(data_mod._set_terms(dataset), alpha)
 
     try:

@@ -38,6 +38,9 @@ from .errors import (
 # that line search backs off.
 _PENALTY = 1e12
 
+# L-BFGS-B's relative objective-decrease stopping rule for both chain fits.
+_FTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PcmcModel(BatchedModel):
@@ -181,14 +184,11 @@ class FitConfig:
     """Knobs for maximum-likelihood fitting, checked at construction."""
 
     max_iters: int = 200
-    ftol: float = 1e-8
     smoothing_alpha: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", ctmc._size(self.max_iters, "max_iters"))
-        if not self.ftol > 0:
-            raise ValueError("ftol must be positive, got %r" % self.ftol)
         data_mod._pseudocount(self.smoothing_alpha)
 
 
@@ -263,7 +263,7 @@ def fit(dataset, cfg: FitConfig = None, start: PcmcModel = None) -> FitReport:
     objective = _SetObjective(data_mod._smoothed(layout, cfg.smoothing_alpha))
     res = minimize(
         _minimand(objective, parameterize), x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": cfg.max_iters, "ftol": cfg.ftol},
+        options={"maxiter": cfg.max_iters, "ftol": _FTOL},
     )
     rates = parameterize(res.x)[0]
     smallest = (rates + rates.T)[free].min()

@@ -214,7 +214,7 @@ def fit_bladechest(dataset, d: int, variant: str = BladeChest.variant,
     res = minimize(
         model_mod._minimand(objective, lambda x: _embedding_rates(build(x))),
         x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": cfg.max_iters, "ftol": cfg.ftol},
+        options={"maxiter": cfg.max_iters, "ftol": model_mod._FTOL},
     )
     if res.fun >= model_mod._PENALTY:
         raise OptimizerFailure("embedding fit produced no finite likelihood")

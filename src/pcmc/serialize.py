@@ -105,10 +105,6 @@ def _id_lists(rows) -> list:
     return ("\0".join([one] * len(rows)) % tuple(rows.ravel().tolist())).split("\0")
 
 
-def rate_matrix_to_dict(q: RateMatrix) -> dict:
-    return {"n": int(q.n), "rates": [float(v) for v in q.rates.ravel()]}
-
-
 def _int(d: dict, key: str) -> int:
     """d[key] if it is a JSON integer: int() would take 2.9, true or "2"."""
     if type(d[key]) is not int:
@@ -129,16 +125,11 @@ def _floats(v, key: str) -> np.ndarray:
     return np.array(v, dtype=float)
 
 
-def rate_matrix_from_dict(d: dict) -> RateMatrix:
-    n = _int(d, "n")
-    rates = _floats(d["rates"], "rates").reshape(n, n)
-    return RateMatrix(n=n, rates=rates)
-
-
 def model_to_dict(model) -> dict:
     """Tagged JSON form of any fitted model."""
     if isinstance(model, PcmcModel):
-        return {"model": "pcmc", **rate_matrix_to_dict(model.q)}
+        return {"model": "pcmc", "n": int(model.n),
+                "rates": [float(v) for v in model.q.rates.ravel()]}
     if isinstance(model, MnlModel):
         return {"model": "mnl", "gamma": [float(v) for v in model.gamma]}
     if isinstance(model, MmnlModel):
@@ -161,7 +152,8 @@ def model_to_dict(model) -> dict:
 def model_from_dict(d: dict):
     kind = d.get("model")
     if kind == "pcmc":
-        return PcmcModel(q=rate_matrix_from_dict(d))
+        n = _int(d, "n")
+        return PcmcModel(q=RateMatrix(n=n, rates=_floats(d["rates"], "rates").reshape(n, n)))
     if kind == "mnl":
         return MnlModel(gamma=_floats(d["gamma"], "gamma"))
     if kind == "mmnl":

@@ -22,7 +22,7 @@ from pcmc.axioms import (
     verify_uniform_expansion,
 )
 from pcmc.ctmc import RateMatrix
-from pcmc.data import gen_bladechest_circle
+from pcmc.data import gen_bladechest_circle, gen_random_q
 from pcmc.errors import (
     BadNesting,
     IndexOutOfRange,
@@ -73,6 +73,12 @@ class TestPartition:
             Partition(n=2, blocks=((0.9,), (1.2,)))
         part = Partition(n=2, blocks=((np.int64(1),), (np.uint8(0),)))
         assert part.blocks == ((1,), (0,)) and type(part.blocks[0][0]) is int
+
+    def test_non_integer_size_rejected(self):
+        # n=2.0 once died in range()
+        with pytest.raises(InvalidK, match="universe size must be an integer, got 2.0"):
+            Partition(n=2.0, blocks=((0,), (1,)))
+        assert type(Partition(n=np.int64(2), blocks=((0,), (1,))).n) is int
 
 
 class TestCheckContractible:
@@ -602,6 +608,15 @@ class TestTournament:
         with pytest.raises(ValueError, match="n must be nonnegative"):
             harary_moser_bound(-1)
 
+    def test_non_integer_size_rejected(self):
+        # harary_moser_bound(2.5) once returned 0.0, and Tournament(n=2.0)
+        # died in range()
+        with pytest.raises(InvalidK, match="player count must be an integer, got 2.5"):
+            harary_moser_bound(2.5)
+        with pytest.raises(InvalidK, match="universe size must be an integer, got 2.0"):
+            Tournament(n=2.0, beats=[(1, 0)], ties=[])
+        assert type(Tournament(n=np.int64(2), beats=[(1, 0)], ties=[]).n) is int
+
     @given(st.integers(0, 2 ** 31 - 1))
     def test_count_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -638,6 +653,22 @@ class TestDebreuScenario:
         back = serialize.load_model(str(path))
         assert np.array_equal(back.q.rates, m.q.rates)
         assert abs(back.probabilities((0, 1, 2)).mass.sum() - 1.0) <= 1e-10
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, tol):
+        # at tol=nan the audit once passed regularity on a model with 13
+        # violations, and check_contractible averaged unequal rates
+        q = gen_random_q(4, 0)
+        part, model = Partition(n=4, blocks=((0, 1), (2, 3))), PcmcModel(q=q)
+        for check in (lambda: check_contractible(q, part, tol),
+                      lambda: contraction_invariance(q, q, part, tol),
+                      lambda: verify_uniform_expansion(q, 2, tol),
+                      lambda: regularity_violations(model, [((0, 1), (0, 1, 2))], tol),
+                      lambda: run_audit(model, tol=tol)):
+            with pytest.raises(ValueError, match="tolerance must be finite"):
+                check()
 
 
 class TestRunAudit:

@@ -280,7 +280,6 @@ class TestCounts:
     def test_total(self):
         t = data.counts(make_dataset([(0, (0, 1))] * 3 + [(2, (0, 1, 2))], n=3))
         assert t.total == 4.0 and type(t.total) is float
-        assert data.smooth(t, 0.5).total == 4.0 + 0.5 * (2 + 3)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_conservation(self, seed):
@@ -352,13 +351,12 @@ class TestSetTerms:
         assert sorted(seen) == sorted(want)
 
     @given(st.integers(0, 2 ** 31 - 1))
-    def test_smoothed_matches_smooth(self, seed):
+    def test_smoothed_adds_alpha_to_plain_tally(self, seed):
         n, rows = _repeated_menus(seed)
-        ds = make_dataset(rows, n=n)
-        tables = data.smooth(data.counts(ds), 0.3)
-        for idx, w in data._smoothed(data._set_terms(ds), 0.3):
+        want = plain_tally(rows)
+        for idx, w in data._smoothed(data._set_terms(make_dataset(rows, n=n)), 0.3):
             for s, counts in zip(map(tuple, idx.tolist()), w.tolist()):
-                assert counts == [tables.choice_counts[s][i] for i in s]
+                assert counts == [want[s][i] + 0.3 for i in s]
 
     def test_smoothed_rejects_negative_alpha(self):
         layout = data._set_terms(make_dataset([(0, (0, 1))], n=2))
@@ -413,25 +411,6 @@ class TestTallyOnce:
                 idx[0, 0] = 1
             with pytest.raises(ValueError):
                 w[0, 0] = 5.0
-
-
-class TestSmooth:
-    def test_identity_at_zero(self):
-        t = data.counts(make_dataset([(0, (0, 1))], n=2))
-        s = data.smooth(t, 0.0)
-        assert s.choice_counts == t.choice_counts
-        assert s.set_counts == t.set_counts
-
-    def test_arithmetic(self):
-        ds = make_dataset([(0, (0, 1))] * 3 + [(1, (0, 1))], n=2)
-        s = data.smooth(data.counts(ds), 5.0)
-        assert s.choice_counts[(0, 1)] == {0: 8.0, 1: 6.0}
-        assert s.set_counts[(0, 1)] == 14.0
-
-    def test_negative_alpha(self):
-        t = data.counts(make_dataset([(0, (0, 1))], n=2))
-        with pytest.raises(NegativeAlpha):
-            data.smooth(t, -0.5)
 
 
 class TestSplit:
@@ -518,8 +497,6 @@ class TestGenerators:
         q = data.gen_random_q(10, seed=1)
         assert q.n == 10
         assert q.is_canonical
-        assert q.meta.get("generator") == "uniform"
-        assert "pairs_rescaled" in q.meta
 
     def test_gen_mnl_simplex(self):
         m = data.gen_mnl_simplex(6, seed=2)

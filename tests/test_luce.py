@@ -176,6 +176,13 @@ class TestFitMnl:
         with pytest.raises(NoConvergence):
             luce.fit_mnl(ds, tol=1e-15, max_iters=1)
 
+    @pytest.mark.parametrize("max_iters", [2.5, "3", 0, -3])
+    def test_iteration_cap_rejected(self, max_iters):
+        # 2.5 once died in range(), and -3 raised "no convergence after
+        # -3 iterations"
+        with pytest.raises(InvalidK, match="max_iters must be"):
+            luce.fit_mnl(pair_dataset(3, 1), max_iters=max_iters)
+
     def test_negative_alpha(self):
         with pytest.raises(NegativeAlpha):
             luce.fit_mnl(pair_dataset(3, 1), alpha=-0.5)
@@ -412,6 +419,12 @@ class TestFitMmnl:
     def test_no_restarts_rejected(self):
         with pytest.raises(InvalidK, match="restart count must be >= 1, got 0"):
             luce.fit_mmnl(pair_dataset(3, 1), k=1, restarts=0)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 0, -1])
+    def test_iteration_cap_rejected(self, max_iters):
+        # each was once handed to L-BFGS-B as it stood
+        with pytest.raises(InvalidK, match="max_iters must be"):
+            luce.fit_mmnl(pair_dataset(3, 1), k=2, max_iters=max_iters)
 
     @pytest.mark.parametrize("k", [1.9, 2.0, "2"])
     def test_size_rejected_not_truncated(self, k):

@@ -161,8 +161,6 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FitConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            FitConfig(ftol=0.0)
         with pytest.raises(NegativeAlpha):
             FitConfig(smoothing_alpha=-0.1)
 
@@ -175,7 +173,7 @@ class TestFitConfig:
     def test_numpy_integer_iteration_cap_read_as_int(self):
         assert type(FitConfig(max_iters=np.int64(5)).max_iters) is int
 
-    @pytest.mark.parametrize("field", ["max_iters", "ftol", "smoothing_alpha", "seed"])
+    @pytest.mark.parametrize("field", ["max_iters", "smoothing_alpha", "seed"])
     def test_fields_cannot_be_reassigned(self, field):
         # reassigning a field once bypassed every check above
         cfg = FitConfig()
