@@ -33,7 +33,6 @@ from .data import (
 from .luce import (
     MmnlModel,
     MnlModel,
-    btl_pair,
     fit_mmnl,
     fit_mnl,
 )
@@ -49,9 +48,7 @@ from .model import (
 from .param import (
     BladeChest,
     PairwiseMatrix,
-    bladechest_pair,
     fit_bladechest,
-    mnl_to_pcmc,
     q_from_btl,
     q_from_pairwise,
 )
@@ -97,12 +94,12 @@ __all__ = [
     "ChoiceDataset", "CountTables", "counts", "split", "sample",
     "gen_random_q", "gen_mnl_simplex", "gen_bladechest_circle",
     "load", "save",
-    "MnlModel", "MmnlModel", "btl_pair", "fit_mnl", "fit_mmnl",
+    "MnlModel", "MmnlModel", "fit_mnl", "fit_mmnl",
     "PcmcModel", "FitConfig", "FitReport",
     "log_likelihood", "smoothed_log_likelihood", "fit",
     "finite_difference_gradient",
-    "PairwiseMatrix", "BladeChest", "bladechest_pair", "fit_bladechest",
-    "mnl_to_pcmc", "q_from_btl", "q_from_pairwise",
+    "PairwiseMatrix", "BladeChest", "fit_bladechest",
+    "q_from_btl", "q_from_pairwise",
     "Partition", "ContractionSummary", "Tournament", "RegularityViolation",
     "check_contractible", "contraction_invariance", "expand_copies",
     "verify_uniform_expansion", "regularity_violations",

@@ -41,14 +41,17 @@ from .model import PcmcModel
 from .param import BladeChest, q_from_btl
 
 
-def _tolerance(tol) -> float:
+def _tolerance(tol, signed=False) -> float:
     """tol as a float, once checked to be finite: a NaN passes every
     regularity and contractibility check and fails every expansion check,
-    and an infinity decides each check one way. A negative tol is kept;
-    regularity then also lists falls smaller than -tol."""
+    and an infinity decides each check one way. A negative tol decides a
+    contraction or expansion check one way too, so it is refused unless
+    signed: regularity then also lists falls smaller than -tol."""
     tol = float(tol)
     if not math.isfinite(tol):
         raise ValueError("tolerance must be finite, got %r" % tol)
+    if tol < 0 and not signed:
+        raise ValueError("tolerance must be >= 0, got %r" % tol)
     return tol
 
 
@@ -60,7 +63,7 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "n", ctmc._integer(self.n, "universe size"))
+        object.__setattr__(self, "n", ctmc._size(self.n, "universe size"))
         blocks = tuple(tuple(sorted(map(ctmc._index, b))) for b in self.blocks)
         flat = [i for b in blocks for i in b]
         if any(len(b) == 0 for b in blocks):
@@ -314,7 +317,7 @@ def regularity_violations(model: ChoiceModel, nestings: Sequence,
     compares each group as arrays; a record is built only for a
     (pair, item) that fails.
     """
-    tol = _tolerance(tol)
+    tol = _tolerance(tol, signed=True)
     menus = [s for a, b in nestings for s in (a, b)]
     size = np.fromiter(map(len, menus), np.int64, len(menus))
     try:
@@ -359,6 +362,8 @@ class Tournament:
 
     def __post_init__(self):
         object.__setattr__(self, "n", ctmc._integer(self.n, "universe size"))
+        if self.n < 0:
+            raise ValueError("n must be nonnegative")
         beats = frozenset((ctmc._index(a), ctmc._index(b)) for a, b in self.beats)
         ties = frozenset(tuple(sorted((ctmc._index(a), ctmc._index(b))))
                          for a, b in self.ties)
@@ -485,7 +490,7 @@ def run_audit(model: ChoiceModel, expand_k: int = 2, tol: float = 1e-9) -> dict:
     triples in the pairwise predictions against the tournament maximum.
     """
     expand_k = ctmc._size(expand_k, "copy count")
-    tol = _tolerance(tol)
+    tol = _tolerance(tol, signed=True)
     checks = []
 
     # One-item-removed nestings suffice: if no single addition ever

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--model", required=True, choices=evaluate._KINDS)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--variant", choices=("distance", "inner"),
+    p_fit.add_argument("--variant", choices=param._VARIANTS,
                        default=param.BladeChest.variant)
     p_fit.add_argument("--report", default=None,
                        help="also write a fit report JSON here")

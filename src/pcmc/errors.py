@@ -18,10 +18,6 @@ class IndexOutOfRange(PcmcError, IndexError):
     """An alternative index fell outside [0, n)."""
 
 
-class SameItem(PcmcError, ValueError):
-    """A pairwise operation was asked about an item against itself."""
-
-
 class MultipleClosedClasses(PcmcError):
     """The restricted chain has no unique stationary distribution.
 
@@ -122,5 +118,5 @@ class BadNesting(PcmcError, ValueError):
 
 class InvalidK(PcmcError, ValueError):
     """A size (a universe size, mixture size, restart count, copy count,
-    block size or embedding dimension) was not an integer in the allowed
-    range."""
+    block size or embedding dimension) or a seed was not an integer in
+    the allowed range."""

@@ -96,6 +96,7 @@ class FitSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError("unknown model kind %r" % self.kind)
+        param._variant(self.variant)
         FitConfig(smoothing_alpha=self.alpha, max_iters=self.max_iters)  # FitConfig's checks
         if self.k is not None:
             _size(self.k, "mixture size")

@@ -27,8 +27,9 @@ from .errors import (
     NonpositiveGamma,
     NotConnected,
     OptimizerFailure,
-    SameItem,
 )
+
+_MNL_TOL = 1e-9  # L1 change in the estimate at which fit_mnl stops
 
 
 @dataclass(frozen=True)
@@ -68,23 +69,7 @@ def _weights(gamma) -> np.ndarray:
     return g
 
 
-def _check_pair(i, j, n) -> tuple:
-    """i and j as ints, once checked to be two distinct ids in [0, n)."""
-    i, j = ctmc._index(i), ctmc._index(j)
-    if i == j:
-        raise SameItem("cannot compare alternative %d with itself" % i)
-    return ctmc._check_subset((i, j), n)
-
-
-def btl_pair(model: MnlModel, i: int, j: int) -> float:
-    """Probability that i beats j in a paired comparison."""
-    i, j = _check_pair(i, j, model.n)
-    gi, gj = float(model.gamma[i]), float(model.gamma[j])
-    return gi / (gi + gj)
-
-
-def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
-            max_iters: int = 10000) -> MnlModel:
+def fit_mnl(dataset, alpha: float = 0.0, max_iters: int = 10000) -> MnlModel:
     """Maximum-likelihood Luce weights via the spectral fixed point.
 
     Each iteration builds a chain whose rate from j to i accumulates,
@@ -97,7 +82,7 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
     connected along rates above ctmc.TOL_EDGE, the edges the stationary
     kernel sees (the MLE then sits on the boundary and does not exist),
     and NoConvergence when max_iters passes without the estimate
-    settling to within tol in L1.
+    settling to within _MNL_TOL in L1.
     """
     max_iters = ctmc._size(max_iters, "max_iters")
     n = dataset.n
@@ -120,7 +105,7 @@ def fit_mnl(dataset, tol: float = 1e-9, alpha: float = 0.0,
         dist = ctmc.stationary(ctmc.restrict(ctmc.RateMatrix(n=n, rates=gen), range(n)))
         new_gamma = np.clip(dist.mass, LOG_FLOOR, None)
         new_gamma = new_gamma / new_gamma.sum()
-        if np.abs(new_gamma - gamma).sum() < tol:
+        if np.abs(new_gamma - gamma).sum() < _MNL_TOL:
             return MnlModel(gamma=new_gamma)
         gamma = new_gamma
         gen = chain_for(gamma)

@@ -29,6 +29,7 @@ from .base import LOG_FLOOR, BatchedModel, minimize, probabilities_rows
 from .ctmc import RateMatrix
 from .errors import (
     InfeasibleStart,
+    InvalidK,
     MultipleClosedClasses,
     OptimizerFailure,
     SingularSystem,
@@ -181,7 +182,8 @@ def finite_difference_gradient(fun: Callable, x: np.ndarray, step: float) -> np.
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for maximum-likelihood fitting, checked at construction."""
+    """Knobs for maximum-likelihood fitting, checked at construction.
+    seed is read only by fit_bladechest, for its random start."""
 
     max_iters: int = 200
     smoothing_alpha: float = 0.1
@@ -190,6 +192,9 @@ class FitConfig:
     def __post_init__(self):
         object.__setattr__(self, "max_iters", ctmc._size(self.max_iters, "max_iters"))
         data_mod._pseudocount(self.smoothing_alpha)
+        object.__setattr__(self, "seed", ctmc._integer(self.seed, "seed"))
+        if self.seed < 0:
+            raise InvalidK("seed must be >= 0, got %d" % self.seed)
 
 
 @dataclass(frozen=True)

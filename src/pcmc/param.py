@@ -26,10 +26,10 @@ from . import data as data_mod, luce, model as model_mod
 from .base import BatchedModel, minimize
 from .ctmc import RateMatrix, _integer, _size
 from .errors import InvalidK, InvalidPairwise, OptimizerFailure
-from .luce import MnlModel
 from .model import FitConfig, PcmcModel
 
 _PAIR_TOL = 1e-10
+_VARIANTS = ("distance", "inner")  # the blade-chest score forms
 
 
 def expit(x):
@@ -38,6 +38,12 @@ def expit(x):
     module attribute that callers look up when called, like minimize."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
+
+
+def _variant(variant) -> None:
+    """Raise unless variant names a blade-chest score form."""
+    if variant not in _VARIANTS:
+        raise ValueError("variant must be one of %s, got %r" % (_VARIANTS, variant))
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,7 @@ class BladeChest(BatchedModel):
     variant: str = "distance"
 
     def __post_init__(self):
-        if self.variant not in ("distance", "inner"):
-            raise ValueError("variant must be 'distance' or 'inner'")
+        _variant(self.variant)
         b = np.array(self.blades, dtype=float)
         c = np.array(self.chests, dtype=float)
         object.__setattr__(self, "n", _integer(self.n, "universe size"))
@@ -147,17 +152,6 @@ class BladeChest(BatchedModel):
 
     def probabilities_many(self, idx: np.ndarray) -> np.ndarray:
         return self._chain.probabilities_many(idx)
-
-
-def bladechest_pair(model: BladeChest, i: int, j: int) -> float:
-    """Probability that i beats j under the embedding model."""
-    i, j = luce._check_pair(i, j, model.n)
-    return float(expit(model.matchups()[i, j]))
-
-
-def mnl_to_pcmc(mnl: MnlModel) -> PcmcModel:
-    """Chain model that reproduces a Luce model exactly."""
-    return PcmcModel(q=q_from_btl(mnl.gamma))
 
 
 def _embedding_rates(bc: BladeChest):

@@ -13,7 +13,9 @@ and names every moved entry in CHANGES.md.
 """
 
 import argparse
+import ast
 import dataclasses
+import glob
 import inspect
 import json
 import os
@@ -89,6 +91,20 @@ def test_public_surface_matches_pin():
     problems = differences(pinned, surface())
     assert not problems, "%d differences from %s:\n%s" % (
         len(problems), os.path.basename(PIN), "\n".join(problems))
+
+
+def test_every_error_is_raised():
+    # an error class that no raise names is a surface entry with no reader
+    raised = set()
+    for path in glob.glob(os.path.join(os.path.dirname(pcmc.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.PcmcError)}
+    assert classes - raised == {"PcmcError", "_Numbered"}
 
 
 def test_differences_names_each_entry():

@@ -80,6 +80,12 @@ class TestPartition:
             Partition(n=2.0, blocks=((0,), (1,)))
         assert type(Partition(n=np.int64(2), blocks=((0,), (1,))).n) is int
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_empty_or_negative_size_rejected(self, n):
+        # Partition(n=-1, blocks=()) once built
+        with pytest.raises(InvalidK, match="universe size must be >= 1, got %d" % n):
+            Partition(n=n, blocks=())
+
 
 class TestCheckContractible:
     def test_singletons_always_contract(self):
@@ -617,6 +623,12 @@ class TestTournament:
             Tournament(n=2.0, beats=[(1, 0)], ties=[])
         assert type(Tournament(n=np.int64(2), beats=[(1, 0)], ties=[]).n) is int
 
+    def test_negative_size_rejected(self):
+        # Tournament(n=-2, ...) once built; 0 and 1 alternatives stay valid
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            Tournament(n=-2, beats=frozenset(), ties=frozenset())
+        assert Tournament(n=0, beats=frozenset(), ties=frozenset()).n == 0
+
     @given(st.integers(0, 2 ** 31 - 1))
     def test_count_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -669,6 +681,20 @@ class TestTolerance:
                       lambda: run_audit(model, tol=tol)):
             with pytest.raises(ValueError, match="tolerance must be finite"):
                 check()
+
+    def test_negative_rejected_by_chain_checks(self):
+        # at tol=-1e-12 a constant matrix was never contractible, the
+        # invariance check raised NotContractible and no expansion verified
+        q = RateMatrix(n=4, rates=np.full((4, 4), 0.5))
+        part = Partition(n=4, blocks=((0, 1), (2, 3)))
+        for check in (lambda: check_contractible(q, part, -1e-12),
+                      lambda: contraction_invariance(q, q, part, -1e-12),
+                      lambda: verify_uniform_expansion(q, 2, -1e-12)):
+            with pytest.raises(ValueError, match="tolerance must be >= 0"):
+                check()
+        assert check_contractible(q, part, 0.0) is not None
+        # regularity keeps a negative margin: it lists every (pair, item)
+        assert len(regularity_violations(PcmcModel(q=q), [((0, 1), (0, 1, 2))], -1)) == 2
 
 
 class TestRunAudit:

@@ -178,6 +178,12 @@ class TestFitSpec:
         with pytest.raises(InvalidK, match=match):
             FitSpec(**kwargs)
 
+    def test_unknown_variant_rejected_at_construction(self):
+        # once accepted here: the first bladechest cell then raised a plain
+        # ValueError, which aborted the whole learning curve
+        with pytest.raises(ValueError, match="variant must be one of"):
+            FitSpec(kind="bladechest", variant="x")
+
     def test_numpy_integer_sizes_accepted(self):
         spec = FitSpec(kind="mmnl", k=np.int64(2), d=np.uint8(3))
         assert spec.fit(pair_dataset(3, 1)).k == 2

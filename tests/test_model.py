@@ -173,6 +173,16 @@ class TestFitConfig:
     def test_numpy_integer_iteration_cap_read_as_int(self):
         assert type(FitConfig(max_iters=np.int64(5)).max_iters) is int
 
+    @pytest.mark.parametrize("seed, match", [
+        (-1, "seed must be >= 0, got -1"),
+        (2.5, "seed must be an integer, got 2.5"),
+    ])
+    def test_seed_rejected(self, seed, match):
+        # both were once accepted; fit_bladechest then died in numpy
+        with pytest.raises(InvalidK, match=match):
+            FitConfig(seed=seed)
+        assert type(FitConfig(seed=np.int64(3)).seed) is int
+
     @pytest.mark.parametrize("field", ["max_iters", "smoothing_alpha", "seed"])
     def test_fields_cannot_be_reassigned(self, field):
         # reassigning a field once bypassed every check above

@@ -11,15 +11,13 @@ from hypothesis import example, given, strategies as st
 from pcmc import ctmc, data, luce, model, param
 from pcmc.ctmc import RateMatrix
 from pcmc.data import ChoiceDataset
-from pcmc.errors import InvalidK, InvalidPairwise, NonpositiveGamma, SameItem
+from pcmc.errors import InvalidK, InvalidPairwise, NonpositiveGamma
 from pcmc.luce import MnlModel
 from pcmc.model import PcmcModel
 from pcmc.param import (
     BladeChest,
     PairwiseMatrix,
-    bladechest_pair,
     fit_bladechest,
-    mnl_to_pcmc,
     q_from_btl,
     q_from_pairwise,
 )
@@ -70,7 +68,7 @@ class TestQFromBtl:
                     <= 1e-9
 
     def test_mnl_to_pcmc_wrapper(self):
-        m = mnl_to_pcmc(MnlModel(gamma=np.array([0.6, 0.3, 0.1])))
+        m = PcmcModel(q=q_from_btl(MnlModel(gamma=np.array([0.6, 0.3, 0.1])).gamma))
         assert isinstance(m, PcmcModel)
         assert np.abs(m.probabilities((0, 1, 2)).mass
                       - [0.6, 0.3, 0.1]).max() <= 1e-12
@@ -151,7 +149,7 @@ class TestBladeChest:
                         blades=np.array([[1.0, 0.0], [0.0, 1.0]]),
                         chests=np.array([[0.0, 1.0], [1.0, 0.0]]),
                         variant="inner")
-        assert bladechest_pair(bc, 0, 1) == pytest.approx(0.5, abs=1e-15)
+        assert bc.pairwise().p[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_identical_embeddings_are_even(self):
         pts = np.array([[0.3, -1.2], [2.0, 0.4], [-0.7, 0.9]])
@@ -159,7 +157,7 @@ class TestBladeChest:
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert bladechest_pair(bc, i, j) \
+                    assert bc.pairwise().p[i, j] \
                         == pytest.approx(0.5, abs=1e-15)
 
     def test_circle_construction_is_cyclic(self):
@@ -170,17 +168,17 @@ class TestBladeChest:
         chests = np.stack([np.cos(rot), np.sin(rot)], axis=1)
         bc = BladeChest(n=3, d=2, blades=blades, chests=chests,
                         variant="distance")
-        p01 = bladechest_pair(bc, 0, 1)
-        p12 = bladechest_pair(bc, 1, 2)
-        p20 = bladechest_pair(bc, 2, 0)
+        p01 = bc.pairwise().p[0, 1]
+        p12 = bc.pairwise().p[1, 2]
+        p20 = bc.pairwise().p[2, 0]
         assert p01 > 0.5 and p12 > 0.5 and p20 > 0.5
         assert p01 == pytest.approx(p12, abs=1e-12)
         assert p12 == pytest.approx(p20, abs=1e-12)
 
     def test_same_item_rejected(self):
         bc = data.gen_bladechest_circle(3, seed=0)
-        with pytest.raises(SameItem):
-            bladechest_pair(bc, 1, 1)
+        with pytest.raises(ValueError, match="duplicate alternative"):
+            bc.probabilities((1, 1))
 
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from(["distance", "inner"]))
@@ -194,14 +192,14 @@ class TestBladeChest:
                         variant=variant)
         for i in range(n):
             for j in range(i + 1, n):
-                s = bladechest_pair(bc, i, j) + bladechest_pair(bc, j, i)
+                s = bc.pairwise().p[i, j] + bc.pairwise().p[j, i]
                 assert s == pytest.approx(1.0, abs=1e-12)
 
     def test_logistic_lower_tail_is_accurate(self):
         # matchup score of 0 over 1 is b0 . c1 - b1 . c0 = -40
         bc = BladeChest(n=2, d=1, blades=[[-40.0], [0.0]], chests=[[0.0], [1.0]],
                         variant="inner")
-        assert bladechest_pair(bc, 0, 1) == pytest.approx(
+        assert bc.pairwise().p[0, 1] == pytest.approx(
             math.exp(-40.0) / (1.0 + math.exp(-40.0)), rel=1e-12, abs=0.0)
 
     def test_unknown_variant(self):
@@ -232,7 +230,7 @@ class TestBladeChest:
         m = bc.to_pcmc()
         for i in range(4):
             for j in range(i + 1, 4):
-                direct = bladechest_pair(bc, i, j)
+                direct = bc.pairwise().p[i, j]
                 assert m.probabilities((i, j)).prob(i) \
                     == pytest.approx(direct, abs=1e-12)
 
