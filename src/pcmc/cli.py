@@ -42,6 +42,13 @@ def _positive_int(text):
     return v
 
 
+def _nonnegative_int(text):
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer")
+    return v
+
+
 def _fraction_list(text):
     out = []
     for tok in text.split(","):
@@ -64,66 +71,73 @@ def _model_list(text):
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of pcmc and every subcommand, or, given a subcommand's
+    name, of that one only: main builds just the options it will read."""
     parser = _Parser(prog="pcmc", description=__doc__.splitlines()[0])
     formats = dict(default="chosen-set-v1", choices=tuple(data_mod._FORMATS))
-    # the fit options that fit and curve share
-    fitting = _Parser(add_help=False)
-    defaults = model_mod.FitConfig
-    fitting.add_argument("--alpha", type=float, default=defaults.smoothing_alpha,
-                         help="smoothing pseudocount (default %(default)s)")
-    fitting.add_argument("--seed", type=int, default=0)
-    fitting.add_argument("--k", type=_positive_int, default=None,
-                         help="mixture size for mmnl")
-    fitting.add_argument("--d", type=_positive_int, default=2,
-                         help="embedding dimension for bladechest")
-    fitting.add_argument("--max-iters", type=_positive_int, default=defaults.max_iters,
-                         help="L-BFGS-B iteration cap of the pcmc and bladechest "
-                              "fits (default %(default)s); mnl keeps its cap of 10,000 "
-                              "fixed-point iterations, mmnl 500 per restart")
-    fitting.add_argument("--format", **formats)
     sub = parser.add_subparsers(dest="command", required=True)
+    if command in (None, "fit", "curve"):  # the fit options they share
+        fitting = _Parser(add_help=False)
+        defaults = model_mod.FitConfig
+        fitting.add_argument("--alpha", type=float, default=defaults.smoothing_alpha,
+                             help="smoothing pseudocount (default %(default)s)")
+        fitting.add_argument("--seed", type=_nonnegative_int, default=0)
+        fitting.add_argument("--k", type=_positive_int, default=None,
+                             help="mixture size for mmnl")
+        fitting.add_argument("--d", type=_positive_int, default=2,
+                             help="embedding dimension for bladechest")
+        fitting.add_argument("--max-iters", type=_positive_int, default=defaults.max_iters,
+                             help="L-BFGS-B iteration cap of the pcmc and bladechest "
+                                  "fits (default %(default)s); mnl keeps its cap of 10,000 "
+                                  "fixed-point iterations, mmnl 500 per restart")
+        fitting.add_argument("--format", **formats)
 
-    p_fit = sub.add_parser("fit", parents=[fitting], help="fit a model to a dataset")
-    p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--model", required=True, choices=evaluate._KINDS)
-    p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--variant", choices=param._VARIANTS,
-                       default=param.BladeChest.variant)
-    p_fit.add_argument("--report", default=None,
-                       help="also write a fit report JSON here")
+    if command in (None, "fit"):
+        p_fit = sub.add_parser("fit", parents=[fitting], help="fit a model to a dataset")
+        p_fit.add_argument("--data", required=True)
+        p_fit.add_argument("--model", required=True, choices=evaluate._KINDS)
+        p_fit.add_argument("--out", required=True)
+        p_fit.add_argument("--variant", choices=param._VARIANTS,
+                           default=param.BladeChest.variant)
+        p_fit.add_argument("--report", default=None,
+                           help="also write a fit report JSON here")
 
-    p_eval = sub.add_parser("eval", help="score a saved model on a dataset")
-    p_eval.add_argument("--model-file", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--format", **formats)
+    if command in (None, "eval"):
+        p_eval = sub.add_parser("eval", help="score a saved model on a dataset")
+        p_eval.add_argument("--model-file", required=True)
+        p_eval.add_argument("--data", required=True)
+        p_eval.add_argument("--out", required=True)
+        p_eval.add_argument("--format", **formats)
 
-    p_curve = sub.add_parser("curve", parents=[fitting],
-                             help="learning curve over training fractions")
-    p_curve.add_argument("--data", required=True)
-    p_curve.add_argument("--models", required=True, type=_model_list,
-                         help="comma-separated model kinds")
-    p_curve.add_argument("--fractions", required=True, type=_fraction_list,
-                         help="comma-separated training fractions")
-    p_curve.add_argument("--permutations", required=True, type=_positive_int)
-    p_curve.add_argument("--out", required=True)
+    if command in (None, "curve"):
+        p_curve = sub.add_parser("curve", parents=[fitting],
+                                 help="learning curve over training fractions")
+        p_curve.add_argument("--data", required=True)
+        p_curve.add_argument("--models", required=True, type=_model_list,
+                             help="comma-separated model kinds")
+        p_curve.add_argument("--fractions", required=True, type=_fraction_list,
+                             help="comma-separated training fractions")
+        p_curve.add_argument("--permutations", required=True, type=_positive_int)
+        p_curve.add_argument("--out", required=True)
 
-    p_audit = sub.add_parser("audit", help="axiom checks on a saved model")
-    p_audit.add_argument("--model-file", required=True)
-    p_audit.add_argument("--out", required=True)
-    p_audit.add_argument("--expand-k", type=_positive_int, default=2)
+    if command in (None, "audit"):
+        p_audit = sub.add_parser("audit", help="axiom checks on a saved model")
+        p_audit.add_argument("--model-file", required=True)
+        p_audit.add_argument("--out", required=True)
+        p_audit.add_argument("--expand-k", type=_positive_int, default=2)
 
-    p_synth = sub.add_parser("synth", help="sample synthetic data from a known model")
-    p_synth.add_argument("--regime", required=True, choices=_REGIMES)
-    p_synth.add_argument("--n", required=True, type=_positive_int)
-    p_synth.add_argument("--samples", required=True, type=_positive_int)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--sets", type=_positive_int, default=25,
-                         help="number of distinct triple menus (default 25)")
-    p_synth.add_argument("--model-out", default=None,
-                         help="also save the generating model here")
+    if command in (None, "synth"):
+        p_synth = sub.add_parser("synth", help="sample synthetic data from a known model")
+        p_synth.add_argument("--regime", required=True, choices=_REGIMES)
+        p_synth.add_argument("--n", required=True, type=_positive_int)
+        p_synth.add_argument("--samples", required=True, type=_positive_int)
+        p_synth.add_argument("--seed", type=_nonnegative_int, default=0)
+        p_synth.add_argument("--out", required=True)
+        p_synth.add_argument("--sets", type=_positive_int, default=25,
+                             help="number of distinct triple menus (default 25)")
+        p_synth.add_argument("--model-out", default=None,
+                             help="also save the generating model here")
     return parser
 
 
@@ -224,7 +238,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

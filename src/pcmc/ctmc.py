@@ -110,6 +110,19 @@ def _integer(k, what) -> int:
         raise InvalidK("%s must be an integer, got %r" % (what, k)) from None
 
 
+def _seed(seed, what="seed"):
+    """A seed as np.random.default_rng takes it: a SeedSequence,
+    BitGenerator or Generator unchanged, else an int once checked to be
+    >= 0; a float, a string or a negative integer raises InvalidK."""
+    if isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator,
+                         np.random.Generator)):
+        return seed
+    seed = _integer(seed, what)
+    if seed < 0:
+        raise InvalidK("%s must be >= 0, got %d" % (what, seed))
+    return seed
+
+
 def _size(k, what) -> int:
     """A size, such as a copy count, as an int once checked to be an
     integer >= 1; a float, a string or a smaller integer raises InvalidK."""

@@ -13,7 +13,8 @@ separated by spaces. Lines starting with '#' are comments; a
 
 The "sf-matrix" format is numeric and whitespace-separated: column 0 is
 the index of the chosen alternative and the remaining n columns are 0/1
-membership indicators for the choice set.
+membership indicators for the choice set; load reads its plain blocks
+as fixed-width byte windows, other blocks as tokens, else line by line.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .base import ChoiceModel, probabilities_many, read_text, write_text
-from .ctmc import RateMatrix, _integer, _size
+from .ctmc import RateMatrix, _integer, _seed, _size
 from .errors import (
     DegenerateSplit,
     EmptyDataset,
@@ -271,7 +272,7 @@ def split(dataset: ChoiceDataset, train_fraction: float, seed: int):
         raise DegenerateSplit(
             "fraction %r of %d observations leaves an empty side" % (f, n_obs)
         )
-    order = np.random.default_rng(seed).permutation(n_obs)
+    order = np.random.default_rng(_seed(seed)).permutation(n_obs)
     return dataset._rows(order[:n_train]), dataset._rows(order[n_train:])
 
 
@@ -282,7 +283,7 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
     then draws the chosen alternative from the model's distribution over
     that set. Sampling is vectorized but fully determined by the seed.
     """
-    count = _size(count, "observation count")
+    count, seed = _size(count, "observation count"), _seed(seed)
     norm_sets = [_canonical_set(s, model.n, k) for k, s in enumerate(sets, start=1)]
     if len(norm_sets) == 0:
         raise EmptySubset("need at least one choice set to sample from")
@@ -316,8 +317,7 @@ def gen_random_q(n: int, seed: int):
     Pairs whose two rates sum to less than 1 are scaled up so the sum is
     exactly 1.
     """
-    n = _generated_universe(n)
-    rng = np.random.default_rng(seed)
+    n, rng = _generated_universe(n), np.random.default_rng(_seed(seed))
     q = rng.random((n, n))
     sums = q + q.T
     with np.errstate(divide="ignore"):
@@ -330,8 +330,7 @@ def gen_mnl_simplex(n: int, seed: int):
     """Random Luce model with weights uniform on the simplex."""
     from .luce import MnlModel
 
-    n = _generated_universe(n)
-    rng = np.random.default_rng(seed)
+    n, rng = _generated_universe(n), np.random.default_rng(_seed(seed))
     e = rng.exponential(1.0, size=n)
     return MnlModel(gamma=e / e.sum())
 
@@ -345,8 +344,7 @@ def gen_bladechest_circle(n: int, seed: int):
     """
     from .param import BladeChest
 
-    n = _generated_universe(n)
-    rng = np.random.default_rng(seed)
+    n, rng = _generated_universe(n), np.random.default_rng(_seed(seed))
     ang_b = rng.uniform(0.0, 2.0 * math.pi, size=n)
     ang_c = rng.uniform(0.0, 2.0 * math.pi, size=n)
     blades = np.column_stack([np.cos(ang_b), np.sin(ang_b)])
@@ -427,35 +425,40 @@ def _load_labels(path: str, n: int):
 _CHUNK_ROWS = 4096
 
 
-def _records(text: str, alphabet: bytes):
-    """The stripped lines of a file that holds a '#' (else []), and its
-    record lines as one uint8 array, each line ended by a newline; None
-    if a record holds a byte outside the ASCII alphabet. When the text
-    holds a '#', a line filter drops comment and blank lines as the line
-    loops do; otherwise blank lines stay, as lines holding no token."""
-    lines = []
-    if "#" in text:
-        lines = list(map(str.strip, text.splitlines()))
-        text = "\n".join([s for s in lines if s and s[0] != "#"])
-    raw = text.encode()
-    if raw.translate(None, alphabet + b"\n"):
+def _records(text: str, alphabet: bytes = b""):
+    """The stripped comment lines, cut out at the byte offsets of their
+    '#'s, and the other lines as one uint8 array, each ended by a newline;
+    None if a record holds a '#' or a byte outside a given alphabet."""
+    raw, comments, kept, at = text.encode(), [], [], 0
+    while (mark := raw.find(b"#", at)) >= 0:
+        lo = raw.rfind(b"\n", 0, mark) + 1
+        kept.append(memoryview(raw)[at:lo])
+        at = raw.find(b"\n", mark) + 1 or len(raw)
+        comments.append(raw[lo:at].decode().strip())
+        if comments[-1][:1] != "#" or len(comments[-1].splitlines()) > 1:
+            return None  # a '#' in a record, or a line break the line loops split on
+    raw = b"".join(kept + [memoryview(raw)[at:]]) if kept else raw
+    if alphabet and raw.translate(None, alphabet + b"\n"):
         return None
-    return lines, np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)
+    return comments, np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)
 
 
 def _blocks(b):
-    """The tokens of the lines of b, _CHUNK_ROWS lines at a time, so the
-    position arrays stay small; a token is a run of digits. Each block is
-    (block, ends, starts, count): its bytes, and the offset of each line's
-    newline, the offset of each token and the number of tokens per line."""
+    """The lines of b, _CHUNK_ROWS at a time, so the position arrays stay
+    small: each block is its bytes and the offset of each line's newline."""
     newlines = np.flatnonzero(b == ord("\n"))
     for first in range(0, len(newlines), _CHUNK_ROWS):
         lo = newlines[first - 1] + 1 if first else 0
         ends = newlines[first:first + _CHUNK_ROWS] - lo
-        block = b[lo:lo + ends[-1] + 1]
-        digit = np.r_[False, block >= ord("0")]  # digit[i + 1]: block[i] is a digit
-        starts = np.flatnonzero(digit[1:] > digit[:-1])
-        yield block, ends, starts, np.diff(np.searchsorted(starts, ends), prepend=0)
+        yield b[lo:lo + ends[-1] + 1], ends
+
+
+def _tokens(b, ends):
+    """The offset of each token of a block, a token being a run of
+    digits, and the number of tokens on each line."""
+    digit = np.r_[False, b >= ord("0")]  # digit[i + 1]: b[i] is a digit
+    starts = np.flatnonzero(digit[1:] > digit[:-1])
+    return starts, np.diff(np.searchsorted(starts, ends), prepend=0)
 
 
 def _integers(b, starts):
@@ -504,7 +507,8 @@ def _chosen_set_columns(text: str):
     if records is None:
         return None
     chosen, members, size = [], [], []
-    for b, ends, starts, count in _blocks(records[1]):
+    for b, ends in _blocks(records[1]):
+        starts, count = _tokens(b, ends)
         # one comma on each line holding a token and no other, so
         # commas[k] is record k's: its first token lies before that
         # comma and its second after it
@@ -536,30 +540,60 @@ def _chosen_set_columns(text: str):
     return n, chosen, raw_id, raw_sets
 
 
+def _plain_rows(b, ends, width):
+    """The chosen ids and indicators of a block whose every line is a
+    chosen id of 1 to 18 digits and, per bit, a space and a byte 0 or 1,
+    as many as its first line has and width - 1 if given; else None."""
+    bits = int(np.count_nonzero(b[:ends[0]] == ord(" ")))
+    tail = ends - 2 * bits  # each line's first separator
+    digits = tail - np.r_[0, ends[:-1] + 1]
+    if bits < 2 or width not in (None, bits + 1) or not 1 <= digits.min() <= digits.max() <= 18:
+        return None
+    pairs = np.lib.stride_tricks.sliding_window_view(b, 2 * bits)[tail].view("<u2")
+    if ((pairs & 0xFEFF) != 0x3020).any():  # each pair is 0x3020 + 0x100 * bit
+        return None
+    chosen = np.zeros(len(ends), np.int64)
+    for k in range(int(digits.max())):  # digit k from the right, 0 past a line's first
+        digit = np.where(k < digits, b[tail - 1 - k] - np.uint8(ord("0")), 0)
+        if (digit > 9).any():
+            return None
+        chosen += digit * np.int64(10) ** k
+    return chosen, pairs > 0x3020
+
+
 def _sf_matrix_columns(text: str):
-    """n and the columns of an sf-matrix file, read from its token
-    blocks (_blocks), each indicator as its one byte and each set keyed
-    by its packed indicator bits; None for a file the line loop must
-    read: a byte outside comments but a digit, space, tab or newline (so
-    a comma, '-', '+' or '.'), a chosen id of more than 18 digits, a
-    ragged row, a width below 3, or an indicator but the byte 0 or 1."""
-    records = _records(text, b"0123456789 \t")
+    """n and the columns of an sf-matrix file, each set keyed by its
+    packed indicator bits; None for a file the line loop must read. Each
+    block is read by _plain_rows or else from its tokens (_tokens), which
+    decline a byte but a digit, space, tab or newline (so a comma, '-',
+    '+' or '.'), a chosen id of more than 18 digits, a ragged row, a
+    width below 3, or an indicator but the byte 0 or 1."""
+    records = _records(text)
     if records is None:
         return None
     chosen, keys, width = [], [], None
-    for b, _, starts, count in _blocks(records[1]):
-        count = count[count > 0]
-        if len(count) == 0:
-            continue
-        width = width or int(count[0])
-        if width < 3 or (count != width).any():
-            return None
-        bits = b[starts].reshape(-1, width)[:, 1:] - np.uint8(ord("0"))
-        single = b[starts + 1].reshape(-1, width)[:, 1:] < ord("0")
-        chosen.append(_integers(b, starts[::width]))
-        if chosen[-1] is None or (bits > 1).any() or not single.all():
-            return None
-        keys.append(np.packbits(bits, axis=1))
+    for b, ends in _blocks(records[1]):
+        rows = _plain_rows(b, ends, width)
+        if rows is None:
+            if b.tobytes().translate(None, b"0123456789 \t\n"):
+                return None
+            starts, count = _tokens(b, ends)
+            count = count[count > 0]
+            if len(count) == 0:
+                continue
+            width = width or int(count[0])
+            if width < 3 or (count != width).any():
+                return None
+            rows = (_integers(b, starts[::width]),
+                    b[starts].reshape(-1, width)[:, 1:] - np.uint8(ord("0")))
+            single = b[starts + 1].reshape(-1, width)[:, 1:] < ord("0")
+            if rows[0] is None or (rows[1] > 1).any() or not single.all():
+                return None
+        width = rows[1].shape[1] + 1
+        chosen.append(rows[0])
+        key = np.zeros((len(rows[0]), (width + 6) // 8 * 8), bool)  # whole bytes a row:
+        key[:, :width - 1] = rows[1]  # a flat np.packbits is the fastest
+        keys.append(np.packbits(key).reshape(len(key), -1))
     if width is None:
         return None
     sets, raw_id = _distinct_rows(np.concatenate(keys))
@@ -641,10 +675,11 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     """Read a dataset file. Formats: "chosen-set-v1" (native) and
     "sf-matrix" (chosen index plus 0/1 membership columns).
 
-    The file is read by the byte tokeniser (_blocks); a file the array
-    parser declines goes to the line loop, which raises any format error at
-    its file line. Both give the same columns to one validation, whose
-    errors are renumbered from observation to file line."""
+    Comment lines are cut out at their '#'s, and each block of the rest
+    is read by _plain_rows or else the tokeniser (_tokens); a file both
+    decline goes to the line loop, which raises any format error at its
+    file line. Both give the same columns to one validation, whose errors
+    are renumbered from observation to file line."""
     if format not in _FORMATS:
         raise ValueError("unknown dataset format %r" % format)
     text = read_text(path)

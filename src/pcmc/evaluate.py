@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as data_mod, luce, model as model_mod, param
 from .base import ChoiceModel, probabilities_rows
-from .ctmc import Distribution, _index, _size
+from .ctmc import Distribution, _index, _seed, _size
 from .errors import PcmcError, UnseenSet
 from .model import FitConfig
 
@@ -156,7 +156,7 @@ def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
     if len(kinds) != len(set(kinds)):
         raise ValueError("model kinds must be distinct")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     split_seeds = rng.integers(0, 2 ** 63 - 1, size=permutations)
     fit_seeds = rng.integers(0, 2 ** 63 - 1, size=(permutations, len(specs)))
 

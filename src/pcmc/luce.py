@@ -197,6 +197,8 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     small noise on all but the first), so the final likelihood is never
     worse than the best single-component model up to optimizer noise;
     where that Luce fit fails, the first start's utilities are all zero.
+    The restarts' seeds are spawned from seed, an int >= 0 or a
+    SeedSequence.
     """
     n = dataset.n
     if k is None:
@@ -204,6 +206,7 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     k = ctmc._size(k, "mixture size")
     restarts = ctmc._size(restarts, "restart count")
     max_iters = ctmc._size(max_iters, "max_iters")
+    seed = ctmc._seed(seed)
     groups = data_mod._smoothed(data_mod._set_terms(dataset), alpha)
 
     try:
@@ -212,7 +215,8 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     except (NoConvergence, NotConnected):
         base_theta = np.zeros(n)
 
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    seeds = (seed if isinstance(seed, np.random.SeedSequence)
+             else np.random.SeedSequence(seed)).spawn(restarts)
     best_x, best_val = None, math.inf
     for r in range(restarts):
         rng = np.random.default_rng(seeds[r])

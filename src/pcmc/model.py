@@ -29,7 +29,6 @@ from .base import LOG_FLOOR, BatchedModel, minimize, probabilities_rows
 from .ctmc import RateMatrix
 from .errors import (
     InfeasibleStart,
-    InvalidK,
     MultipleClosedClasses,
     OptimizerFailure,
     SingularSystem,
@@ -192,9 +191,7 @@ class FitConfig:
     def __post_init__(self):
         object.__setattr__(self, "max_iters", ctmc._size(self.max_iters, "max_iters"))
         data_mod._pseudocount(self.smoothing_alpha)
-        object.__setattr__(self, "seed", ctmc._integer(self.seed, "seed"))
-        if self.seed < 0:
-            raise InvalidK("seed must be >= 0, got %d" % self.seed)
+        object.__setattr__(self, "seed", ctmc._seed(self.seed))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -284,6 +285,31 @@ class TestAudit:
 
 
 class TestFailureCodes:
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--regime", "mnl", "--n", "4", "--samples", "5"],
+        ["fit", "--model", "mmnl", "--data", "unread.txt"],
+        ["curve", "--models", "mnl", "--fractions", "1", "--permutations", "1",
+         "--data", "unread.txt"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "2.5"])
+    def test_bad_seed_is_a_usage_error(self, tmp_path, capsys, argv, seed):
+        # a negative seed once ended in a numpy traceback
+        out = tmp_path / "out"
+        assert main(argv + ["--seed", seed, "--out", str(out)]) == 1
+        assert "argument --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_parser_of_one_command(self, command):
+        # main builds only the invoked command's options, the same ones
+        # build_parser() gives it
+        def options(parser):
+            sub = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+            return {name: [a.option_strings for a in p._actions] for name, p in sub.items()}
+
+        assert options(cli.build_parser(command)) == {
+            command: options(cli.build_parser())[command]}
     def test_missing_data_file(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.txt"),
                      "--model", "mnl",
