@@ -13,8 +13,8 @@ separated by spaces. Lines starting with '#' are comments; a
 
 The "sf-matrix" format is numeric and whitespace-separated: column 0 is
 the index of the chosen alternative and the remaining n columns are 0/1
-membership indicators for the choice set; load reads its plain blocks
-as fixed-width byte windows, other blocks as tokens, else line by line.
+membership indicators for the choice set. Each format has one reader:
+plain sf-matrix blocks are read as fixed-width byte windows, all else as tokens.
 """
 
 import itertools
@@ -424,57 +424,89 @@ def _load_labels(path: str, n: int):
 
 _CHUNK_ROWS = 4096
 
+_NOT_ASCII = "a record line may hold only printable ASCII and tabs"
 
-def _records(text: str, alphabet: bytes = b""):
-    """The stripped comment lines, cut out at the byte offsets of their
-    '#'s, and the other lines as one uint8 array, each ended by a newline;
-    None if a record holds a '#' or a byte outside a given alphabet."""
-    raw, comments, kept, at = text.encode(), [], [], 0
-    while (mark := raw.find(b"#", at)) >= 0:
+_BELOW_MAX = "alternative ids must be below %d" % _MAX_N
+
+
+def _records(text: str):
+    """The stripped comment lines, and the text as a uint8 array of lines
+    each ended by a newline, so line k of the array is line k of the file,
+    with each comment line (led by '#' after any whitespace, holding no
+    line break str.splitlines knows) cut out at its '#'s but its newline."""
+    raw, comments, kept, at, end = text.encode(), [], [], 0, 0
+    while (mark := raw.find(b"#", end)) >= 0:
         lo = raw.rfind(b"\n", 0, mark) + 1
-        kept.append(memoryview(raw)[at:lo])
-        at = raw.find(b"\n", mark) + 1 or len(raw)
-        comments.append(raw[lo:at].decode().strip())
-        if comments[-1][:1] != "#" or len(comments[-1].splitlines()) > 1:
-            return None  # a '#' in a record, or a line break the line loops split on
+        end = raw.find(b"\n", mark) % (len(raw) + 1)  # -1, no newline: the end
+        line = raw[lo:end].decode()
+        if line.strip()[:1] == "#" and line.splitlines() == [line]:
+            comments.append(line.strip())
+            kept.append(memoryview(raw)[at:lo])
+            at = end
     raw = b"".join(kept + [memoryview(raw)[at:]]) if kept else raw
-    if alphabet and raw.translate(None, alphabet + b"\n"):
-        return None
     return comments, np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)
 
 
 def _blocks(b):
     """The lines of b, _CHUNK_ROWS at a time, so the position arrays stay
-    small: each block is its bytes and the offset of each line's newline."""
+    small: each block is the index of its first line, its bytes and the
+    offset of each line's newline."""
     newlines = np.flatnonzero(b == ord("\n"))
     for first in range(0, len(newlines), _CHUNK_ROWS):
         lo = newlines[first - 1] + 1 if first else 0
         ends = newlines[first:first + _CHUNK_ROWS] - lo
-        yield b[lo:lo + ends[-1] + 1], ends
+        yield first, b[lo:lo + ends[-1] + 1], ends
 
 
-def _tokens(b, ends):
-    """The offset of each token of a block, a token being a run of
-    digits, and the number of tokens on each line."""
-    digit = np.r_[False, b >= ord("0")]  # digit[i + 1]: b[i] is a digit
-    starts = np.flatnonzero(digit[1:] > digit[:-1])
-    return starts, np.diff(np.searchsorted(starts, ends), prepend=0)
+def _tokens(b, ends, odd):
+    """The offset of each token of a block (a run of bytes above the space
+    but commas; of digits, in a block not odd) and the number on each
+    line; for an odd block also each token's stop and count of bytes but
+    digits, and the line of each byte but printable ASCII, tab and newline."""
+    word = np.r_[False, (b > ord(" ")) & (b != ord(",")) if odd else b >= ord("0")]
+    starts = np.flatnonzero(word[1:] > word[:-1])
+    count = np.diff(np.searchsorted(starts, ends), prepend=0)
+    if not odd:
+        return starts, count, None, None, ends[:0]
+    stops = np.flatnonzero(word[1:] < word[:-1])
+    other = np.r_[0, np.cumsum(b - np.uint8(ord("0")) > 9)]  # bytes but digits before each
+    refused = (b - np.uint8(ord(" ")) > ord("~") - ord(" ")) & (b != ord("\t")) & (b != ord("\n"))
+    return (starts, count, stops, other[stops] - other[starts],
+            np.searchsorted(ends, np.flatnonzero(refused)))
 
 
 def _integers(b, starts):
-    """The values of the runs of digits that begin at starts in the byte
-    array b; None if one is longer than 18 digits, past which an int64
-    could overflow."""
-    value, at = np.zeros(len(starts), np.int64), starts.copy()
-    for _ in range(18):  # in place: a fresh array per digit raised peak RSS
+    """The run of digits at each offset of starts in the byte array b as an
+    int64 id, read as uint64: 2**63 - 1 if that or more or over 19 digits;
+    and the offset past each run, or past its 19th digit."""
+    value, at = np.zeros(len(starts), np.uint64), starts.copy()
+    for _ in range(19):  # in place: a fresh array per digit raised peak RSS
         digit = b[at] - np.uint8(ord("0"))  # wraps below '0'
         more = digit < 10
         if not more.any():
-            return value
+            break
         np.multiply(value, 10, out=value, where=more)
         np.add(value, digit, out=value, where=more)
         at += more
-    return None if (b[at] >= ord("0")).any() else value
+    value[(value > _MAX_N) | (b[at] - np.uint8(ord("0")) < 10)] = _MAX_N
+    return value.astype(np.int64), at
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _raise_first(first, faults):
+    """Raise ParseError at the first line that faults flag: (lines,
+    message) pairs in the order one line's checks run, the lines indexing
+    a block whose line 0 is file line first + 1."""
+    hits = [(int(lines.min()), message) for lines, message in faults if len(lines)]
+    if hits:  # the first line's first check: min keeps the first of equal keys
+        line, message = min(hits, key=lambda hit: hit[0])
+        raise ParseError(first + line + 1, message)
 
 
 def _distinct_rows(rows):
@@ -498,38 +530,44 @@ def _distinct_rows(rows):
 
 
 def _chosen_set_columns(text: str):
-    """n and the columns of a chosen-set-v1 file, read from its token
-    blocks (_blocks); None for a file the line loop must read. It reads
-    only lines of a chosen id, one comma and at least two member ids,
-    each id at most 18 ASCII digits and all below any '# n='; so a
-    '-', '+' or '.' sends the file to the line loop."""
-    records = _records(text, b"0123456789, \t")
-    if records is None:
-        return None
+    """n and the columns of a chosen-set-v1 file, read from its tokens a
+    block at a time, member ids in each block's narrowest unsigned type.
+    Raises the first format fault at its line: a byte but printable ASCII
+    and tabs, no comma, not one id before it or a second comma, an id not
+    a run of digits, a '-', an id of 2**63 - 1 or more, in that order."""
+    comments, records = _records(text)
     chosen, members, size = [], [], []
-    for b, ends in _blocks(records[1]):
-        starts, count = _tokens(b, ends)
-        # one comma on each line holding a token and no other, so
-        # commas[k] is record k's: its first token lies before that
-        # comma and its second after it
+    for first, b, ends in _blocks(records):
+        odd = bool(b.tobytes().translate(None, b"0123456789, \t\n"))
+        starts, count, stops, other, refused = _tokens(b, ends, odd)
+        values = _integers(b, starts)[0]
         commas = np.flatnonzero(b == ord(","))
-        lines = np.flatnonzero(count)
-        count = count[lines]
-        first = np.cumsum(count) - count  # each record's first token
-        values = _integers(b, starts)
-        if (not np.array_equal(np.searchsorted(ends, commas), lines) or (count < 3).any()
-                or values is None or (starts[first] > commas).any()
-                or (starts[first + 1] < commas).any()):
-            return None
-        chosen.append(values[first])
-        members.append(np.delete(values, first))
-        size.append(count - 1)
+        where = np.searchsorted(ends, commas)
+        head = np.cumsum(count) - count  # each line's first token
+        unread = [where[np.searchsorted(starts, commas) - head[where] != 1],  # ids before a comma
+                  where[1:][where[1:] == where[:-1]]]  # a second comma
+        minus = ends[:0]
+        if odd:
+            sign = (b[starts] == ord("-")) & (other == 1) & (stops - starts > 1)
+            unread.append(np.searchsorted(ends, starts[(other > 0) & ~sign]))
+            minus = np.searchsorted(ends, starts[sign])
+        _raise_first(first, [
+            (refused, _NOT_ASCII),
+            (np.flatnonzero((count > 0) & (np.bincount(where, minlength=len(count)) == 0)),
+             "expected '<chosen>,<set members>'"),
+            (np.concatenate(unread), "alternatives must be integers"),
+            (minus, "alternative ids must be nonnegative"),
+            (np.searchsorted(ends, starts[values == _MAX_N]), _BELOW_MAX)])
+        head = head[count > 0]
+        chosen.append(values[head])
+        values = np.delete(values, head)
+        members.append(values.astype(np.min_scalar_type(values.max(initial=0))))
+        size.append(count[count > 0] - 1)
     chosen, members, size = map(np.concatenate, (chosen, members, size))
-    if len(size) == 0:
-        return None
-    n = _declared_n(records[0], int(members.max()) + 1)
-    if members.max() >= n:
-        return None
+    top = int(members.max(initial=0)) if len(size) else -1
+    n = _declared_n(comments, top + 1)
+    if top >= n:
+        raise ParseError(0, "alternative %d exceeds declared n=%d" % (top, n))
     raw_id, raw_sets = np.empty(len(size), np.intp), []
     offset = np.cumsum(size) - size
     for s in np.unique(size):
@@ -561,138 +599,99 @@ def _plain_rows(b, ends, width):
     return chosen, pairs > 0x3020
 
 
+def _sf_rows(first, b, ends, width):
+    """The chosen ids and indicators of a block's records, from its tokens
+    and any width known; None for a block of no record. Raises the first
+    format fault at its line: a byte but printable ASCII and tabs, a token
+    but a run of digits or a finite whole number to float(), a width other
+    than the first record's or below 3, an indicator but 0 or 1, a chosen
+    id of 2**63 - 1 or more, in that order."""
+    raw = b.tobytes()
+    odd = bool(raw.translate(None, b"0123456789 \t\n"))
+    starts, count, stops, other, refused = _tokens(b, ends, odd)
+    record, unread = count > 0, ends[:0]
+    if odd:  # a line of commas alone, or holding a refused byte, is a record
+        record[np.r_[refused, np.searchsorted(ends, np.flatnonzero(b == ord(",")))]] = True
+        # each token as an int64: a run of digits exactly, any other through float()
+        value, word = _integers(b, starts)[0], np.flatnonzero(other)
+        real = np.array([_float(raw[i:j]) for i, j in zip(starts[word].tolist(),
+                                                          stops[word].tolist())], float)
+        bad, big = ~np.isfinite(real) | (np.floor(real) != real), real >= _MAX_N
+        value[word] = np.maximum(np.where(bad | big, 0, real), -2.0 ** 63)
+        value[word[big]] = _MAX_N
+        unread = np.searchsorted(ends, starts[word[bad]])
+    if (lines := np.flatnonzero(record)).size == 0:
+        return None
+    width = width or int(count[lines[0]])
+    short = lines[:1] if width < 3 else lines[:0]
+    ragged = lines[count[lines] != width]
+    cut = min([len(ends)] + [int(a.min()) for a in (refused, unread, short, ragged) if len(a)])
+    rows = lines[lines < cut]
+    at = starts[:len(rows) * width].reshape(len(rows), width)
+    chosen, end = _integers(b, at[:, :1].ravel())
+    code = b[at] - np.uint8(ord("0"))  # each token's first digit
+    if odd or np.count_nonzero(b >= ord("0")) != (end - at[:, :1].ravel()).sum() + at[:, 1:].size:
+        # some token is not a digit, or some indicator is longer: read each whole
+        table = (value if odd else _integers(b, starts)[0])[:at.size].reshape(at.shape)
+        chosen, code = table[:, :1].ravel(), np.minimum(table.astype(np.uint64), 2)
+    bits = code[:, 1:]
+    _raise_first(first, [
+        (refused, _NOT_ASCII),
+        (unread, "expected integer columns"),
+        (short, "need a chosen column plus >= 2 indicators"),
+        (ragged, "expected %d columns, got %d" % (width, count[ragged[0]]) if len(ragged) else ""),
+        (rows[np.flatnonzero(bits > 1) // max(width - 1, 1)],
+         "membership indicators must be 0 or 1"),
+        (rows[chosen == _MAX_N], _BELOW_MAX)])
+    return chosen, bits == 1
+
+
 def _sf_matrix_columns(text: str):
     """n and the columns of an sf-matrix file, each set keyed by its
-    packed indicator bits; None for a file the line loop must read. Each
-    block is read by _plain_rows or else from its tokens (_tokens), which
-    decline a byte but a digit, space, tab or newline (so a comma, '-',
-    '+' or '.'), a chosen id of more than 18 digits, a ragged row, a
-    width below 3, or an indicator but the byte 0 or 1."""
-    records = _records(text)
-    if records is None:
-        return None
+    packed indicator bits. Each block is read by _plain_rows or else from
+    its tokens (_sf_rows), which raise the first format fault at its line."""
     chosen, keys, width = [], [], None
-    for b, ends in _blocks(records[1]):
-        rows = _plain_rows(b, ends, width)
+    for first, b, ends in _blocks(_records(text)[1]):
+        rows = _plain_rows(b, ends, width) or _sf_rows(first, b, ends, width)
         if rows is None:
-            if b.tobytes().translate(None, b"0123456789 \t\n"):
-                return None
-            starts, count = _tokens(b, ends)
-            count = count[count > 0]
-            if len(count) == 0:
-                continue
-            width = width or int(count[0])
-            if width < 3 or (count != width).any():
-                return None
-            rows = (_integers(b, starts[::width]),
-                    b[starts].reshape(-1, width)[:, 1:] - np.uint8(ord("0")))
-            single = b[starts + 1].reshape(-1, width)[:, 1:] < ord("0")
-            if rows[0] is None or (rows[1] > 1).any() or not single.all():
-                return None
+            continue
         width = rows[1].shape[1] + 1
         chosen.append(rows[0])
         key = np.zeros((len(rows[0]), (width + 6) // 8 * 8), bool)  # whole bytes a row:
         key[:, :width - 1] = rows[1]  # a flat np.packbits is the fastest
         keys.append(np.packbits(key).reshape(len(key), -1))
     if width is None:
-        return None
+        return 0, np.zeros(0, np.int64), np.zeros(0, np.intp), []
     sets, raw_id = _distinct_rows(np.concatenate(keys))
     bits = np.unpackbits(sets, axis=1, count=width - 1)
     raw_sets = [tuple(np.flatnonzero(row).tolist()) for row in bits]
     return width - 1, np.concatenate(chosen), raw_id, raw_sets
 
 
-def _parse_chosen_set(text: str):
-    """n and the columns of a chosen-set-v1 file, one line at a time;
-    checks only the format: a comma, integer ids, none negative, none at
-    or above '# n='. The reference for _chosen_set_columns, and the path
-    for any file it declines."""
-    lines = list(map(str.strip, text.splitlines()))
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line[0] == "#":
-            continue
-        if "," not in line:
-            raise ParseError(lineno, "expected '<chosen>,<set members>'")
-        left, right = line.split(",", 1)
-        try:
-            chosen = int(left)
-            members = tuple(int(tok) for tok in right.split())
-        except ValueError:
-            raise ParseError(lineno, "alternatives must be integers") from None
-        if chosen < 0 or min(members, default=0) < 0:
-            raise ParseError(lineno, "alternative ids must be nonnegative")
-        if max(members, default=0) >= _MAX_N:
-            raise ParseError(lineno, "alternative ids must be below %d" % _MAX_N)
-        records.append((chosen, members))
-    max_id = max((max(m, default=0) for _, m in records), default=-1)
-    n = _declared_n(lines, max_id + 1)
-    if max_id >= n:
-        raise ParseError(0, "alternative %d exceeds declared n=%d" % (max_id, n))
-    return (n, *_raw_columns(records))
-
-
-def _parse_sf_matrix(text: str):
-    """n and the columns of an sf-matrix file, one line at a time;
-    checks only the format: whole-number tokens, one width of at least
-    3, 0/1 indicators. The reference for _sf_matrix_columns, and the
-    path for any file it declines."""
-    records = []
-    width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.replace(",", " ").split()
-        try:
-            row = [int(t) for t in toks]
-        except ValueError:
-            try:
-                vals = [float(t) for t in toks]
-            except ValueError:
-                vals = [math.nan]
-            if not all(v.is_integer() for v in vals):
-                raise ParseError(lineno, "expected integer columns") from None
-            row = [int(v) for v in vals]
-        if width is None:
-            width = len(row)
-            if width < 3:
-                raise ParseError(lineno, "need a chosen column plus >= 2 indicators")
-        elif len(row) != width:
-            raise ParseError(lineno, "expected %d columns, got %d" % (width, len(row)))
-        indicators = row[1:]
-        if any(v not in (0, 1) for v in indicators):
-            raise ParseError(lineno, "membership indicators must be 0 or 1")
-        records.append((row[0], tuple(i for i, v in enumerate(indicators) if v)))
-    return (width - 1 if width else 0, *_raw_columns(records))
-
-
-_FORMATS = {"chosen-set-v1": (_chosen_set_columns, _parse_chosen_set),
-            "sf-matrix": (_sf_matrix_columns, _parse_sf_matrix)}
+_FORMATS = {"chosen-set-v1": _chosen_set_columns, "sf-matrix": _sf_matrix_columns}
 
 
 def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
     """Read a dataset file. Formats: "chosen-set-v1" (native) and
     "sf-matrix" (chosen index plus 0/1 membership columns).
 
-    Comment lines are cut out at their '#'s, and each block of the rest
-    is read by _plain_rows or else the tokeniser (_tokens); a file both
-    decline goes to the line loop, which raises any format error at its
-    file line. Both give the same columns to one validation, whose errors
-    are renumbered from observation to file line."""
+    Each format has one reader (_FORMATS), which reads the lines but
+    comments a block at a time and raises a format fault at its file
+    line (0 for the '# n=' header). Its columns go to one validation,
+    whose errors are renumbered from observation to file line."""
     if format not in _FORMATS:
         raise ValueError("unknown dataset format %r" % format)
     text = read_text(path)
-    columns, line_loop = _FORMATS[format]
-    n, chosen, raw_id, raw_sets = columns(text) or line_loop(text)
+    n, chosen, raw_id, raw_sets = _FORMATS[format](text)
     labels = _load_labels(path, n)
     try:
         return _build(ChoiceDataset.__new__(ChoiceDataset), n, chosen, raw_id, raw_sets,
                       labels)
     except (ParseError, InvalidChoice) as exc:
-        # observation k is the k-th line that is neither blank nor a comment
-        lines = [k for k, s in enumerate(map(str.strip, text.splitlines()), start=1)
-                 if s and s[0] != "#"]
+        # observation k is the k-th line that holds more than spaces and
+        # tabs once comment lines are cut, as the readers count them
+        lines = [k for k, s in enumerate(_records(text)[1].tobytes().split(b"\n"), start=1)
+                 if s.strip(b" \t")]
         raise type(exc)(lines[exc.line_number - 1],
                         str(exc).partition(": ")[2]) from None
 

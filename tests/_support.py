@@ -10,13 +10,16 @@ import bisect
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 
-from pcmc import ctmc
-from pcmc.base import LOG_FLOOR
+from pcmc import ctmc, data
+from pcmc.base import LOG_FLOOR, read_text
 from pcmc.ctmc import TOL_EDGE, RateMatrix
+from pcmc.data import ChoiceDataset
+from pcmc.errors import InvalidChoice, ParseError
 
 
 def cyclic_rates(alpha):
@@ -368,6 +371,104 @@ def plain_tally(rows):
         per = out.setdefault(s, dict.fromkeys(s, 0))
         per[chosen] += 1
     return out
+
+
+_MAX_N = 2 ** 63 - 1  # ids are stored as int64
+
+
+def _record_lines(text):
+    """(line number, stripped line) of each record line of a dataset
+    file: lines end at '\n', a line of spaces and tabs is blank, and a
+    line is a comment when '#' leads it after any whitespace and it holds
+    no line break that str.splitlines knows. A record line holding a
+    character but printable ASCII or a tab raises ParseError."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(" \t") or (line.strip()[:1] == "#"
+                                     and line.splitlines() == [line]):
+            continue
+        if any(not (" " <= c <= "~" or c == "\t") for c in line):
+            raise ParseError(lineno, "a record line may hold only printable ASCII and tabs")
+        yield lineno, line.strip()
+
+
+def parse_chosen_set(text):
+    """n, the (chosen, members) records of a chosen-set-v1 file and the
+    line of each, one line at a time; checks only the format: a comma,
+    ids written as runs of digits, none negative, none of more than 19
+    digits or at or above 2**63 - 1 or '# n='. The reference for data's
+    chosen-set-v1 reader."""
+    records, linenos = [], []
+    for lineno, line in _record_lines(text):
+        if "," not in line:
+            raise ParseError(lineno, "expected '<chosen>,<set members>'")
+        left, right = line.split(",", 1)
+        tokens = [left.strip()] + right.split()
+        if not all(re.fullmatch("-?[0-9]+", tok) for tok in tokens):
+            raise ParseError(lineno, "alternatives must be integers")
+        if any(tok[0] == "-" for tok in tokens):
+            raise ParseError(lineno, "alternative ids must be nonnegative")
+        ids = [int(tok) if len(tok) <= 19 else _MAX_N for tok in tokens]
+        if max(ids) >= _MAX_N:
+            raise ParseError(lineno, "alternative ids must be below %d" % _MAX_N)
+        records.append((ids[0], tuple(ids[1:])))
+        linenos.append(lineno)
+    max_id = max((max(m, default=0) for _, m in records), default=-1)
+    n = data._declared_n([s.strip() for s in text.split("\n")], max_id + 1)
+    if max_id >= n:
+        raise ParseError(0, "alternative %d exceeds declared n=%d" % (max_id, n))
+    return n, records, linenos
+
+
+def parse_sf_matrix(text):
+    """n, the (chosen, members) records of an sf-matrix file and the line
+    of each, one line at a time; checks only the format: whole-number
+    tokens, a run of digits read as an integer (2**63 - 1 if longer than
+    19 digits) and any other token by float() (at least -2**63), one
+    width of at least 3, 0/1 indicators, a chosen id below 2**63 - 1. The
+    reference for data's sf-matrix reader."""
+    records, linenos, width = [], [], None
+    for lineno, line in _record_lines(text):
+        row = []
+        for tok in line.replace(",", " ").split():
+            if tok.isdigit():
+                row.append(int(tok) if len(tok) <= 19 else _MAX_N)
+                continue
+            try:
+                value = float(tok)
+            except ValueError:
+                value = math.nan
+            if not value.is_integer():
+                raise ParseError(lineno, "expected integer columns")
+            row.append(max(int(value), -2 ** 63))
+        if width is None:
+            width = len(row)
+            if width < 3:
+                raise ParseError(lineno, "need a chosen column plus >= 2 indicators")
+        elif len(row) != width:
+            raise ParseError(lineno, "expected %d columns, got %d" % (width, len(row)))
+        indicators = row[1:]
+        if any(v not in (0, 1) for v in indicators):
+            raise ParseError(lineno, "membership indicators must be 0 or 1")
+        if row[0] >= _MAX_N:
+            raise ParseError(lineno, "alternative ids must be below %d" % _MAX_N)
+        records.append((row[0], tuple(i for i, v in enumerate(indicators) if v)))
+        linenos.append(lineno)
+    return (width - 1 if width else 0), records, linenos
+
+
+def reference_load(path, fmt):
+    """data.load through the reference parsers: the file read one line at
+    a time, then one validation, its errors renumbered from observation
+    to the line of each record."""
+    text = read_text(path)
+    parse = {"chosen-set-v1": parse_chosen_set, "sf-matrix": parse_sf_matrix}[fmt]
+    n, records, linenos = parse(text)
+    labels = data._load_labels(path, n)
+    try:
+        return ChoiceDataset(n, records, labels)
+    except (ParseError, InvalidChoice) as exc:
+        raise type(exc)(linenos[exc.line_number - 1],
+                        str(exc).partition(": ")[2]) from None
 
 
 def mixture_loglik(x, k, n, sets):

@@ -26,7 +26,7 @@ from pcmc.errors import (
 from pcmc.luce import MnlModel
 from pcmc.model import PcmcModel
 
-from _support import cyclic_rates, plain_tally
+from _support import cyclic_rates, plain_tally, reference_load
 
 
 def make_dataset(rows, n):
@@ -708,18 +708,17 @@ class TestLoadSave:
         assert err.value.line_number == data._CHUNK_ROWS + 1
 
     def test_accepted_file_is_read_once(self, tmp_path):
-        # the array parser accepts the file but its third record fails
-        # validation: the error names that record's file line, and the
-        # line loop never reads the file
+        # load calls its format's one reader once: the reader accepts the
+        # file, its third record fails validation, and the error names
+        # that record's file line
         path = tmp_path / "data.txt"
         path.write_text("# n=3\n0,0 1\n\n# note\n1,1 2\n2,0 1\n0,0 2\n")
-        columns, line_loop = data._FORMATS["chosen-set-v1"]
-        columns, line_loop = mock.Mock(wraps=columns), mock.Mock(wraps=line_loop)
-        with mock.patch.dict(data._FORMATS, {"chosen-set-v1": (columns, line_loop)}):
+        reader = mock.Mock(wraps=data._FORMATS["chosen-set-v1"])
+        with mock.patch.dict(data._FORMATS, {"chosen-set-v1": reader}):
             with pytest.raises(InvalidChoice) as err:
                 data.load(str(path))
         assert err.value.line_number == 6
-        assert columns.call_count == 1 and line_loop.call_count == 0
+        assert reader.call_count == 1
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -793,14 +792,6 @@ class TestMalformedInput:
         self._check(tmp_path, *_SF_MATRIX_FAULTS[case], "sf-matrix")
 
 
-def _reference_load(path, fmt):
-    """load with the array parser declining every file, so the line
-    loop reads it: the reference for load's array path."""
-    line_loop = data._FORMATS[fmt][1]
-    with mock.patch.dict(data._FORMATS, {fmt: (lambda text: None, line_loop)}):
-        return data.load(path, format=fmt)
-
-
 def _outcome(read):
     """What a load returns, or the type, line and message it raises."""
     try:
@@ -817,10 +808,64 @@ def _load_both(text, fmt):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return (_outcome(lambda: data.load(path, format=fmt)),
-                _outcome(lambda: _reference_load(path, fmt)))
+                _outcome(lambda: reference_load(path, fmt)))
 
 
-# tokens the array path must decline or read as int() does
+# files that Python's str and int functions would read, each refused by
+# the readers with ParseError at one line: (text, format, line)
+_REFUSED = {
+    "no-break space": ("0,0 1\n1,0\u00a01\n", "chosen-set-v1", 2),
+    "em space": ("0 1 1 0\n1\u20031 1 0\n", "sf-matrix", 2),
+    "Arabic-Indic digit": ("0,0 1\n1,0 \u0661\n", "chosen-set-v1", 2),
+    "line of em spaces": ("0,0 1\n\u2003\u2003\n1,0 1\n", "chosen-set-v1", 2),
+    "unit separator": ("0 1 1 0\n1\x1f1 1 0\n", "sf-matrix", 2),
+    "plus": ("0,0 1\n+1,0 1\n", "chosen-set-v1", 2),
+    "underscore": ("0,0 1\n1,1 1_0\n", "chosen-set-v1", 2),
+    "minus zero": ("0,0 1\n1,-0 1\n", "chosen-set-v1", 2),
+    "chosen of 2**63 - 1": ("0,0 1\n9223372036854775807,0 1\n", "chosen-set-v1", 2),
+    "sf chosen of 1e20": ("0 1 1\n1e20 1 1\n", "sf-matrix", 2),
+    "20 digits": ("0,0 1\n1,0 00000000000000000001\n", "chosen-set-v1", 2),
+    **{"%r in a comment" % c: ("# n=3%s0,0 1\n1,0 1\n" % c, "chosen-set-v1", 1)
+       for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+    "form feed after a comment": ("0 1 1 0\n# a\x0c\n1 1 1 0\n", "sf-matrix", 2),
+}
+
+# valid files beyond the plain ones: (text, format, n, observations)
+_KEPT = {
+    "CRLF": ("# n=3\r\n0,0 1\r\n\r\n1,1 2\r\n", "chosen-set-v1", 3,
+             ((0, (0, 1)), (1, (1, 2)))),
+    "sf commas": ("0,1,1,0\n2, 1 ,1,1\n", "sf-matrix", 3, ((0, (0, 1)), (2, (0, 1, 2)))),
+    "1.0": ("1.0 1 1.0 0\n", "sf-matrix", 3, ((1, (0, 1)),)),
+    "1e0": ("1e0 1 1 1E0\n", "sf-matrix", 3, ((1, (0, 1, 2)),)),
+    "%.18e": ("%.18e %.18e %.18e %.18e\n" % (2, 0, 1, 1), "sf-matrix", 3, ((2, (1, 2)),)),
+    "+1": ("+1 1 +1 0\n", "sf-matrix", 3, ((1, (0, 1)),)),
+    "-0": ("-0 1 -0 1\n", "sf-matrix", 3, ((0, (0, 2)),)),
+    "19-digit id": ("1,0 1 9223372036854775806\n", "chosen-set-v1", 2 ** 63 - 1,
+                    ((1, (0, 1, 2 ** 63 - 2)),)),
+    "comment led by an em space": ("\u2003# n=4\n0,0 1\n", "chosen-set-v1", 4,
+                                   ((0, (0, 1)),)),
+}
+
+
+class TestFormatBounds:
+    """The files at the edge of each format: those the readers refuse,
+    and the odd but valid ones they read. load and the reference agree
+    on each."""
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_refused(self, case):
+        text, fmt, line = _REFUSED[case]
+        got, want = _load_both(text, fmt)
+        assert got == want and got[:2] == (ParseError, line)
+
+    @pytest.mark.parametrize("case", sorted(_KEPT))
+    def test_kept(self, case):
+        text, fmt, n, observations = _KEPT[case]
+        got, want = _load_both(text, fmt)
+        assert got == want and got[:2] == (n, observations)
+
+
+# odd or faulty tokens, which load must read as the reference does
 _ODD_TOKENS = ["1.0", "1e0", "2.0", "+1", "1_0", "-1", "-0", "007", "01", "x",
                "-", "1-2", "nan", "2147483648", "99999999999999999999", "\u0661"]
 _SPACES = [" ", " ", " ", "\t", "  ", "\u00a0", "\u2003"]
@@ -900,8 +945,8 @@ def _sf_matrix_file(draw):
 
 
 class TestParserEquivalence:
-    """load parses whole arrays and falls back to the line loop; on any
-    file it returns what the line loop returns, or raises the same error
+    """load's readers against the line-at-a-time reference: on any file
+    load returns what the reference returns, or raises the same error
     type, line number and message."""
 
     @given(_file(_chosen_set_record))
@@ -932,7 +977,7 @@ class TestParserEquivalence:
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_array_path_reads_plain_files(self, seed):
-        # plain files never reach the line loop
+        # plain files: each read to the rows they were written from
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         rows = []
@@ -984,13 +1029,12 @@ def _record_lines(rows, n, fmt, sep=" "):
 
 
 class TestArrayPathFiles:
-    """Plain files the array parser reads itself, without declining
-    them to the line loop, with the line loop's result."""
+    """Plain files, wide or longer than a block, read to the reference's
+    result."""
 
     @staticmethod
     def _check(lines, fmt, rows):
         text = "\n".join(lines) + "\n"
-        assert data._FORMATS[fmt][0](text) is not None
         got, want = _load_both(text, fmt)
         assert got == want and got[1] == tuple(rows)
 
@@ -1055,11 +1099,11 @@ class TestPlainRows:
         w = indicators.shape[1] + 1
         assert width in (None, w) and len(chosen) == len(ends)
         assert not raw.translate(None, b"0123456789 \n")
-        starts, count = data._tokens(b, ends)
+        starts, count = data._tokens(b, ends, False)[:2]
         assert (count == w).all()
         bits = b[starts].reshape(-1, w)[:, 1:] - ord("0")
         assert bits.max() <= 1 and (b[starts + 1].reshape(-1, w)[:, 1:] < ord("0")).all()
-        assert np.array_equal(chosen, data._integers(b, starts[::w]))
+        assert np.array_equal(chosen, data._integers(b, starts[::w])[0])
         assert np.array_equal(np.packbits(indicators, axis=1), np.packbits(bits, axis=1))
 
     @given(st.integers(1, 9), st.lists(st.integers(0, 10 ** 20), min_size=1,
@@ -1170,9 +1214,10 @@ class TestLoadMemory:
     @pytest.mark.parametrize("name, fmt, bound", [
         ("plain.sf", "sf-matrix", 4.0),
         ("tabs.sf", "sf-matrix", 4.0),
-        # 11.5x: its int64 columns spend 8 bytes on each 2-byte member;
-        # a per-line pass over the text to drop the comment peaked at 16.9x
-        ("saved.txt", "chosen-set-v1", 14.0),
+        # 6.8x, its member ids one byte each: as int64 they peaked at
+        # 11.5x, and a per-line pass over the text to drop the comment at
+        # 16.9x
+        ("saved.txt", "chosen-set-v1", 8.0),
     ])
     def test_peak(self, files, name, fmt, bound):
         assert self._peak_ratio(files / name, fmt) <= bound
