@@ -47,7 +47,7 @@ def _tolerance(tol, signed=False) -> float:
     and an infinity decides each check one way. A negative tol decides a
     contraction or expansion check one way too, so it is refused unless
     signed: regularity then also lists falls smaller than -tol."""
-    tol = float(tol)
+    tol = ctmc._real(tol, "tolerance")
     if not math.isfinite(tol):
         raise ValueError("tolerance must be finite, got %r" % tol)
     if tol < 0 and not signed:
@@ -162,24 +162,22 @@ def _block_masses(q: RateMatrix, partition: Partition) -> np.ndarray:
                      for b in partition.blocks])
 
 
-def expand_copies(q: RateMatrix, k: int, within_rate: float = 0.5):
+def expand_copies(q: RateMatrix, k: int):
     """Replace each alternative with k interchangeable copies.
 
     Copies of different alternatives keep the original rates; copies of
-    the same alternative exchange mass symmetrically at within_rate,
-    which must be at least one half so the expanded matrix stays
-    canonical whenever the original is. Returns the expanded matrix and
-    the partition grouping the copies, copies of alternative m occupying
-    indices m*k .. m*k + k - 1.
+    the same alternative exchange mass at the constant one half, so the
+    expanded matrix stays canonical whenever the original is. The copies
+    of an alternative are lumpable, so no choice probability depends on
+    that rate. Returns the expanded matrix and the partition grouping the
+    copies, copies of alternative m occupying indices m*k .. m*k + k - 1.
     """
     k = ctmc._size(k, "copy count")
-    if within_rate < 0.5:
-        raise ValueError("within_rate below one half breaks the pair-sum condition")
     n = q.n
     big = np.repeat(np.repeat(q.rates, k, axis=0), k, axis=1)
     for m in range(n):
         block = slice(m * k, (m + 1) * k)
-        big[block, block] = within_rate
+        big[block, block] = 0.5
     partition = Partition(
         n=n * k,
         blocks=tuple(tuple(range(m * k, (m + 1) * k)) for m in range(n)),
@@ -361,9 +359,7 @@ class Tournament:
     ties: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "n", ctmc._integer(self.n, "universe size"))
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        object.__setattr__(self, "n", ctmc._size(self.n, "universe size", 0))
         beats = frozenset((ctmc._index(a), ctmc._index(b)) for a, b in self.beats)
         ties = frozenset(tuple(sorted((ctmc._index(a), ctmc._index(b))))
                          for a, b in self.ties)
@@ -426,9 +422,7 @@ def cyclic_triplets(t: Tournament) -> int:
 def harary_moser_bound(n: int) -> int:
     """Maximum number of 3-cycles any tournament on n players can hold:
     (n^3 - n)/24 for odd n, (n^3 - 4n)/24 for even n."""
-    n = ctmc._integer(n, "player count")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = ctmc._size(n, "player count", 0)
     if n % 2 == 1:
         return (n ** 3 - n) // 24
     return (n ** 3 - 4 * n) // 24

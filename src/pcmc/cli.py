@@ -208,20 +208,19 @@ def _triple(n: int, rank: int) -> tuple:
 def _cmd_synth(args) -> int:
     if args.n < 3:
         raise _UsageError("synth needs --n of at least 3")
-    seeds = np.random.SeedSequence(args.seed).spawn(3)
+    rngs = np.random.default_rng(args.seed).spawn(3)
     if args.regime == "randq":
-        generator = model_mod.PcmcModel(q=data_mod.gen_random_q(args.n, seeds[0]))
+        generator = model_mod.PcmcModel(q=data_mod.gen_random_q(args.n, rngs[0]))
     elif args.regime == "mnl":
-        generator = data_mod.gen_mnl_simplex(args.n, seeds[0])
+        generator = data_mod.gen_mnl_simplex(args.n, rngs[0])
     else:
-        generator = data_mod.gen_bladechest_circle(args.n, seeds[0])
+        generator = data_mod.gen_bladechest_circle(args.n, rngs[0])
 
     total = math.comb(args.n, 3)
-    rng = np.random.default_rng(seeds[1])
-    picked = rng.choice(total, size=min(args.sets, total), replace=False)
+    picked = rngs[1].choice(total, size=min(args.sets, total), replace=False)
     menus = [_triple(args.n, int(k)) for k in sorted(picked)]
 
-    dataset = data_mod.sample(generator, menus, args.samples, seeds[2])
+    dataset = data_mod.sample(generator, menus, args.samples, rngs[2])
     data_mod.save(dataset, args.out)
     if args.model_out:
         serialize.save_model(generator, args.model_out)

@@ -12,6 +12,7 @@ first, and reduces the whole stack at once. The chain models call it
 on each batch of equal-size sets, and stationary on a stack of one.
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable
@@ -71,9 +72,7 @@ class RateMatrix:
     rates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "universe size"))
-        if self.n < 1:
-            raise ValueError("need at least one alternative")
+        object.__setattr__(self, "n", _size(self.n, "universe size"))
         object.__setattr__(self, "rates", _as_rate_array(self.rates, self.n))
 
     @property
@@ -102,34 +101,34 @@ def _index(i) -> int:
         raise ValueError("alternative %r is not an integer id" % (i,)) from None
 
 
-def _integer(k, what) -> int:
-    """A size as an int; a float, a string or other non-integer raises InvalidK."""
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise InvalidK("%s must be an integer, got %r" % (what, k)) from None
-
-
 def _seed(seed, what="seed"):
     """A seed as np.random.default_rng takes it: a SeedSequence,
-    BitGenerator or Generator unchanged, else an int once checked to be
-    >= 0; a float, a string or a negative integer raises InvalidK."""
+    BitGenerator or Generator unchanged, else an int read by _size with
+    floor 0; a float, a string or a negative integer raises InvalidK."""
     if isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator,
                          np.random.Generator)):
         return seed
-    seed = _integer(seed, what)
-    if seed < 0:
-        raise InvalidK("%s must be >= 0, got %d" % (what, seed))
-    return seed
+    return _size(seed, what, 0)
 
 
-def _size(k, what) -> int:
-    """A size, such as a copy count, as an int once checked to be an
-    integer >= 1; a float, a string or a smaller integer raises InvalidK."""
-    k = _integer(k, what)
-    if k < 1:
-        raise InvalidK("%s must be >= 1, got %d" % (what, k))
+def _size(k, what, least=1) -> int:
+    """A size, such as a universe size or a copy count, as an int once
+    checked to be an integer >= least; a float, a string or a smaller
+    integer raises InvalidK. Every size and integer seed is read here."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidK("%s must be an integer, got %r" % (what, k)) from None
+    if k < least:
+        raise InvalidK("%s must be >= %d, got %d" % (what, least, k))
     return k
+
+
+def _real(x, what, error=ValueError) -> float:
+    """x as a float; a string, bytes, None or other non-number raises error."""
+    if not isinstance(x, numbers.Real):
+        raise error("%s must be a real number, got %r" % (what, x))
+    return float(x)
 
 
 def _check_rows(idx, n) -> None:

@@ -30,14 +30,13 @@ from typing import Sequence
 import numpy as np
 
 from .base import ChoiceModel, probabilities_many, read_text, write_text
-from .ctmc import RateMatrix, _integer, _seed, _size
+from .ctmc import RateMatrix, _real, _seed, _size
 from .errors import (
     DegenerateSplit,
     EmptyDataset,
     EmptySubset,
     IndexOutOfRange,
     InvalidChoice,
-    InvalidK,
     NegativeAlpha,
     ParseError,
 )
@@ -250,7 +249,7 @@ def counts(dataset: ChoiceDataset) -> CountTables:
 
 def _pseudocount(alpha) -> float:
     """alpha as a float, once checked to be a finite pseudocount >= 0."""
-    alpha = float(alpha)
+    alpha = _real(alpha, "smoothing pseudocount", NegativeAlpha)
     if not (math.isfinite(alpha) and alpha >= 0):
         raise NegativeAlpha("smoothing pseudocount must be finite and >= 0, got %r"
                             % alpha)
@@ -263,7 +262,7 @@ def split(dataset: ChoiceDataset, train_fraction: float, seed: int):
     The train side gets floor(train_fraction * N) observations. Raises
     DegenerateSplit when either side would be empty.
     """
-    f = float(train_fraction)
+    f = _real(train_fraction, "train fraction", DegenerateSplit)
     if not (0.0 < f < 1.0):
         raise DegenerateSplit("train fraction must be in (0, 1), got %r" % f)
     n_obs = len(dataset)
@@ -303,21 +302,13 @@ def sample(model: ChoiceModel, sets: Sequence, count: int, seed: int) -> ChoiceD
     return _build(ChoiceDataset.__new__(ChoiceDataset), model.n, chosen, set_ids, norm_sets)
 
 
-def _generated_universe(n) -> int:
-    """A generator's n as an int once checked to be an integer >= 2."""
-    n = _integer(n, "universe size")
-    if n < 2:
-        raise InvalidK("need at least 2 alternatives, got %d" % n)
-    return n
-
-
 def gen_random_q(n: int, seed: int):
     """Random rate matrix with entries uniform on [0, 1).
 
     Pairs whose two rates sum to less than 1 are scaled up so the sum is
     exactly 1.
     """
-    n, rng = _generated_universe(n), np.random.default_rng(_seed(seed))
+    n, rng = _size(n, "universe size", 2), np.random.default_rng(_seed(seed))
     q = rng.random((n, n))
     sums = q + q.T
     with np.errstate(divide="ignore"):
@@ -330,7 +321,7 @@ def gen_mnl_simplex(n: int, seed: int):
     """Random Luce model with weights uniform on the simplex."""
     from .luce import MnlModel
 
-    n, rng = _generated_universe(n), np.random.default_rng(_seed(seed))
+    n, rng = _size(n, "universe size", 2), np.random.default_rng(_seed(seed))
     e = rng.exponential(1.0, size=n)
     return MnlModel(gamma=e / e.sum())
 
@@ -344,7 +335,7 @@ def gen_bladechest_circle(n: int, seed: int):
     """
     from .param import BladeChest
 
-    n, rng = _generated_universe(n), np.random.default_rng(_seed(seed))
+    n, rng = _size(n, "universe size", 2), np.random.default_rng(_seed(seed))
     ang_b = rng.uniform(0.0, 2.0 * math.pi, size=n)
     ang_c = rng.uniform(0.0, 2.0 * math.pi, size=n)
     blades = np.column_stack([np.cos(ang_b), np.sin(ang_b)])
@@ -469,10 +460,11 @@ def _tokens(b, ends, odd):
     if not odd:
         return starts, count, None, None, ends[:0]
     stops = np.flatnonzero(word[1:] < word[:-1])
-    other = np.r_[0, np.cumsum(b - np.uint8(ord("0")) > 9)]  # bytes but digits before each
+    # bytes but digits in each token, summed per token: no int64 count per byte
+    other = np.add.reduceat(b - np.uint8(ord("0")) > 9, np.c_[starts, stops].ravel(),
+                            dtype=np.int32)[::2]
     refused = (b - np.uint8(ord(" ")) > ord("~") - ord(" ")) & (b != ord("\t")) & (b != ord("\n"))
-    return (starts, count, stops, other[stops] - other[starts],
-            np.searchsorted(ends, np.flatnonzero(refused)))
+    return starts, count, stops, other, np.searchsorted(ends, np.flatnonzero(refused))
 
 
 def _integers(b, starts):

@@ -117,6 +117,7 @@ class BadNesting(PcmcError, ValueError):
 
 
 class InvalidK(PcmcError, ValueError):
-    """A size (a universe size, mixture size, restart count, copy count,
-    block size or embedding dimension) or a seed was not an integer in
-    the allowed range."""
+    """A size (a universe size, player count, mixture size, restart count,
+    copy count, block size or embedding dimension) or a seed was not an
+    integer in the allowed range. Every size and integer seed is read by
+    ctmc._size, which raises this with "<what> must be >= <floor>"."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as data_mod, luce, model as model_mod, param
 from .base import ChoiceModel, probabilities_rows
-from .ctmc import Distribution, _index, _seed, _size
+from .ctmc import Distribution, _index, _real, _seed, _size
 from .errors import PcmcError, UnseenSet
 from .model import FitConfig
 
@@ -149,7 +149,7 @@ def learning_curve(dataset: data_mod.ChoiceDataset, specs: Sequence[FitSpec],
     aggregates.
     """
     permutations = _size(permutations, "permutation count")
-    fracs = tuple(float(f) for f in fractions)
+    fracs = tuple(_real(f, "fraction") for f in fractions)
     if not fracs or any(not (0.0 < f <= 1.0) for f in fracs):
         raise ValueError("fractions must lie in (0, 1]")
     kinds = tuple(s.kind for s in specs)

@@ -197,8 +197,9 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     small noise on all but the first), so the final likelihood is never
     worse than the best single-component model up to optimizer noise;
     where that Luce fit fails, the first start's utilities are all zero.
-    The restarts' seeds are spawned from seed, an int >= 0 or a
-    SeedSequence.
+    The restarts' streams are spawned from seed, which may be anything
+    ctmc._seed admits: an int >= 0, a SeedSequence, a BitGenerator or a
+    Generator.
     """
     n = dataset.n
     if k is None:
@@ -215,11 +216,8 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     except (NoConvergence, NotConnected):
         base_theta = np.zeros(n)
 
-    seeds = (seed if isinstance(seed, np.random.SeedSequence)
-             else np.random.SeedSequence(seed)).spawn(restarts)
     best_x, best_val = None, math.inf
-    for r in range(restarts):
-        rng = np.random.default_rng(seeds[r])
+    for r, rng in enumerate(np.random.default_rng(seed).spawn(restarts)):
         if r == 0:
             theta0 = np.tile(base_theta, (k, 1))
             if k > 1:

@@ -190,7 +190,8 @@ class FitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", ctmc._size(self.max_iters, "max_iters"))
-        data_mod._pseudocount(self.smoothing_alpha)
+        object.__setattr__(self, "smoothing_alpha",
+                           data_mod._pseudocount(self.smoothing_alpha))
         object.__setattr__(self, "seed", ctmc._seed(self.seed))
 
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import data as data_mod, luce, model as model_mod
 from .base import BatchedModel, minimize
-from .ctmc import RateMatrix, _integer, _size
-from .errors import InvalidK, InvalidPairwise, OptimizerFailure
+from .ctmc import RateMatrix, _size
+from .errors import InvalidPairwise, OptimizerFailure
 from .model import FitConfig, PcmcModel
 
 _PAIR_TOL = 1e-10
@@ -56,7 +56,7 @@ class PairwiseMatrix:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "universe size"))
+        object.__setattr__(self, "n", _size(self.n, "universe size", 0))
         a = np.array(self.p, dtype=float)
         if a.shape != (self.n, self.n):
             raise InvalidPairwise("matrix must be %d x %d" % (self.n, self.n))
@@ -119,10 +119,8 @@ class BladeChest(BatchedModel):
         _variant(self.variant)
         b = np.array(self.blades, dtype=float)
         c = np.array(self.chests, dtype=float)
-        object.__setattr__(self, "n", _integer(self.n, "universe size"))
-        object.__setattr__(self, "d", _integer(self.d, "embedding dimension"))
-        if self.n < 2 or self.d < 1:
-            raise InvalidK("need n >= 2 alternatives and d >= 1 dimensions")
+        object.__setattr__(self, "n", _size(self.n, "universe size", 2))
+        object.__setattr__(self, "d", _size(self.d, "embedding dimension"))
         if b.shape != (self.n, self.d) or c.shape != (self.n, self.d):
             raise ValueError("embeddings must both be n x d")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):

@@ -263,12 +263,17 @@ class TestExpandCopies:
             assert mass == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     def test_within_rate_is_irrelevant(self):
+        # copies exchange at the constant 0.5; the copies of an alternative
+        # are lumpable, so any other exchange rate gives the same masses
         rng = np.random.default_rng(9)
-        q = RateMatrix(n=4, rates=random_canonical(rng, 4))
+        big, part = expand_copies(RateMatrix(n=4, rates=random_canonical(rng, 4)), k=2)
 
         def block_masses(within):
-            big, part = expand_copies(q, k=2, within_rate=within)
-            pi = ctmc.stationary(ctmc.restrict(big, range(big.n)))
+            rates = big.rates.copy()
+            for b in part.blocks:
+                rates[np.ix_(b, b)] = within
+            pi = ctmc.stationary(ctmc.restrict(RateMatrix(n=big.n, rates=rates),
+                                               range(big.n)))
             return np.array([sum(pi.prob(i) for i in b) for b in part.blocks])
 
         assert np.abs(block_masses(0.5) - block_masses(5.0)).max() <= 1e-10
@@ -286,17 +291,6 @@ class TestExpandCopies:
     def test_numpy_integer_size_accepted(self):
         big, part = expand_copies(cyclic_matrix(0.5), k=np.int64(2))
         assert big.n == 6 and part.k == 3
-
-    @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("within", [np.nan, np.inf])
-    def test_non_finite_within_rate_rejected(self, k, within):
-        # at k=1 the rate lands only on the diagonal; it was once zeroed there
-        with pytest.raises(ValueError, match="must be finite"):
-            expand_copies(cyclic_matrix(0.5), k=k, within_rate=within)
-
-    def test_low_within_rate_rejected(self):
-        with pytest.raises(ValueError):
-            expand_copies(cyclic_matrix(0.5), k=2, within_rate=0.3)
 
 
 class TestUniformExpansion:
@@ -611,7 +605,7 @@ class TestTournament:
         assert harary_moser_bound(8) == 20
 
     def test_harary_moser_negative_rejected(self):
-        with pytest.raises(ValueError, match="n must be nonnegative"):
+        with pytest.raises(ValueError, match="player count must be >= 0, got -1"):
             harary_moser_bound(-1)
 
     def test_non_integer_size_rejected(self):
@@ -625,7 +619,7 @@ class TestTournament:
 
     def test_negative_size_rejected(self):
         # Tournament(n=-2, ...) once built; 0 and 1 alternatives stay valid
-        with pytest.raises(ValueError, match="n must be nonnegative"):
+        with pytest.raises(ValueError, match="universe size must be >= 0, got -2"):
             Tournament(n=-2, beats=frozenset(), ties=frozenset())
         assert Tournament(n=0, beats=frozenset(), ties=frozenset()).n == 0
 

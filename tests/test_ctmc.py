@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcmc import ctmc
+from pcmc.axioms import Tournament, harary_moser_bound
 from pcmc.base import probabilities_many
 from pcmc.ctmc import Distribution, RateMatrix, RestrictedGenerator
+from pcmc.data import gen_bladechest_circle, gen_mnl_simplex, gen_random_q
 from pcmc.errors import (
     EmptySubset,
     IndexOutOfRange,
+    InvalidK,
     MultipleClosedClasses,
     SingularSystem,
 )
+from pcmc.param import BladeChest, PairwiseMatrix
 
 from _support import (
     CYCLE_300_RATES,
@@ -73,7 +77,7 @@ class TestRateMatrix:
         (2, np.ones((2, 3)), "must be a square matrix"),
         (2, np.ones(4), "must be a square matrix"),
         (3, np.ones((2, 2)), "rates are 2x2 but n=3"),
-        (0, np.zeros((0, 0)), "need at least one alternative"),
+        (0, np.zeros((0, 0)), "universe size must be >= 1, got 0"),
         (2.0, np.ones((2, 2)), "universe size must be an integer, got 2.0"),
         (2.5, np.ones((2, 2)), "universe size must be an integer, got 2.5"),
         ("2", np.ones((2, 2)), "universe size must be an integer"),
@@ -523,3 +527,40 @@ class TestDistribution:
         assert d.prob(np.int64(5)) == 0.75
         with pytest.raises(ValueError, match="alternative 5.2 is not an integer id"):
             d.prob(5.2)
+
+
+class TestSizeFloor:
+    """Every size and integer seed is read by ctmc._size: below its floor
+    each raises InvalidK naming the size, its floor and the value."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: RateMatrix(n=0, rates=np.zeros((0, 0))),
+                     "universe size must be >= 1, got 0", id="RateMatrix"),
+        pytest.param(lambda: PairwiseMatrix(n=-1, p=np.zeros((0, 0))),
+                     "universe size must be >= 0, got -1", id="PairwiseMatrix"),
+        pytest.param(lambda: BladeChest(n=1, d=1, blades=[[0.0]], chests=[[1.0]]),
+                     "universe size must be >= 2, got 1", id="BladeChest.n"),
+        pytest.param(lambda: BladeChest(n=2, d=0, blades=np.zeros((2, 0)),
+                                        chests=np.zeros((2, 0))),
+                     "embedding dimension must be >= 1, got 0", id="BladeChest.d"),
+        pytest.param(lambda: Tournament(n=-1, beats=(), ties=()),
+                     "universe size must be >= 0, got -1", id="Tournament"),
+        pytest.param(lambda: harary_moser_bound(-1),
+                     "player count must be >= 0, got -1", id="harary_moser_bound"),
+        pytest.param(lambda: gen_random_q(1, 0),
+                     "universe size must be >= 2, got 1", id="gen_random_q"),
+        pytest.param(lambda: gen_mnl_simplex(1, 0),
+                     "universe size must be >= 2, got 1", id="gen_mnl_simplex"),
+        pytest.param(lambda: gen_bladechest_circle(1, 0),
+                     "universe size must be >= 2, got 1", id="gen_bladechest_circle"),
+        pytest.param(lambda: gen_random_q(3, -1),
+                     "seed must be >= 0, got -1", id="seed"),
+    ])
+    def test_below_floor(self, make, message):
+        with pytest.raises(InvalidK, match="^%s$" % re.escape(message)):
+            make()
+
+    @pytest.mark.parametrize("least", [0, 1, 2])
+    def test_floor_itself_accepted(self, least):
+        assert ctmc._size(np.int64(least), "size", least) == least
+        assert type(ctmc._size(np.int64(least), "size", least)) is int

@@ -23,7 +23,7 @@ from pcmc.errors import (
     OptimizerFailure,
 )
 from pcmc.luce import MmnlModel, MnlModel
-from pcmc.model import log_likelihood
+from pcmc.model import PcmcModel, log_likelihood
 
 from _support import central_gradient, mixture_loglik, random_terms
 
@@ -189,6 +189,37 @@ class TestFitMnl:
     def test_negative_alpha(self):
         with pytest.raises(NegativeAlpha):
             luce.fit_mnl(pair_dataset(3, 1), alpha=-0.5)
+
+
+def _chain_draws(seed):
+    """1,500 draws of the chain gen_random_q(4, seed) over all pairs and
+    triples of its four alternatives."""
+    menus = [s for size in (2, 3) for s in itertools.combinations(range(4), size)]
+    return data.sample(PcmcModel(q=data.gen_random_q(4, seed)), menus, 1_500, seed)
+
+
+class TestFitMnlOracles:
+    """Two exact oracles of the Luce fit, from the axioms the paper keeps:
+    fitting a transformed dataset gives the transformed weights."""
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_copy_expansion_halves_each_weight(self, seed):
+        # alternative m becomes copies 2m and 2m + 1, each menu the union of
+        # its copies, and each observation one observation per chosen copy
+        ds = _chain_draws(seed)
+        rows = [(2 * c + side, tuple(2 * m + t for m in s for t in (0, 1)))
+                for c, s in ds.observations for side in (0, 1)]
+        big = luce.fit_mnl(ChoiceDataset(n=8, observations=rows), alpha=0.1)
+        want = np.repeat(luce.fit_mnl(ds, alpha=0.1).gamma / 2, 2)
+        assert np.abs(big.gamma - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_relabelling_relabels_the_weights(self, seed):
+        ds = _chain_draws(seed)
+        perm = np.array(list(itertools.permutations(range(4)))[seed])  # never the identity
+        rows = [(int(perm[c]), tuple(int(perm[m]) for m in s)) for c, s in ds.observations]
+        moved = luce.fit_mnl(ChoiceDataset(n=4, observations=rows), alpha=0.1)
+        assert np.abs(moved.gamma[perm] - luce.fit_mnl(ds, alpha=0.1).gamma).max() <= 1e-12
 
 
 def _fresh_modules(code):

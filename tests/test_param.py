@@ -211,8 +211,9 @@ class TestBladeChest:
             fit_bladechest(ds, d=1, variant="cosine")
 
     @pytest.mark.parametrize("n, d, blades, chests, error, match", [
-        (1, 1, [[0.0]], [[1.0]], InvalidK, "need n >= 2"),
-        (2, 0, np.zeros((2, 0)), np.zeros((2, 0)), InvalidK, "d >= 1"),
+        (1, 1, [[0.0]], [[1.0]], InvalidK, "universe size must be >= 2, got 1"),
+        (2, 0, np.zeros((2, 0)), np.zeros((2, 0)), InvalidK,
+         "embedding dimension must be >= 1, got 0"),
         (2, 1, [[0.0], [1.0], [2.0]], [[1.0], [0.0]], ValueError, "both be n x d"),
         (2, 1, [[0.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]], ValueError, "both be n x d"),
         (2, 1, [[np.nan], [1.0]], [[1.0], [0.0]], ValueError, "must be finite"),
