@@ -8,6 +8,7 @@ evaluation code is written against it rather than any single class.
 """
 
 import os
+from contextlib import contextmanager
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -92,17 +93,24 @@ def read_text(path: str) -> str:
     return text
 
 
-def write_text(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it into
-    place, so path never holds a partial file."""
+@contextmanager
+def _atomic(path: str):
+    """A UTF-8 text file beside path, renamed into place when the block
+    ends without error, else removed: path never holds a partial file."""
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path through _atomic."""
+    with _atomic(path) as fh:
+        fh.write(text)
 
 
 def minimize(fun, x0, *args, **kwargs):

@@ -146,7 +146,8 @@ def _cmd_fit(args) -> int:
     spec = evaluate.FitSpec(kind=args.model, alpha=args.alpha, k=args.k, d=args.d,
                             variant=args.variant, max_iters=args.max_iters)
     fitted, report = spec._fit(dataset, args.seed)
-    # serialized before any write, so a failure leaves no partial output
+    # the report is serialized before the model is written, so a report
+    # that fails to serialize writes neither file
     report_text = None
     if args.report:
         if report is not None:
@@ -167,8 +168,7 @@ def _cmd_eval(args) -> int:
     fitted = serialize.load_model(args.model_file)
     dataset = data_mod.load(args.data, format=args.format)
     report = evaluate.prediction_error(fitted, dataset)
-    serialize.write_text(args.out,
-                         serialize.dumps(serialize.error_report_to_dict(report)))
+    serialize._dump(serialize.error_report_to_dict(report), args.out)
     return 0
 
 
@@ -189,7 +189,7 @@ def _cmd_curve(args) -> int:
 def _cmd_audit(args) -> int:
     fitted = serialize.load_model(args.model_file)
     report = axioms.run_audit(fitted, expand_k=args.expand_k)
-    serialize.write_text(args.out, serialize.dumps(report))
+    serialize._dump(report, args.out)
     return 0
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import ChoiceModel, probabilities_many, read_text, write_text
+from .base import ChoiceModel, _atomic, probabilities_many, read_text, write_text
 from .ctmc import RateMatrix, _real, _seed, _size
 from .errors import (
     DegenerateSplit,
@@ -690,12 +690,15 @@ def load(path: str, format: str = "chosen-set-v1") -> ChoiceDataset:
 
 def save(dataset: ChoiceDataset, path: str) -> None:
     """Write a dataset in the native chosen-set-v1 format and, when it has
-    labels, their sidecar (else remove any old one), each file atomically."""
+    labels, their sidecar (else remove any old one), each file atomically.
+    Records go out _CHUNK_ROWS at a time: the text is never held whole."""
     members = [" ".join(map(str, s)) for s in dataset.sets]
-    lines = ["# n=%d" % dataset.n] + [
-        "%d,%s" % (c, members[k])
-        for c, k in zip(dataset.chosen.tolist(), dataset.set_id.tolist())]
-    write_text(path, "\n".join(lines) + "\n")
+    with _atomic(path) as fh:
+        fh.write("# n=%d\n" % dataset.n)
+        for lo in range(0, len(dataset.chosen), _CHUNK_ROWS):
+            fh.write("".join(["%d,%s\n" % (c, members[k]) for c, k in zip(
+                dataset.chosen[lo:lo + _CHUNK_ROWS].tolist(),
+                dataset.set_id[lo:lo + _CHUNK_ROWS].tolist())]))
     sidecar = path + ".labels.json"
     if dataset.labels is not None:
         write_text(sidecar, json.dumps({"labels": list(dataset.labels)}) + "\n")

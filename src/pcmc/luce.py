@@ -197,9 +197,9 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     small noise on all but the first), so the final likelihood is never
     worse than the best single-component model up to optimizer noise;
     where that Luce fit fails, the first start's utilities are all zero.
-    The restarts' streams are spawned from seed, which may be anything
-    ctmc._seed admits: an int >= 0, a SeedSequence, a BitGenerator or a
-    Generator.
+    The restarts' streams are spawned from seed: an int >= 0, a
+    SeedSequence, or a BitGenerator or Generator with a SeedSequence to
+    spawn from. Any other seed, such as RandomState's MT19937, raises InvalidK.
     """
     n = dataset.n
     if k is None:
@@ -207,7 +207,11 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
     k = ctmc._size(k, "mixture size")
     restarts = ctmc._size(restarts, "restart count")
     max_iters = ctmc._size(max_iters, "max_iters")
-    seed = ctmc._seed(seed)
+    try:
+        streams = np.random.default_rng(ctmc._seed(seed)).spawn(restarts)
+    except TypeError:
+        raise InvalidK("seed %r cannot spawn the %d restart streams: its bit "
+                       "generator has no SeedSequence" % (seed, restarts)) from None
     groups = data_mod._smoothed(data_mod._set_terms(dataset), alpha)
 
     try:
@@ -217,7 +221,7 @@ def fit_mmnl(dataset, k: int = None, alpha: float = 0.0, seed: int = 0,
         base_theta = np.zeros(n)
 
     best_x, best_val = None, math.inf
-    for r, rng in enumerate(np.random.default_rng(seed).spawn(restarts)):
+    for r, rng in enumerate(streams):
         if r == 0:
             theta0 = np.tile(base_theta, (k, 1))
             if k > 1:

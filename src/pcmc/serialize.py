@@ -4,10 +4,11 @@ All floats are rendered with the '%.17g' format, which round-trips
 doubles exactly, so identical inputs produce byte-identical files on
 any platform. Model JSON carries a "model" tag naming the family.
 
-dumps appends to one flat buffer. The regularity violation records of
-an audit (axioms.ViolationColumns) are written from their columns: each
-float column is checked finite and has -0.0 made 0.0 as an array, and
-one '%' writes all records through the record template.
+_emit hands the JSON text to a callback part by part: dumps joins the
+parts, and _dump writes them into the file through base._atomic, so a
+report is never held whole. An audit's violation records
+(axioms.ViolationColumns) are written from their columns, a chunk of at
+most _CHUNK records per '%'.
 """
 
 import json
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from .axioms import ViolationColumns
-from .base import read_text, write_text
+from .base import _atomic, read_text, write_text
 from .ctmc import RateMatrix
 from .errors import ParseError, PcmcError
 from .luce import MmnlModel, MnlModel
@@ -35,15 +36,22 @@ def _fmt_float(x: float) -> str:
 
 def dumps(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, '%.17g' floats, no
-    whitespace surprises, one trailing newline."""
+    whitespace surprises, one trailing newline. The text _dump writes."""
     parts = []
     _emit(obj, parts.append)
     parts.append("\n")
     return "".join(parts)
 
 
+def _dump(obj, path: str) -> None:
+    """Write dumps(obj) to path atomically, part by part as _emit makes it."""
+    with _atomic(path) as fh:
+        _emit(obj, fh.write)
+        fh.write("\n")
+
+
 def _emit(obj, add) -> None:
-    """Append obj's JSON text to the buffer, part by part, through add."""
+    """Hand obj's JSON text to add, part by part."""
     if isinstance(obj, dict):
         add("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -77,26 +85,32 @@ def _emit(obj, add) -> None:
 
 _VIOLATION = ('{"item": %d, "subset": %s, "superset": %s, '
               '"p_subset": %.17g, "p_superset": %.17g}')
+_CHUNK = 1024  # violation records per '%', which bounds the text held at once
 
 
 def _violations(records, add) -> None:
-    """Write violation records through one '%' over the repeated record
-    template: each failing pair's id lists written once, and each float
-    column checked finite, with -0.0 made 0.0, as an array."""
-    cols = [[] for _ in range(5)]
+    """Write violation records block by block: a block's float columns
+    are checked finite, with -0.0 made 0.0, as arrays, then each chunk
+    of at most _CHUNK records goes through one '%' over the repeated
+    record template, each of its failing pairs' id lists written once."""
+    sep = ""
     for f in records.blocks:
-        cols[0] += f.item.tolist()
-        for j, rows in ((1, f.subset), (2, f.superset)):
-            cols[j] += map(_id_lists(rows).__getitem__, f.row.tolist())
-    for j, name in ((3, "p_subset"), (4, "p_superset")):
-        x = np.concatenate([np.zeros(0)] + [getattr(f, name) for f in records.blocks])
-        if not np.isfinite(x).all():
-            _fmt_float(x[np.argmin(np.isfinite(x))])  # raises, naming the value
-        cols[j] = (x + 0.0).tolist()  # -0.0 + 0.0 is 0.0
-    flat = [None] * (5 * len(records))  # every record's values, in order
-    for j, col in enumerate(cols):
-        flat[j::5] = col
-    add(", ".join([_VIOLATION] * len(records)) % tuple(flat))
+        p = []
+        for x in (f.p_subset, f.p_superset):
+            if not np.isfinite(x).all():
+                _fmt_float(x[np.argmin(np.isfinite(x))])  # raises, naming the value
+            p.append(x + 0.0)  # -0.0 + 0.0 is 0.0
+        for lo in range(0, len(f.item), _CHUNK):
+            rows = f.row[lo:lo + _CHUNK]
+            first = int(rows[0])  # rows ascend, so the chunk's pairs are a slice
+            flat = [None] * (5 * len(rows))  # the chunk's values, record by record
+            flat[0::5] = f.item[lo:lo + _CHUNK].tolist()
+            for j, sets in ((1, f.subset), (2, f.superset)):
+                ids = _id_lists(sets[first:rows[-1] + 1])
+                flat[j::5] = map(ids.__getitem__, (rows - first).tolist())
+            flat[3::5], flat[4::5] = (x[lo:lo + _CHUNK].tolist() for x in p)
+            add(sep + ", ".join([_VIOLATION] * len(rows)) % tuple(flat))
+            sep = ", "
 
 
 def _id_lists(rows) -> list:
@@ -171,7 +185,7 @@ def model_from_dict(d: dict):
 
 
 def save_model(model, path: str) -> None:
-    write_text(path, dumps(model_to_dict(model)))
+    _dump(model_to_dict(model), path)
 
 
 def load_model(path: str):

@@ -252,17 +252,17 @@ class TestAudit:
     def test_audit_looks_up_module_dumps_and_sweep(self, synth_files, tmp_path,
                                                    monkeypatch):
         # the benchmark's tracer times layers by swapping module attributes:
-        # serialize.dumps, and the regularity sweep core a tracer can wrap;
+        # the report writer serialize._dump, and the regularity sweep core;
         # an audit that imported either by name would slip past the swap
         _, model_path = synth_files
         calls = []
-        for mod, name in ((serialize, "dumps"), (axioms, "_sweep")):
+        for mod, name in ((serialize, "_dump"), (axioms, "_sweep")):
             real = getattr(mod, name)
             monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **kw:
                                 calls.append(name) or real(*a, **kw))
         assert main(["audit", "--model-file", model_path,
                      "--out", str(tmp_path / "audit.json")]) == 0
-        assert calls == ["_sweep", "dumps"]
+        assert calls == ["_sweep", "_dump"]
 
     @pytest.mark.parametrize("text, expansion", [
         # one alternative

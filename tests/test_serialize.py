@@ -1,4 +1,8 @@
+import contextlib
 import json
+import os
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -195,6 +199,82 @@ def _violation_columns(blocks):
         np.array(pairs, np.int64), np.array(a, np.int64), np.array(b, np.int64),
         np.array(row, np.int64), np.array(item, np.int64), np.array(lo, float),
         np.array(hi, float)) for pairs, a, b, row, item, lo, hi in blocks])
+
+
+def _blocks_of(sizes):
+    """Violation blocks with the given record counts, two records per
+    failing pair, every probability distinct and each block's first
+    p_subset -0.0."""
+    blocks, start = [], 0
+    for k, m in enumerate(sizes):
+        a = [[i, i + 1 + k] for i in range((m + 1) // 2)]
+        b = [row + [row[1] + 1] for row in a]
+        p = list(np.arange(start, start + m) / 7.0)
+        blocks.append((list(range(len(a))), np.reshape(a, (-1, 2)), np.reshape(b, (-1, 3)),
+                       [r // 2 for r in range(m)], [a[r // 2][r % 2] for r in range(m)],
+                       ([-0.0] + p[1:])[:m], p[::-1]))
+        start += m
+    return blocks
+
+
+class TestStreamedWrite:
+    """_dump streams a report into its file, violation records a chunk
+    of at most _CHUNK at a time: the same bytes as dumps, and the old
+    file kept when a later chunk fails."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("sizes", [
+        [],  # no violations
+        [6],  # one block, a multiple of every chunk
+        [5, 0, 1, 7],  # several blocks, one of them empty
+    ])
+    def test_file_matches_dumps(self, tmp_path, monkeypatch, chunk, sizes):
+        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        records = _violation_columns(_blocks_of(sizes))
+        report = {"n": 9, "checks": [{"name": "regularity", "violations": records}]}
+        path = tmp_path / "audit.json"
+        serialize._dump(report, str(path))
+        text = path.read_bytes().decode("utf-8")
+        plain = {"n": 9, "checks": [{"name": "regularity", "violations": list(records)}]}
+        assert text == serialize.dumps(report) == reference_dumps(plain)
+        assert text.count('"item"') == sum(sizes)
+
+    def test_nan_in_a_later_block_keeps_the_old_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serialize, "_CHUNK", 1)
+        blocks = _blocks_of([3, 2])
+        blocks[1][6][1] = float("nan")
+        path = tmp_path / "audit.json"
+        path.write_bytes(b"old\n")
+        written, atomic = [], serialize._atomic
+
+        @contextlib.contextmanager
+        def spy(p):
+            with atomic(p) as fh:
+                yield types.SimpleNamespace(write=lambda t: written.append(t) or fh.write(t))
+
+        monkeypatch.setattr(serialize, "_atomic", spy)
+        with pytest.raises(ValueError) as err:
+            serialize._dump({"violations": _violation_columns(blocks)}, str(path))
+        assert str(err.value) == "cannot serialize non-finite value nan"
+        assert sum('"item"' in t for t in written) == 3  # the first block's chunks
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["audit.json"]
+
+    def test_audit_write_peak_at_twelve(self, tmp_path):
+        # 20,120 violations in a 2.98-MB file. The write peaked at 0.20x
+        # the file; the bound adds 0.3 of margin. Formatting the whole
+        # report in one '%' and holding its text peaked at 3.57x.
+        report = axioms.run_audit(PcmcModel(q=data.gen_random_q(12, 1)))
+        path = str(tmp_path / "audit.json")
+        serialize._dump(report, path)  # untraced first: one-time set-up
+        tracemalloc.start()
+        try:
+            serialize._dump(report, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report["checks"][0]["violations"]) == 20_120
+        assert peak <= 0.5 * os.path.getsize(path)
 
 
 class TestModelRoundTrip:
